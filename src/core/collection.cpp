@@ -197,6 +197,21 @@ std::optional<radio::MessageBody> CollectionState::on_transmit(std::uint64_t rel
   return std::nullopt;
 }
 
+std::uint64_t CollectionState::next_poll(std::uint64_t rel_round) const {
+  const std::uint64_t next = rel_round + 1;
+  if (finished_) return next;
+  if (rel_round >= grab_end_) return alarm_.positive() ? next : phase_end_;
+  if (relay_packet_.has_value() || relay_ack_.has_value() || !ack_queue_.empty()) {
+    return next;
+  }
+  // The last window ends at grab_end_, so this also caps at the alarm start.
+  std::uint64_t due = phase_start_ + windows_[window_index_].end();
+  for (const auto& entry : start_schedule_) {
+    if (entry.first > rel_round && entry.first < due) due = entry.first;
+  }
+  return due;
+}
+
 void CollectionState::on_receive(std::uint64_t rel_round, const radio::Message& msg) {
   advance(rel_round);
   if (finished_) return;

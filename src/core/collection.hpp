@@ -64,6 +64,15 @@ class CollectionState {
   std::optional<radio::MessageBody> on_transmit(std::uint64_t rel_round);
   void on_receive(std::uint64_t rel_round, const radio::Message& msg);
 
+  /// Poll hint after on_transmit(rel_round): the next round on_transmit
+  /// must see. Pending relays, a non-empty root ack queue and a held alarm
+  /// are served round by round; otherwise the node is due at its next own
+  /// start slot, and never later than the current gather window's end
+  /// (or, in the alarm window, the phase end) — the boundaries where
+  /// advance() draws start slots and reports epochs and phases. Receptions
+  /// are the only other state changes, and they re-arm polling themselves.
+  std::uint64_t next_poll(std::uint64_t rel_round) const;
+
   /// Optional payload-buffer pool for outgoing DataMsg copies (usually the
   /// owning node's NodeProtocol::payload_arena). Null => heap-allocate,
   /// byte-identical either way.

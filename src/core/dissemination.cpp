@@ -232,6 +232,29 @@ std::optional<radio::MessageBody> DisseminationState::on_transmit(
   return msg;
 }
 
+std::uint64_t DisseminationState::next_poll(std::uint64_t rel_round) const {
+  const std::uint64_t phase_len = cfg_.rc.dissem_phase_rounds;
+  const std::uint32_t spacing = cfg_.rc.group_spacing;
+  const std::uint64_t phase = rel_round / phase_len;
+  if (phase >= slot_base_ && (phase - slot_base_) % spacing == 0) {
+    // Rounds of this slot-0 phase in which on_transmit may still speak.
+    const std::uint64_t j = (phase - slot_base_) / spacing;
+    std::uint64_t active = 0;
+    if (group_count_known_ && j < group_count_) {
+      if (is_root_) {
+        active = groups_[j].size;
+      } else if (dist_.has_value() && *dist_ != 0 && groups_[j].complete) {
+        active = forward_rounds_;
+      }
+    }
+    if (rel_round % phase_len + 1 < active) return rel_round + 1;
+  }
+  const std::uint64_t next_phase =
+      phase < slot_base_ ? slot_base_
+                         : slot_base_ + ((phase - slot_base_) / spacing + 1) * spacing;
+  return next_phase * phase_len;
+}
+
 void DisseminationState::on_receive(std::uint64_t /*rel_round*/,
                                     const radio::Message& msg) {
   if (is_root_) return;  // the root already owns everything

@@ -66,6 +66,15 @@ class DisseminationState {
   std::optional<radio::MessageBody> on_transmit(std::uint64_t rel_round);
   void on_receive(std::uint64_t rel_round, const radio::Message& msg);
 
+  /// Poll hint after on_transmit(rel_round): a node speaks only in the
+  /// slot-0 phases of its layer (phase `spacing·j + dist`; the root's
+  /// injection phases `spacing·j`), so it is due every round while it may
+  /// still transmit in the current one — the root's group size, a
+  /// forwarder's FORWARD window once it holds the group — and otherwise at
+  /// the start of its next slot-0 phase. Decoding a group happens in
+  /// on_receive, which re-arms polling itself.
+  std::uint64_t next_poll(std::uint64_t rel_round) const;
+
   /// Optional payload-buffer pool for outgoing messages (usually the
   /// owning node's NodeProtocol::payload_arena). Null => heap-allocate,
   /// byte-identical either way.
@@ -119,8 +128,9 @@ class DisseminationState {
   std::uint64_t rows_received_ = 0;
   std::uint64_t redundant_rows_ = 0;
 
-  // Constants hoisted out of on_transmit, which runs once per node-round
-  // for the entire Stage 4 window and dominated the profile: the Decay
+  // Constants hoisted out of on_transmit, which runs on every polled
+  // node-round of the Stage 4 window (every round for a node driven
+  // without poll hints) and dominated the profile: the Decay
   // epoch length, the FORWARD window length, the per-epoch-slot transmit
   // probabilities (1/2^(s+1), exact in binary FP so precomputing cannot
   // perturb a draw), and this node's layer offset into the phase schedule.

@@ -1,5 +1,6 @@
 #include "core/protocol.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -124,6 +125,28 @@ std::optional<radio::MessageBody> KBroadcastNode::apply_mutations(
 }
 
 std::optional<radio::MessageBody> KBroadcastNode::on_transmit(radio::Round round) {
+  std::optional<radio::MessageBody> msg = transmit(round);
+  set_quiet_until(next_poll(round));
+  return msg;
+}
+
+radio::Round KBroadcastNode::next_poll(radio::Round round) const {
+  switch (stage_for(round)) {
+    case Stage::kLeader:
+      return std::min(leader_.next_poll(round), stage2_start_);
+    case Stage::kBfs:
+      return std::min(stage2_start_ + bfs_->next_poll(round - stage2_start_),
+                      stage3_start_);
+    case Stage::kCollection:
+      // Capped at the phase end, where the stage may finish.
+      return stage3_start_ + collection_->next_poll(round - stage3_start_);
+    case Stage::kDissemination:
+      return stage3_end_ + dissemination_->next_poll(round - stage3_end_);
+  }
+  return round + 1;
+}
+
+std::optional<radio::MessageBody> KBroadcastNode::transmit(radio::Round round) {
   // Report before ensure_stage: entering Stage 3 constructs CollectionState,
   // whose phase/epoch hooks must nest inside the already-open stage span.
   report_stage(round);

@@ -101,6 +101,13 @@ class KBroadcastNode final : public radio::NodeProtocol {
  private:
   enum class Stage { kLeader, kBfs, kCollection, kDissemination };
   Stage stage_for(radio::Round round) const;
+  /// The transmit decision itself (on_transmit wraps it with the hint).
+  std::optional<radio::MessageBody> transmit(radio::Round round);
+  /// Absolute poll hint after transmit(round): the open stage's own
+  /// next_poll, capped at that stage's end (Stage 4 has none), so every
+  /// lazy stage switch and stage report happens in exactly the round it
+  /// would without hints.
+  radio::Round next_poll(radio::Round round) const;
   /// Creates stage state lazily when the schedule crosses a boundary.
   void ensure_stage(radio::Round round);
   /// Reports a stage transition to the observer and audit sink, once per

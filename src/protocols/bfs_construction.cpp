@@ -1,5 +1,7 @@
 #include "protocols/bfs_construction.hpp"
 
+#include <algorithm>
+
 namespace radiocast::protocols {
 
 BfsBuildState::BfsBuildState(const Config& cfg, radio::NodeId self, bool is_root,
@@ -25,6 +27,15 @@ std::optional<radio::MessageBody> BfsBuildState::on_transmit(std::uint64_t rel_r
   if (phase != *dist_) return std::nullopt;
   if (!decay_.decide(rel_round, *rng_)) return std::nullopt;
   return radio::BfsConstructMsg{self_, *dist_};
+}
+
+std::uint64_t BfsBuildState::next_poll(std::uint64_t rel_round) const {
+  if (!dist_.has_value()) return total_rounds_;
+  const std::uint64_t begin = std::min(*dist_ * phase_rounds_, total_rounds_);
+  const std::uint64_t end = std::min(begin + phase_rounds_, total_rounds_);
+  const std::uint64_t next = rel_round + 1;
+  if (next < begin) return begin;
+  return next < end ? next : total_rounds_;
 }
 
 void BfsBuildState::on_receive(std::uint64_t /*rel_round*/, const radio::Message& msg) {

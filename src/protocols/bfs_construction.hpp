@@ -33,6 +33,12 @@ class BfsBuildState {
   std::optional<radio::MessageBody> on_transmit(std::uint64_t rel_round);
   void on_receive(std::uint64_t rel_round, const radio::Message& msg);
 
+  /// Poll hint after on_transmit(rel_round): a node transmits (and draws
+  /// Decay coins) only inside its own layer's phase, so it is due at that
+  /// phase's rounds and otherwise at the end of the stage — or at a
+  /// reception, for a node that has no layer yet.
+  std::uint64_t next_poll(std::uint64_t rel_round) const;
+
   std::uint64_t total_rounds() const { return total_rounds_; }
 
   bool has_distance() const { return dist_.has_value(); }

@@ -59,6 +59,11 @@ std::optional<radio::MessageBody> LeaderElectionState::on_transmit(
   return alarm_.on_transmit(rel_round - window_start);
 }
 
+std::uint64_t LeaderElectionState::next_poll(std::uint64_t rel_round) const {
+  if (finished_ || alarm_.positive()) return rel_round + 1;
+  return static_cast<std::uint64_t>(current_probe_ + 1) * probe_rounds_;
+}
+
 void LeaderElectionState::on_receive(std::uint64_t rel_round,
                                      const radio::Message& msg) {
   advance(rel_round);

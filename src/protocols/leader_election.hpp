@@ -36,6 +36,13 @@ class LeaderElectionState {
   std::optional<radio::MessageBody> on_transmit(std::uint64_t rel_round);
   void on_receive(std::uint64_t rel_round, const radio::Message& msg);
 
+  /// Poll hint after on_transmit(rel_round): the next round on_transmit
+  /// must see. A node flooding the current probe draws a Decay coin every
+  /// round; any other node is silent and draws nothing until the probe
+  /// window ends (where advance() folds the outcome and may re-arm it) or
+  /// a reception arrives.
+  std::uint64_t next_poll(std::uint64_t rel_round) const;
+
   /// Total rounds of the stage.
   std::uint64_t total_rounds() const { return total_rounds_; }
 

@@ -6,6 +6,12 @@
 // assert message discipline (e.g. "no Stage-3 unicast traffic during
 // dissemination"), build per-round histograms, or inject observation
 // points into end-to-end runs that the runners set up.
+//
+// The wrapper never forwards the inner protocol's poll hint
+// (NodeProtocol::quiet_until), so a wrapped node is polled every round it
+// is awake: the transmit hook sees every round, including those the bare
+// protocol would have skipped. The inner hint stays readable through
+// inner().quiet_until().
 #pragma once
 
 #include <functional>

@@ -29,6 +29,7 @@ Network::Network(const graph::Graph& graph)
     : graph_(graph),
       protocols_(graph.num_nodes(), nullptr),
       awake_(graph.num_nodes(), 0),
+      poll_at_(graph.num_nodes(), 0),
       transmitting_(graph.num_nodes(), 0),
       reach_(graph.num_nodes(), ReachSlot{0, 0}),
       payload_arena_(std::make_unique<PayloadArena>()) {
@@ -416,7 +417,6 @@ void Network::sharded_bitset_fast_sweep(
   // word ranges and each shard recorded word-ascending, so this is
   // exactly the unsharded word-sweep callback order. Message
   // materialisation and every protocol callback stay on this thread.
-  NodeProtocol* const* const protocols = protocols_.data();
   for (std::uint32_t s = 0; s < S; ++s) {
     deaf_acc += shard_tallies_[s].deaf;
     collision_acc += shard_tallies_[s].collision;
@@ -428,7 +428,7 @@ void Network::sharded_bitset_fast_sweep(
       const NodeId from = events[i].from;
       if (from == kShardCollision) {
         wake(v);
-        protocols[v]->on_collision(round_);
+        upcall(v).on_collision(round_);
         continue;
       }
       std::uint32_t idx = tx_index_of_[from];
@@ -439,7 +439,7 @@ void Network::sharded_bitset_fast_sweep(
       bits_rx_acc += meta.size_bits;
       ++rx_kind_acc[meta.kind];
       if (!awake_[v]) wake(v);
-      protocols[v]->on_receive(round_, txm);
+      upcall(v).on_receive(round_, txm);
     }
   }
 }
@@ -452,7 +452,7 @@ void Network::wake(NodeId id) {
     awake_list_dirty_ = true;
     ++trace_.counters().wakeups;
     if (auditor_ != nullptr) auditor_->on_node_wake(round_, id);
-    protocols_[id]->on_wake(round_);
+    upcall(id).on_wake(round_);
   }
 }
 
@@ -497,7 +497,7 @@ void Network::step() {
     if (auditor_ != nullptr) auditor_->on_sim_start(pending_initial_wakes_);
     for (NodeId id : pending_initial_wakes_) {
       ++trace_.counters().wakeups;
-      protocols_[id]->on_wake(round_);
+      upcall(id).on_wake(round_);
     }
     pending_initial_wakes_.clear();
 #ifndef NDEBUG
@@ -522,9 +522,10 @@ void Network::step() {
 }
 
 void Network::round_scalar() {
-  // Phase 1: collect transmission decisions from awake nodes. The dense
-  // awake list replaces the historical full-n scan; it is kept sorted so
-  // on_transmit fires in the same ascending-id order as that scan did.
+  // Phase 1: collect transmission decisions from awake nodes that are due
+  // a poll. The dense awake list replaces the historical full-n scan; it
+  // is kept sorted so on_transmit fires in the same ascending-id order as
+  // that scan did.
   // Last round's payload buffers go back to the arena first, so the
   // on_transmit calls below can reuse them instead of hitting the heap.
   const bool events = trace_.events_enabled();
@@ -541,18 +542,26 @@ void Network::round_scalar() {
   // the trace structure per awake node. Observable state is unchanged —
   // nothing reads the counters until after the flush.
   std::uint64_t bits_tx_acc = 0;
+  std::uint64_t polls_acc = 0;
   std::array<std::uint64_t, kNumMessageKinds> tx_kind_acc{};
   NodeProtocol* const* const tx_protocols = protocols_.data();
   std::uint8_t* const tx_transmitting = transmitting_.data();
+  Round* const poll_at = poll_at_.data();
   const Round round_now = round_;
   // awake_list_ cannot change inside this loop (wake() only fires on
   // reception, in Phase 3), so its bounds are hoisted past the virtual
-  // calls.
+  // calls. Nodes inside a declared quiet spell are skipped without a call
+  // (see NodeProtocol::quiet_until): the loop costs one hint load per
+  // awake node plus one virtual call per due node.
   const NodeId* const awake_ids = awake_list_.data();
   const std::size_t awake_n = awake_list_.size();
   for (std::size_t i = 0; i < awake_n; ++i) {
     const NodeId id = awake_ids[i];
-    std::optional<MessageBody> body = tx_protocols[id]->on_transmit(round_now);
+    if (poll_at[id] > round_now) continue;
+    NodeProtocol* const proto = tx_protocols[id];
+    std::optional<MessageBody> body = proto->on_transmit(round_now);
+    poll_at[id] = proto->quiet_until();
+    ++polls_acc;
     if (body.has_value()) {
       tx_transmitting[id] = 1;
       const auto bits = static_cast<std::uint32_t>(message_size_bits(*body));
@@ -572,6 +581,7 @@ void Network::round_scalar() {
     TraceCounters& c = trace_.counters();
     c.transmissions += transmissions_.size();
     c.bits_transmitted += bits_tx_acc;
+    c.polls += polls_acc;
     for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
       c.transmissions_by_kind[k] += tx_kind_acc[k];
     }
@@ -628,7 +638,6 @@ void Network::round_scalar() {
   // is invisible.
   const bool faults_on = fault_model_.reception_loss_probability > 0.0;
   {
-    NodeProtocol* const* const protocols = protocols_.data();
     const std::uint8_t* const transmitting = transmitting_.data();
     ReachSlot* const reach = reach_.data();
     const Message* const txs = transmissions_.data();
@@ -664,7 +673,7 @@ void Network::round_scalar() {
         }
         if (auditor_ != nullptr) auditor_->on_deliver(round_, v, source, tx);
         if (!mutations_.skip_wake_on_receive && !awake_[v]) wake(v);
-        protocols[v]->on_receive(round_, tx);
+        upcall(v).on_receive(round_, tx);
       };
 
       if (transmitting[v]) {
@@ -682,7 +691,7 @@ void Network::round_scalar() {
         }
         if (collision_detection_) {
           wake(v);
-          protocols[v]->on_collision(round_);
+          upcall(v).on_collision(round_);
         }
         if (mutations_.deliver_on_collision) deliver(slot.source);
         continue;
@@ -774,8 +783,8 @@ void Network::round_bitset() {
 
   // Phase 1: this round's transmit set, as bits. With a packed source the
   // whole round is one bulk fill + awake mask; otherwise the scalar
-  // engine's sorted awake scan runs unchanged (same virtual calls, same
-  // order) and additionally sets the bits.
+  // engine's sorted awake scan runs unchanged (same poll-hint skips, same
+  // virtual calls, same order) and additionally sets the bits.
   if (packed_source_ != nullptr) {
     packed_source_->fill_transmit_words(round_, tx, nw);
     const std::uint64_t* const aw = awake_bits_.words().data();
@@ -826,14 +835,20 @@ void Network::round_bitset() {
     // bits in, so last round's set must be cleared first.
     std::fill_n(tx, nw, 0);
     std::uint64_t bits_tx_acc = 0;
+    std::uint64_t polls_acc = 0;
     std::array<std::uint64_t, kNumMessageKinds> tx_kind_acc{};
     NodeProtocol* const* const tx_protocols = protocols_.data();
+    Round* const poll_at = poll_at_.data();
     const Round round_now = round_;
     const NodeId* const awake_ids = awake_list_.data();
     const std::size_t awake_n = awake_list_.size();
     for (std::size_t i = 0; i < awake_n; ++i) {
       const NodeId id = awake_ids[i];
-      std::optional<MessageBody> body = tx_protocols[id]->on_transmit(round_now);
+      if (poll_at[id] > round_now) continue;  // same poll-hint skip as scalar
+      NodeProtocol* const proto = tx_protocols[id];
+      std::optional<MessageBody> body = proto->on_transmit(round_now);
+      poll_at[id] = proto->quiet_until();
+      ++polls_acc;
       if (body.has_value()) {
         tx[id >> 6] |= 1ULL << (id & 63);
         const auto bits = static_cast<std::uint32_t>(message_size_bits(*body));
@@ -851,6 +866,7 @@ void Network::round_bitset() {
     TraceCounters& c = trace_.counters();
     c.transmissions += transmissions_.size();
     c.bits_transmitted += bits_tx_acc;
+    c.polls += polls_acc;
     for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
       c.transmissions_by_kind[k] += tx_kind_acc[k];
     }
@@ -918,7 +934,6 @@ void Network::round_bitset() {
   }
 
   // Phase 3.
-  NodeProtocol* const* const protocols = protocols_.data();
   std::uint64_t deliveries_acc = 0;
   std::uint64_t bits_rx_acc = 0;
   std::uint64_t collision_acc = 0;
@@ -955,7 +970,7 @@ void Network::round_bitset() {
         }
         if (auditor_ != nullptr) auditor_->on_deliver(round_, v, src, txm);
         if (!mutations_.skip_wake_on_receive && !awake_[v]) wake(v);
-        protocols[v]->on_receive(round_, txm);
+        upcall(v).on_receive(round_, txm);
       };
 
       if ((tx[v >> 6] >> (v & 63)) & 1u) {
@@ -973,7 +988,7 @@ void Network::round_bitset() {
         }
         if (collision_detection_) {
           wake(v);
-          protocols[v]->on_collision(round_);
+          upcall(v).on_collision(round_);
         }
         if (mutations_.deliver_on_collision) deliver(source);
         continue;
@@ -1009,7 +1024,7 @@ void Network::round_bitset() {
           const auto v = static_cast<NodeId>((w0 << 6) + std::countr_zero(cbits));
           cbits &= cbits - 1;
           wake(v);
-          protocols[v]->on_collision(round_);
+          upcall(v).on_collision(round_);
         }
       }
       std::uint64_t succ = o & ~tw & ~txw;
@@ -1055,7 +1070,7 @@ void Network::round_bitset() {
         bits_rx_acc += meta.size_bits;
         ++rx_kind_acc[meta.kind];
         if (!awake_[v]) wake(v);
-        protocols[v]->on_receive(round_, txm);
+        upcall(v).on_receive(round_, txm);
       }
     }
   }

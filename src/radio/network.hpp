@@ -47,9 +47,10 @@ std::optional<EngineMode> parse_engine_mode(std::string_view name);
 
 /// Optional bulk transmit-decision provider for the bitset engine.
 ///
-/// The scalar engine asks every awake node's protocol for a decision via
-/// the virtual NodeProtocol::on_transmit; at n = 10^6 those virtual calls
-/// dominate the round. A protocol family whose per-round decision is a
+/// The scalar engine asks every awake node that is due a poll (see
+/// NodeProtocol::quiet_until) for a decision via the virtual
+/// NodeProtocol::on_transmit; at n = 10^6 with every node due each round,
+/// those virtual calls dominate the round. A protocol family whose per-round decision is a
 /// simple predicate (the paper's one-bit Decay/alarm regimes) can instead
 /// register a PackedTransmitSource: the engine requests the whole round's
 /// decisions as one bit vector and only materialises a Message for
@@ -244,6 +245,14 @@ class Network {
 
  private:
   void wake(NodeId id);
+  /// The target of an on_wake / on_receive / on_collision upcall: re-arms
+  /// the node's polling from the next round (a callback may end whatever
+  /// quiet spell its last poll hint declared), then returns its protocol.
+  /// Every such upcall goes through here, on every engine sub-path.
+  NodeProtocol& upcall(NodeId id) {
+    poll_at_[id] = 0;
+    return *protocols_[id];
+  }
   /// One round of the node-at-a-time reference kernel.
   void round_scalar();
   /// One round of the bit-parallel kernel (see docs/performance.md). The
@@ -312,6 +321,12 @@ class Network {
   /// callbacks fire in exactly the order of the historical full scan.
   std::vector<NodeId> awake_list_;
   bool awake_list_dirty_ = false;
+  /// Per-node poll hints (NodeProtocol::quiet_until, stored after each
+  /// on_transmit, zeroed by upcall): Phase 1 still walks the whole sorted
+  /// awake list — transmit order, transmission indices and fault-RNG
+  /// positions are untouched — but makes the virtual call only for nodes
+  /// with poll_at_[id] <= round.
+  std::vector<Round> poll_at_;
   /// Nodes flagged awake before the first step; on_wake fires lazily.
   std::vector<NodeId> pending_initial_wakes_;
   bool started_ = false;

@@ -1,7 +1,8 @@
 // Contiguous typed storage for per-node protocol state machines.
 //
 // A Network drives one NodeProtocol per vertex, and the Phase-1 loop
-// calls on_transmit on every awake node every round. With one
+// calls on_transmit on every awake node that is due a poll (every round
+// unless the protocol declares a quiet spell). With one
 // individually heap-allocated protocol per node (the unique_ptr overload
 // of Network::set_protocol), those calls chase n scattered allocations;
 // a ProtocolSlab<T> instead placement-constructs all n protocols of a run

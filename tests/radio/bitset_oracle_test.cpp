@@ -377,8 +377,12 @@ TEST(BitsetOracle, PackedSourceMatchesOnTransmitProtocols) {
   for (int r = 0; r < 192; ++r) {
     scalar_net.step();
     bitset_net.step();
-    ASSERT_EQ(scalar_net.trace().counters(), bitset_net.trace().counters())
-        << "round " << r;
+    // The packed source decides whole rounds without a single on_transmit
+    // call, so the poll work counter is the one field allowed to differ.
+    ASSERT_EQ(bitset_net.trace().counters().polls, 0u);
+    TraceCounters scalar = scalar_net.trace().counters();
+    scalar.polls = 0;
+    ASSERT_EQ(scalar, bitset_net.trace().counters()) << "round " << r;
   }
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_EQ(a_nodes[v]->receives, b_nodes[v]->receives) << "node " << v;
