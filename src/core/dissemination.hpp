@@ -101,7 +101,6 @@ class DisseminationState {
     std::optional<gf2::IncrementalDecoder> decoder;
     /// Decoded packets (cached once the decoder completes).
     std::vector<radio::Packet> packets;
-    std::optional<gf2::GroupEncoder> encoder;
     bool complete = false;
   };
 
@@ -124,6 +123,13 @@ class DisseminationState {
   bool group_count_known_ = false;
   std::vector<GroupState> groups_;
   bool complete_ = false;
+
+  /// Coded FORWARD encoder of group encoder_group_. A node forwards group
+  /// j only in phase spacing·j + dist, so a single encoder, rebuilt when
+  /// the node reaches its next group, serves them all; keeping one per
+  /// group would hold every group's wire images and tables to the end.
+  std::optional<gf2::GroupEncoder> encoder_;
+  std::uint64_t encoder_group_ = 0;
 
   std::uint64_t rows_received_ = 0;
   std::uint64_t redundant_rows_ = 0;

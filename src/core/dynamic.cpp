@@ -33,6 +33,7 @@ DynamicBroadcastNode::DynamicBroadcastNode(const DynamicConfig& cfg,
       leader_(leader_config(cfg.rc), self, /*participant=*/true, &rng_) {
   bfs_start_ = cfg_.rc.stage1_rounds;
   setup_end_ = cfg_.rc.stage1_rounds + cfg_.rc.stage2_rounds;
+  dissem_window_ = cfg_.dissemination_window();
 }
 
 void DynamicBroadcastNode::inject(radio::Packet packet) {
@@ -69,6 +70,7 @@ void DynamicBroadcastNode::start_collect(radio::Round round) {
   if (!is_root && bfs_.has_value() && bfs_->has_distance()) parent = bfs_->parent();
   collect_.emplace(CollectionState::Config{cfg_.rc}, self_, is_root, parent,
                    std::move(own), &rng_);
+  collect_->set_payload_arena(payload_arena());
 }
 
 void DynamicBroadcastNode::start_disseminate(radio::Round round) {
@@ -88,6 +90,7 @@ void DynamicBroadcastNode::start_disseminate(radio::Round round) {
   if (bfs_.has_value() && bfs_->has_distance()) dist = bfs_->distance();
   dissem_.emplace(DisseminationState::Config{cfg_.rc}, self_, leader_.is_leader(),
                   dist, &rng_);
+  dissem_->set_payload_arena(payload_arena());
   if (leader_.is_leader()) {
     std::vector<radio::Packet> batch;
     const std::uint32_t capacity = cfg_.resolved_capacity();
@@ -125,7 +128,7 @@ void DynamicBroadcastNode::advance(radio::Round round) {
         }
         break;
       case Phase::kDisseminate:
-        if (round >= phase_start_ + cfg_.dissemination_window()) {
+        if (round >= phase_start_ + dissem_window_) {
           // Harvest whatever decoded and begin the next epoch.
           if (dissem_.has_value()) {
             for (radio::Packet& p : dissem_->packets()) {
@@ -133,7 +136,7 @@ void DynamicBroadcastNode::advance(radio::Round round) {
             }
           }
           ++epoch_;
-          start_collect(phase_start_ + cfg_.dissemination_window());
+          start_collect(phase_start_ + dissem_window_);
           changed = true;
         }
         break;
@@ -143,6 +146,27 @@ void DynamicBroadcastNode::advance(radio::Round round) {
 
 std::optional<radio::MessageBody> DynamicBroadcastNode::on_transmit(
     radio::Round round) {
+  std::optional<radio::MessageBody> msg = transmit(round);
+  set_quiet_until(next_poll(round));
+  return msg;
+}
+
+radio::Round DynamicBroadcastNode::next_poll(radio::Round round) const {
+  switch (phase_) {
+    case Phase::kSetup:
+      if (round < bfs_start_) return std::min(leader_.next_poll(round), bfs_start_);
+      return std::min(bfs_start_ + bfs_->next_poll(round - bfs_start_), setup_end_);
+    case Phase::kCollect:
+      // Capped at the phase end, where collection may finish.
+      return phase_start_ + collect_->next_poll(round - phase_start_);
+    case Phase::kDisseminate:
+      return phase_start_ +
+             std::min(dissem_->next_poll(round - phase_start_), dissem_window_);
+  }
+  return round + 1;
+}
+
+std::optional<radio::MessageBody> DynamicBroadcastNode::transmit(radio::Round round) {
   advance(round);
   switch (phase_) {
     case Phase::kSetup:

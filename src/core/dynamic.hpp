@@ -63,12 +63,17 @@ class DynamicBroadcastNode : public radio::NodeProtocol {
  public:
   DynamicBroadcastNode(const DynamicConfig& cfg, radio::NodeId self, Rng rng);
 
+  /// The transmit decision, followed by the poll hint (next_poll).
   std::optional<radio::MessageBody> on_transmit(radio::Round round) override;
   void on_receive(radio::Round round, const radio::Message& msg) override;
 
   /// Application-level packet arrival (out-of-band, as in any real stack:
   /// the application hands the packet to the protocol). The packet joins
-  /// the next collection sub-stage.
+  /// the next collection sub-stage. Safe while the node is inside a quiet
+  /// spell (NodeProtocol::quiet_until), with no re-arm: the call only
+  /// records the packet as held and appends it to pending_, and nothing
+  /// reads pending_ before start_collect, which runs at an epoch boundary
+  /// where every hint is capped.
   void inject(radio::Packet packet);
 
   /// All packets this node has delivered so far (own + decoded), keyed by id.
@@ -90,7 +95,11 @@ class DynamicBroadcastNode : public radio::NodeProtocol {
   /// Called at every collection re-entry (epoch start): returns the fresh
   /// application packets joining this epoch's collection sub-stage, after
   /// the carry-over of the previous epoch's unacked packets. The default
-  /// drains the unbounded pending_ list fed by inject().
+  /// drains the unbounded pending_ list fed by inject(). This is the only
+  /// reader of out-of-band arrivals, and it runs inside on_transmit at the
+  /// epoch boundary, which every poll hint is capped at — so arrivals that
+  /// land during a quiet spell are picked up in exactly the round they
+  /// would be without hints.
   virtual std::vector<radio::Packet> take_epoch_packets();
 
   /// Fired exactly once per packet the first time this node holds it —
@@ -104,6 +113,16 @@ class DynamicBroadcastNode : public radio::NodeProtocol {
 
  private:
   enum class Phase { kSetup, kCollect, kDisseminate };
+  /// The transmit decision itself (on_transmit wraps it with the hint).
+  std::optional<radio::MessageBody> transmit(radio::Round round);
+  /// Absolute poll hint after transmit(round): the open phase's own
+  /// next_poll, capped where advance() does lazy work — leader election
+  /// at bfs_start_, BFS at setup_end_, collection at its phase end (its
+  /// own next_poll already stops there), dissemination at the window end
+  /// where the next epoch opens. So every phase switch, epoch re-entry
+  /// and first-hold report happens in exactly the round it would without
+  /// hints.
+  radio::Round next_poll(radio::Round round) const;
   void advance(radio::Round round);
   void start_collect(radio::Round round);
   void start_disseminate(radio::Round round);
@@ -116,6 +135,9 @@ class DynamicBroadcastNode : public radio::NodeProtocol {
   std::optional<protocols::BfsBuildState> bfs_;
   radio::Round setup_end_ = 0;
   radio::Round bfs_start_ = 0;
+  /// cfg_.dissemination_window(), computed once: advance() reads it on
+  /// every callback of the dissemination window.
+  std::uint64_t dissem_window_ = 0;
 
   Phase phase_ = Phase::kSetup;
   std::uint32_t epoch_ = 0;

@@ -12,9 +12,12 @@
 // buffers back into a free pool (`recycle_body`); protocols acquire
 // buffers from the pool when building outgoing messages (`acquire` /
 // `acquire_copy`). After the first round of a steady workload every
-// payload is bump-served from recycled capacity — the pool's high-water
-// mark is the maximum number of simultaneous transmissions, i.e. at most
-// n buffers of the largest payload size.
+// payload is bump-served from recycled capacity, and the pool stays
+// bounded by the buffers in circulation (one round's transmissions plus
+// the rows parked in decoders) — but only because the protocols acquire
+// from it. The harvest is unconditional, so a protocol that builds its
+// payloads on the heap instead makes the pool grow by one buffer per
+// transmission for the whole run.
 //
 // Determinism: an acquired buffer is always handed out logically empty
 // (size 0) and fully overwritten by the caller, so payload *bytes* on the

@@ -1,6 +1,5 @@
 #include "stream/driver.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -52,11 +51,12 @@ StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg) {
     net.set_auditor(auditor.get());
   }
 
+  HoldLog log;
   Rng master(cfg.seed);
   std::vector<StreamNode*> nodes(g.num_nodes());
   for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
     StreamNode& node = slab.emplace(cfg.dyn, v, master.split(),
-                                    cfg.buffer_capacity, cfg.policy);
+                                    cfg.buffer_capacity, cfg.policy, &log);
     nodes[v] = &node;
     net.set_protocol(v, &node);
     net.wake_at_start(v);
@@ -114,27 +114,25 @@ StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg) {
     }
     net.step();
 
-    // Round-exact delivery accounting: every first-hold event lands here
-    // in the round it happened.
-    std::uint32_t max_epoch = last_epoch;
-    for (StreamNode* node : nodes) {
-      for (const radio::PacketId id : node->drain_newly_held()) {
-        const auto it = tracking.find(id);
-        RC_ASSERT_MSG(it != tracking.end(), "held packet was never offered");
-        if (it->second.holders == 0) ++in_flight;
-        if (++it->second.holders == g.num_nodes()) {
-          --in_flight;
-          ++result.delivered_everywhere;
-          result.latency.add(round - it->second.arrival_round);
-        }
+    // Round-exact delivery accounting: the nodes logged every first-hold
+    // event of this step, so the cost is O(events), not O(n), per round.
+    // The updates commute, so callback order within the round is moot.
+    for (const radio::PacketId id : log.held) {
+      const auto it = tracking.find(id);
+      RC_ASSERT_MSG(it != tracking.end(), "held packet was never offered");
+      if (it->second.holders == 0) ++in_flight;
+      if (++it->second.holders == g.num_nodes()) {
+        --in_flight;
+        ++result.delivered_everywhere;
+        result.latency.add(round - it->second.arrival_round);
       }
-      max_epoch = std::max(max_epoch, node->epochs_completed());
     }
+    log.held.clear();
 
     // One backlog sample per epoch boundary, plus the final round.
-    if (max_epoch > last_epoch || round + 1 == cfg.horizon) {
-      const bool boundary = max_epoch > last_epoch;
-      last_epoch = max_epoch;
+    if (log.epoch > last_epoch || round + 1 == cfg.horizon) {
+      const bool boundary = log.epoch > last_epoch;
+      last_epoch = log.epoch;
       sample_backlog(round, boundary);
     }
   }

@@ -9,9 +9,10 @@
 //     RNG stream (stream/arrivals.hpp),
 //   * routes every arrival through a per-node SourceQueue with a
 //     configurable full-buffer policy (stream/queue.hpp),
-//   * drains first-hold events from every node every round, so per-packet
-//     delivery latencies are round-exact and fold into an
-//     obs::LogHistogram (thread-invariant percentiles),
+//   * consumes, after every round, the first-hold events the nodes logged
+//     during it (stream::HoldLog), so per-packet delivery latencies are
+//     round-exact, cost O(events) rather than O(n) per round, and fold
+//     into an obs::LogHistogram (thread-invariant percentiles),
 //   * samples the number in system — buffered + backpressure-held +
 //     in-flight packets — at every epoch boundary into an obs::QueueLedger
 //     and a SaturationDetector (a growing number in system is the

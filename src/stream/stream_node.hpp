@@ -2,10 +2,17 @@
 //
 // The closed dynamic mode injects straight into an unbounded pending list;
 // the open system routes every arrival through a SourceQueue instead, and
-// reports first-hold events round-exactly so the driver can compute exact
-// per-packet delivery latencies (the closed harness polls every 64 rounds).
+// appends every first-hold event and epoch re-entry to the run's HoldLog
+// in the round it happens, so the driver can compute exact per-packet
+// delivery latencies (the closed harness polls every 64 rounds) without
+// visiting every node every round.
+//
+// StreamNode inherits DynamicBroadcastNode's poll hint unchanged: offer()
+// needs no re-arm, because only take_epoch_packets() reads the buffer and
+// it runs at an epoch boundary, where every hint is capped.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -14,48 +21,57 @@
 
 namespace radiocast::stream {
 
+/// Per-run event log shared by every StreamNode of one run. Nodes append
+/// during Network::step; the driver consumes `held` right after each step,
+/// so every event is accounted in the round it happened.
+struct HoldLog {
+  /// Packet ids first held by some node since the driver last cleared
+  /// this, in callback order (one entry per (packet, node) first hold).
+  std::vector<radio::PacketId> held;
+  /// Highest epoch any node has entered (DynamicBroadcastNode's
+  /// epochs_completed() at its latest epoch re-entry).
+  std::uint32_t epoch = 0;
+};
+
 class StreamNode final : public core::DynamicBroadcastNode {
  public:
+  /// `log` must outlive the node; every node of a run shares one.
   StreamNode(const core::DynamicConfig& cfg, radio::NodeId self, Rng rng,
-             std::uint32_t buffer_capacity, BufferPolicy policy)
+             std::uint32_t buffer_capacity, BufferPolicy policy, HoldLog* log)
       : core::DynamicBroadcastNode(cfg, self, rng),
-        queue_(buffer_capacity, policy) {}
+        queue_(buffer_capacity, policy),
+        log_(log) {}
 
   /// Application-side arrival: the packet goes through the bounded buffer,
   /// NOT directly into the pipeline. Returns true if buffered immediately.
+  /// Safe during a quiet spell with no re-arm: nothing reads the buffer
+  /// before the next epoch re-entry (take_epoch_packets).
   bool offer(radio::Packet packet) { return queue_.offer(std::move(packet)); }
-
-  /// Packet ids first held by this node since the previous call, in
-  /// hold order. The driver drains this every round.
-  std::vector<radio::PacketId> drain_newly_held() {
-    std::vector<radio::PacketId> out = std::move(newly_held_);
-    newly_held_.clear();
-    return out;
-  }
 
   const SourceQueue& queue() const { return queue_; }
 
  protected:
   /// Epoch re-entry pulls from the bounded buffer (which refills from any
-  /// backpressure holdback) instead of the base class's unbounded list.
+  /// backpressure holdback) instead of the base class's unbounded list,
+  /// and logs the epoch just entered. Runs inside on_transmit at the
+  /// epoch boundary, never inside a quiet spell.
   std::vector<radio::Packet> take_epoch_packets() override {
+    log_->epoch = std::max(log_->epoch, epochs_completed());
     std::vector<radio::Packet> out = queue_.drain();
-    for (const radio::Packet& p : out) deliver_own(p);
+    // Admitted packets count as held by their source the moment they
+    // enter the pipeline (mirrors inject()'s deliver-on-injection in the
+    // closed mode; a buffered-then-dropped packet is never "held").
+    for (const radio::Packet& p : out) deliver(p);
     return out;
   }
 
   void on_packet_delivered(const radio::Packet& packet) override {
-    newly_held_.push_back(packet.id);
+    log_->held.push_back(packet.id);
   }
 
  private:
-  // Admitted packets count as held by their source the moment they enter
-  // the pipeline (mirrors inject()'s deliver-on-injection in the closed
-  // mode; a buffered-then-dropped packet is never "held").
-  void deliver_own(const radio::Packet& p) { deliver(p); }
-
   SourceQueue queue_;
-  std::vector<radio::PacketId> newly_held_;
+  HoldLog* log_;
 };
 
 }  // namespace radiocast::stream

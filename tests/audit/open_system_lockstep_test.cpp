@@ -1,0 +1,307 @@
+// Poll-hint soundness for the open-system nodes.
+//
+// core::DynamicBroadcastNode and stream::StreamNode declare quiet spells
+// (radio::NodeProtocol::quiet_until) like KBroadcastNode, while arrivals
+// reach them out of band — inject() and offer() — with no engine re-arm.
+// That is sound because nothing reads an arrival before the node's next
+// epoch re-entry, where every hint is capped. Each harness's network runs
+// twice in lock step on the same arrivals, under both engines: bare, so
+// the engine skips nodes on their hints, and with every node wrapped in
+// an InterceptingProtocol, which never forwards the hint and so is polled
+// on every awake round. Per run this pins:
+//
+//   1. identical transmitter sets, first holds and epochs in every round,
+//      and a stream hold log that is exactly each round's new holds;
+//   2. no transmission in a round the inner node had declared quiet since
+//      its last callback;
+//   3. the poll accounting: the wrapped run polls every awake node-round,
+//      the bare run strictly fewer, and the difference is exactly the
+//      quiet rounds the wrapped run observed;
+//   4. arrivals do land on quiet nodes, so the no-re-arm argument is
+//      exercised rather than assumed;
+//   5. the bare mirror of each harness equals the harness itself —
+//      core::run_dynamic_broadcast and stream::run_stream — poll counter
+//      included.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
+
+#include "common/stats.hpp"
+#include "core/dynamic.hpp"
+#include "graph/generators.hpp"
+#include "obs/histogram.hpp"
+#include "radio/interceptor.hpp"
+#include "radio/network.hpp"
+#include "stream/driver.hpp"
+#include "stream/stream_node.hpp"
+#include "transmit_recorder.hpp"
+
+namespace radiocast::audit {
+namespace {
+
+enum class Harness { kDynamic, kStream };
+
+/// What both sides of a lock step share — graph, harness config and
+/// arrivals, built exactly as the harness builds them.
+struct Inputs {
+  Harness harness = Harness::kDynamic;
+  graph::Graph g;
+  /// dyn, horizon and seed serve both harnesses; the rest is stream-only.
+  stream::StreamConfig cfg;
+  std::vector<core::Arrival> arrivals;  ///< sorted by round
+};
+
+Inputs make_inputs(Harness harness) {
+  Inputs s;
+  s.harness = harness;
+  Rng grng(21);
+  s.g = graph::make_random_geometric(24, 0.4, grng);
+  core::KBroadcastConfig kcfg;
+  kcfg.know = radio::Knowledge::exact(s.g);
+  s.cfg.dyn.rc = core::resolve(kcfg);
+  s.cfg.dyn.batch_capacity = 8;
+  s.cfg.horizon =
+      s.cfg.dyn.rc.stage3_start() + 4 * stream::epoch_estimate_rounds(s.cfg.dyn);
+  s.cfg.seed = 23;
+  if (harness == Harness::kStream) {
+    // Above the knee with a tiny backpressure buffer: drains refill from
+    // the holdback list at every epoch re-entry.
+    s.cfg.arrivals.rate = stream::per_node_rate(s.cfg.dyn, s.g.num_nodes(), 1.5);
+    s.cfg.arrivals.seed = 29;
+    s.cfg.buffer_capacity = 2;
+    s.cfg.policy = stream::BufferPolicy::kBackpressure;
+    s.arrivals =
+        stream::make_arrival_schedule(s.g.num_nodes(), s.cfg.arrivals, s.cfg.horizon);
+  } else {
+    Rng arng(31);
+    s.arrivals = core::make_arrivals(s.g.num_nodes(), 40, s.cfg.horizon / 2,
+                                     /*payload_bytes=*/8, arng);
+  }
+  return s;
+}
+
+/// One side of the lock step, its nodes seeded as the harness seeds them;
+/// with `wrap`, each node sits in an InterceptingProtocol that tracks the
+/// inner node's hint.
+struct Side {
+  Side(const Inputs& s, radio::EngineMode engine, bool wrap)
+      : net(s.g), due(s.g.num_nodes(), 0) {
+    net.set_engine(engine);
+    net.set_auditor(&recorder);
+    Rng master(s.cfg.seed);
+    for (radio::NodeId v = 0; v < s.g.num_nodes(); ++v) {
+      std::unique_ptr<core::DynamicBroadcastNode> node;
+      if (s.harness == Harness::kStream) {
+        auto sn = std::make_unique<stream::StreamNode>(
+            s.cfg.dyn, v, master.split(), s.cfg.buffer_capacity, s.cfg.policy, &log);
+        stream_nodes.push_back(sn.get());
+        node = std::move(sn);
+      } else {
+        node = std::make_unique<core::DynamicBroadcastNode>(s.cfg.dyn, v, master.split());
+      }
+      core::DynamicBroadcastNode* inner = node.get();
+      nodes.push_back(inner);
+      if (wrap) {
+        auto w = std::make_unique<radio::InterceptingProtocol>(std::move(node));
+        w->set_transmit_hook(
+            [this, v, inner](radio::Round round, const std::optional<radio::MessageBody>& out) {
+              if (round < due[v]) {
+                ++quiet_polls;
+                if (out.has_value()) ++early_transmissions;
+              }
+              due[v] = inner->quiet_until();
+            });
+        w->set_receive_hook([this, v](radio::Round, const radio::Message&) { due[v] = 0; });
+        w->set_wake_hook([this, v](radio::Round) { due[v] = 0; });
+        w->set_collision_hook([this, v](radio::Round) { due[v] = 0; });
+        net.set_protocol(v, std::move(w));
+      } else {
+        net.set_protocol(v, std::move(node));
+      }
+      net.wake_at_start(v);
+    }
+  }
+
+  /// Hands an arrival to its node the way the harness does.
+  void arrive(const core::Arrival& a) {
+    if (stream_nodes.empty()) {
+      nodes[a.node]->inject(a.packet);
+    } else {
+      stream_nodes[a.node]->offer(a.packet);
+    }
+  }
+
+  stream::HoldLog log;  ///< stream harness only
+  TransmitRecorder recorder;
+  radio::Network net;
+  std::vector<core::DynamicBroadcastNode*> nodes;  ///< inner nodes
+  std::vector<stream::StreamNode*> stream_nodes;   ///< stream harness only
+  /// Wrapped side only: the inner node's hint since its last callback.
+  std::vector<radio::Round> due;
+  std::uint64_t quiet_polls = 0;
+  std::uint64_t early_transmissions = 0;
+};
+
+/// Per-packet accounting of the bare mirror: run_stream's holder count
+/// and run_dynamic_broadcast's 64-round everywhere check.
+struct Track {
+  radio::Round arrived = 0;
+  std::uint32_t holders = 0;
+  bool everywhere = false;
+  radio::Round done_at = 0;
+};
+
+using Param = std::tuple<Harness, radio::EngineMode>;
+
+class OpenSystemLockstep : public ::testing::TestWithParam<Param> {};
+
+TEST_P(OpenSystemLockstep, WrappedRunMatchesBareRoundByRound) {
+  const auto& [harness, engine] = GetParam();
+  const Inputs s = make_inputs(harness);
+  const std::uint32_t n = s.g.num_nodes();
+  const std::uint64_t horizon = s.cfg.horizon;
+  Side bare(s, engine, /*wrap=*/false);
+  Side wrapped(s, engine, /*wrap=*/true);
+
+  std::unordered_map<radio::PacketId, Track> tracking;
+  obs::LogHistogram latency;
+  std::uint64_t delivered = 0;
+  std::uint64_t in_flight = 0;
+  std::uint64_t quiet_arrivals = 0;
+  std::uint64_t awake_node_rounds = 0;
+  std::uint64_t prev_holds = 0;
+  std::size_t next_arrival = 0;
+  for (std::uint64_t round = 0; round < horizon; ++round) {
+    for (; next_arrival < s.arrivals.size() && s.arrivals[next_arrival].round <= round;
+         ++next_arrival) {
+      const core::Arrival& a = s.arrivals[next_arrival];
+      if (wrapped.due[a.node] > round) ++quiet_arrivals;
+      tracking.emplace(a.packet.id, Track{round});
+      bare.arrive(a);
+      wrapped.arrive(a);
+    }
+    awake_node_rounds += wrapped.net.num_awake();
+    bare.net.step();
+    wrapped.net.step();
+    ASSERT_EQ(bare.recorder.senders, wrapped.recorder.senders) << "round " << round;
+    ASSERT_EQ(bare.log.held, wrapped.log.held) << "round " << round;
+    ASSERT_EQ(bare.log.epoch, wrapped.log.epoch) << "round " << round;
+    std::uint64_t holds = 0;
+    std::uint32_t epoch = 0;
+    for (radio::NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(bare.nodes[v]->delivered().size(), wrapped.nodes[v]->delivered().size())
+          << "node " << v << " round " << round;
+      ASSERT_EQ(bare.nodes[v]->epochs_completed(), wrapped.nodes[v]->epochs_completed())
+          << "node " << v << " round " << round;
+      holds += bare.nodes[v]->delivered().size();
+      epoch = std::max(epoch, bare.nodes[v]->epochs_completed());
+    }
+    if (harness == Harness::kStream) {
+      // The log is exactly this round's new holds and the highest epoch.
+      ASSERT_EQ(bare.log.held.size(), holds - prev_holds) << "round " << round;
+      ASSERT_EQ(bare.log.epoch, epoch) << "round " << round;
+    }
+    prev_holds = holds;
+
+    // run_stream's accounting, from the bare side's hold log.
+    for (const radio::PacketId id : bare.log.held) {
+      Track& t = tracking.at(id);
+      if (t.holders == 0) ++in_flight;
+      if (++t.holders == n) {
+        --in_flight;
+        ++delivered;
+        latency.add(round - t.arrived);
+      }
+    }
+    bare.log.held.clear();
+    wrapped.log.held.clear();
+    // run_dynamic_broadcast's accounting, polled every 64 rounds.
+    if (round % 64 == 0 || round + 1 == horizon) {
+      for (auto& [id, t] : tracking) {
+        if (t.everywhere) continue;
+        bool everywhere = true;
+        for (radio::NodeId v = 0; v < n && everywhere; ++v) {
+          everywhere = bare.nodes[v]->delivered().count(id) != 0;
+        }
+        if (everywhere) {
+          t.everywhere = true;
+          t.done_at = round;
+        }
+      }
+    }
+  }
+
+  EXPECT_EQ(wrapped.early_transmissions, 0u);
+  EXPECT_GT(quiet_arrivals, 0u);
+  const radio::TraceCounters& bare_counters = bare.net.trace().counters();
+  radio::TraceCounters wrapped_counters = wrapped.net.trace().counters();
+  EXPECT_EQ(wrapped_counters.polls, awake_node_rounds);
+  EXPECT_LT(bare_counters.polls, wrapped_counters.polls);
+  EXPECT_EQ(wrapped_counters.polls - bare_counters.polls, wrapped.quiet_polls);
+  wrapped_counters.polls = bare_counters.polls;
+  EXPECT_EQ(bare_counters, wrapped_counters);
+
+  if (harness == Harness::kStream) {
+    std::uint64_t buffered = 0;
+    stream::QueueStats queue;
+    for (const stream::StreamNode* node : bare.stream_nodes) {
+      buffered += node->queue().buffered() + node->queue().held_back();
+      queue.merge(node->queue().stats());
+    }
+    for (const auto& [id, t] : tracking) {
+      std::uint32_t holders = 0;
+      for (const core::DynamicBroadcastNode* node : bare.nodes) {
+        holders += static_cast<std::uint32_t>(node->delivered().count(id));
+      }
+      ASSERT_EQ(t.holders, holders) << "packet " << id;
+    }
+    const stream::StreamResult r = stream::run_stream(s.g, s.cfg);
+    EXPECT_GT(r.delivered_everywhere, 0u);
+    EXPECT_EQ(r.delivered_everywhere, delivered);
+    EXPECT_EQ(r.latency.count(), latency.count());
+    EXPECT_EQ(r.latency.sum(), latency.sum());
+    EXPECT_EQ(r.latency.max(), latency.max());
+    EXPECT_EQ(r.epochs_completed, bare.log.epoch);
+    EXPECT_EQ(r.in_system_end, buffered + in_flight);
+    EXPECT_EQ(r.queue.offered, queue.offered);
+    EXPECT_EQ(r.queue.admitted, queue.admitted);
+    EXPECT_EQ(r.queue.dropped, queue.dropped);
+    EXPECT_EQ(r.queue.backpressured, queue.backpressured);
+    EXPECT_EQ(r.queue.peak_depth, queue.peak_depth);
+    EXPECT_EQ(r.counters, bare_counters);
+  } else {
+    SampleSet latencies;
+    std::uint32_t everywhere = 0;
+    for (const auto& [id, t] : tracking) {
+      if (!t.everywhere) continue;
+      ++everywhere;
+      latencies.add(static_cast<double>(t.done_at - t.arrived));
+    }
+    const core::DynamicRunResult r =
+        core::run_dynamic_broadcast(s.g, s.cfg.dyn, s.arrivals, horizon, s.cfg.seed);
+    EXPECT_GT(r.delivered_everywhere, 0u);
+    EXPECT_EQ(r.delivered_everywhere, everywhere);
+    EXPECT_DOUBLE_EQ(r.latency_mean, latencies.mean());
+    EXPECT_DOUBLE_EQ(r.latency_max, latencies.max());
+    EXPECT_EQ(r.counters, bare_counters);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Harnesses, OpenSystemLockstep,
+    ::testing::Combine(::testing::Values(Harness::kDynamic, Harness::kStream),
+                       ::testing::Values(radio::EngineMode::kScalar,
+                                         radio::EngineMode::kBitset)),
+    [](const ::testing::TestParamInfo<Param>& info) {
+      return std::string(std::get<0>(info.param) == Harness::kStream ? "stream"
+                                                                      : "dynamic") +
+             "_" + radio::engine_mode_name(std::get<1>(info.param));
+    });
+
+}  // namespace
+}  // namespace radiocast::audit

@@ -32,29 +32,10 @@
 #include "graph/generators.hpp"
 #include "radio/interceptor.hpp"
 #include "radio/network.hpp"
+#include "transmit_recorder.hpp"
 
 namespace radiocast::audit {
 namespace {
-
-/// Keeps the transmitter ids of the latest round.
-class TransmitRecorder final : public radio::NetworkAuditHook {
- public:
-  void on_sim_start(const std::vector<radio::NodeId>& /*initially_awake*/) override {}
-  void on_transmissions(radio::Round /*round*/,
-                        const std::vector<radio::Message>& txs) override {
-    senders.clear();
-    for (const radio::Message& m : txs) senders.push_back(m.from);
-  }
-  void on_deliver(radio::Round, radio::NodeId, std::uint32_t,
-                  const radio::Message&) override {}
-  void on_collision_slot(radio::Round, radio::NodeId, std::uint32_t, bool) override {}
-  void on_deaf_slot(radio::Round, radio::NodeId, std::uint32_t) override {}
-  void on_fault_drop(radio::Round, radio::NodeId, std::uint32_t) override {}
-  void on_node_wake(radio::Round, radio::NodeId) override {}
-  void on_round_end(radio::Round) override {}
-
-  std::vector<radio::NodeId> senders;
-};
 
 /// One side of the lock step: a network of KBroadcastNodes, optionally
 /// each wrapped in an InterceptingProtocol that tracks the inner hint.

@@ -1,0 +1,31 @@
+// Test helper shared by the poll-hint lock-step tests: an audit hook that
+// keeps the transmitter ids of the latest round, so two networks stepped
+// in lock step can be compared round by round.
+#pragma once
+
+#include <vector>
+
+#include "radio/network.hpp"
+
+namespace radiocast::audit {
+
+class TransmitRecorder final : public radio::NetworkAuditHook {
+ public:
+  void on_sim_start(const std::vector<radio::NodeId>& /*initially_awake*/) override {}
+  void on_transmissions(radio::Round /*round*/,
+                        const std::vector<radio::Message>& txs) override {
+    senders.clear();
+    for (const radio::Message& m : txs) senders.push_back(m.from);
+  }
+  void on_deliver(radio::Round, radio::NodeId, std::uint32_t,
+                  const radio::Message&) override {}
+  void on_collision_slot(radio::Round, radio::NodeId, std::uint32_t, bool) override {}
+  void on_deaf_slot(radio::Round, radio::NodeId, std::uint32_t) override {}
+  void on_fault_drop(radio::Round, radio::NodeId, std::uint32_t) override {}
+  void on_node_wake(radio::Round, radio::NodeId) override {}
+  void on_round_end(radio::Round) override {}
+
+  std::vector<radio::NodeId> senders;
+};
+
+}  // namespace radiocast::audit

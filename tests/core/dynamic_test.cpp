@@ -119,6 +119,37 @@ TEST(Dynamic, NodesAgreeOnLeader) {
   EXPECT_TRUE(nodes.back()->is_leader());
 }
 
+TEST(Dynamic, PayloadArenaIsDrawnFromAndStaysBounded) {
+  // The Network recycles every retired payload into its arena, so the
+  // collection and dissemination states must draw from it; otherwise the
+  // pool grows by one buffer per payload transmission for the whole run.
+  Rng grng(16);
+  const graph::Graph g = graph::make_random_geometric(24, 0.4, grng);
+  const DynamicConfig cfg = make_cfg(g);
+  radio::Network net(g);
+  Rng master(17);
+  std::vector<DynamicBroadcastNode*> nodes;
+  for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
+    auto node = std::make_unique<DynamicBroadcastNode>(cfg, v, master.split());
+    nodes.push_back(node.get());
+    net.set_protocol(v, std::move(node));
+    net.wake_at_start(v);
+  }
+  Rng arng(18);
+  const std::uint64_t horizon = horizon_for(cfg, 3);
+  std::vector<Arrival> arrivals = make_arrivals(24, 30, horizon / 2, 8, arng);
+  std::size_t next = 0;
+  for (std::uint64_t r = 0; r < horizon; ++r) {
+    for (; next < arrivals.size() && arrivals[next].round <= r; ++next) {
+      nodes[arrivals[next].node]->inject(std::move(arrivals[next].packet));
+    }
+    net.step();
+  }
+  const radio::PayloadArena& arena = net.payload_arena();
+  EXPECT_GT(arena.hits(), 0u);
+  EXPECT_LE(arena.pooled(), 4u * g.num_nodes());
+}
+
 TEST(Dynamic, EpochsAdvance) {
   Rng grng(14);
   const graph::Graph g = graph::make_gnp_connected(16, 0.3, grng);

@@ -3,7 +3,9 @@
 // copy driven every round, a twin with the same seed driven only on its
 // own hints. The twin must be polled at every round the first copy
 // transmits, agree with it there, and end on the same RNG position — so a
-// skipped round never hid a transmission or a random draw.
+// skipped round never hid a transmission or a random draw. Last, the
+// open-system node (core::DynamicBroadcastNode) driven alone on its hints
+// must be polled at each boundary where it switches phase or epoch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include "common/rng.hpp"
 #include "core/collection.hpp"
 #include "core/dissemination.hpp"
+#include "core/dynamic.hpp"
 #include "core/params.hpp"
 #include "core/schedule.hpp"
 #include "protocols/bfs_construction.hpp"
@@ -306,6 +309,95 @@ TEST(PollHint, DisseminationLockStepOverAForwardersSchedule) {
   ASSERT_TRUE(a.complete());
   const std::uint64_t rounds = 10 * rc.dissem_phase_rounds;
   EXPECT_LT(expect_hints_hide_nothing(a, ra, b, rb, rounds), rounds);
+}
+
+/// Rounds a lone DynamicBroadcastNode is polled at, and transmits at, when
+/// driven from `from` to `to` (exclusive) on its own hints, receptions
+/// aside.
+struct HintedDrive {
+  std::vector<std::uint64_t> polled;
+  std::vector<std::uint64_t> sent;
+};
+
+HintedDrive drive_on_hints(core::DynamicBroadcastNode& node, std::uint64_t from,
+                           std::uint64_t to) {
+  HintedDrive out;
+  for (std::uint64_t r = from; r < to; r = node.quiet_until()) {
+    if (node.on_transmit(r).has_value()) out.sent.push_back(r);
+    out.polled.push_back(r);
+    if (node.quiet_until() <= r) {
+      ADD_FAILURE() << "hint " << node.quiet_until() << " at round " << r;
+      break;
+    }
+  }
+  return out;
+}
+
+bool contains(const std::vector<std::uint64_t>& rounds, std::uint64_t round) {
+  return std::find(rounds.begin(), rounds.end(), round) != rounds.end();
+}
+
+/// The dynamic node's boundaries: BFS start, setup end, the end of a
+/// single-phase (alarm-free) first collection, and the first window end.
+struct DynamicFixture {
+  core::ResolvedConfig rc = small_config();
+  core::DynamicConfig cfg{rc, /*batch_capacity=*/4};
+  std::uint64_t bfs_start = rc.stage1_rounds;
+  std::uint64_t setup_end = rc.stage3_start();
+  std::uint64_t collect_end =
+      setup_end + core::collection_phase_rounds(rc.initial_estimate, rc);
+  std::uint64_t window_end = collect_end + cfg.dissemination_window();
+};
+
+TEST(PollHint, DynamicRootIsDueAtEveryPhaseAndEpochBoundary) {
+  DynamicFixture f;
+  // One group: 3 + D̂ + 4 = 10 phases of 80 rounds.
+  ASSERT_EQ(f.cfg.dissemination_window(), 10 * f.rc.dissem_phase_rounds);
+  // A lone node elects itself, so it is the root throughout.
+  core::DynamicBroadcastNode node(f.cfg, 3, Rng(13));
+  node.on_transmit(0);
+  ASSERT_GT(node.quiet_until(), 1u);
+  // Injected inside a quiet spell: held at once, collected at setup end.
+  radio::Packet p;
+  p.id = radio::make_packet_id(3, 0);
+  p.payload = {4, 2};
+  node.inject(p);
+  EXPECT_EQ(node.delivered().count(p.id), 1u);
+
+  const HintedDrive d = drive_on_hints(node, node.quiet_until(), f.window_end + 1);
+  EXPECT_TRUE(node.is_leader());
+  for (const std::uint64_t boundary : {f.bfs_start, f.setup_end, f.collect_end, f.window_end}) {
+    EXPECT_TRUE(contains(d.polled, boundary)) << "boundary " << boundary;
+  }
+  // The collection ends and the root injects its group in the same call.
+  EXPECT_TRUE(contains(d.sent, f.collect_end));
+  // The root's next slot-0 phase after phase 9 would be phase 12: the
+  // window end caps the hint, and the next epoch opens there.
+  const auto last = std::find(d.polled.begin(), d.polled.end(), f.window_end);
+  ASSERT_NE(last, d.polled.begin());
+  EXPECT_EQ(*(last - 1), f.collect_end + 9 * f.rc.dissem_phase_rounds);
+  EXPECT_EQ(node.epochs_completed(), 1u);
+}
+
+TEST(PollHint, DynamicNodeWithoutLayerSleepsToSetupEnd) {
+  DynamicFixture f;
+  core::DynamicBroadcastNode node(f.cfg, 3, Rng(14));
+  node.on_transmit(0);
+  // A probe-0 alarm means some id >= 8 exists: id 3 neither leads nor,
+  // hearing no construction message, joins a BFS layer.
+  node.on_receive(0, message(8, radio::AlarmMsg{}));
+  const HintedDrive d = drive_on_hints(node, 1, f.window_end + 1);
+  EXPECT_FALSE(node.is_leader());
+  const auto bfs = std::find(d.polled.begin(), d.polled.end(), f.bfs_start);
+  ASSERT_NE(bfs, d.polled.end());
+  ASSERT_NE(bfs + 1, d.polled.end());
+  EXPECT_EQ(*(bfs + 1), f.setup_end);
+  EXPECT_TRUE(contains(d.polled, f.collect_end));
+  EXPECT_TRUE(contains(d.polled, f.window_end));
+  // It relays the alarm it heard through probe 0, then never speaks.
+  ASSERT_FALSE(d.sent.empty());
+  EXPECT_LT(d.sent.back(), f.bfs_start);
+  EXPECT_EQ(node.epochs_completed(), 1u);
 }
 
 }  // namespace
