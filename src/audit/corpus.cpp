@@ -53,8 +53,7 @@ bool results_identical(const core::RunResult& a, const core::RunResult& b) {
          a.final_estimate == b.final_estimate && a.counters == b.counters;
 }
 
-CorpusOutcome run_corpus_case(const CorpusCase& c, radio::EngineMode engine,
-                              std::uint32_t shards) {
+CorpusOutcome run_corpus_case(const CorpusCase& c, radio::EngineMode engine) {
   Rng graph_rng(c.graph_seed);
   const graph::Graph g = graph::make_named(c.family, c.n, graph_rng);
 
@@ -77,12 +76,12 @@ CorpusOutcome run_corpus_case(const CorpusCase& c, radio::EngineMode engine,
                                      /*max_rounds=*/0, faults,
                                      /*observer=*/nullptr, &auditor,
                                      c.collision_detection, /*tracer=*/nullptr,
-                                     engine, shards);
+                                     engine);
   out.unaudited = core::run_kbroadcast(g, cfg, placement, c.run_seed,
                                        /*max_rounds=*/0, faults,
                                        /*observer=*/nullptr, /*auditor=*/nullptr,
                                        c.collision_detection, /*tracer=*/nullptr,
-                                       engine, shards);
+                                       engine);
   out.report = auditor.report();
   out.delivered = out.audited.delivered_all;
   out.bit_identical = results_identical(out.audited, out.unaudited);

@@ -62,12 +62,8 @@ bool results_identical(const core::RunResult& a, const core::RunResult& b);
 /// Runs one corpus case twice (audited + unaudited) and reports. `engine`
 /// selects the round kernel for both runs; the bitset engine must clear
 /// the corpus exactly like the scalar one (tests/audit/bitset_corpus_test
-/// additionally pins cross-engine result equality). `shards` forwards the
-/// intra-run shard count (radio::Network::set_shards) to both runs; every
-/// shard count must clear the corpus bit-identically
-/// (tests/audit/shard_corpus_test pins this).
+/// additionally pins cross-engine result equality).
 CorpusOutcome run_corpus_case(const CorpusCase& c,
-                              radio::EngineMode engine = radio::EngineMode::kScalar,
-                              std::uint32_t shards = 1);
+                              radio::EngineMode engine = radio::EngineMode::kScalar);
 
 }  // namespace radiocast::audit

@@ -5,10 +5,12 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse_int.hpp"
 #include "exp/jsonval.hpp"
 #include "exp/manifest.hpp"
 #include "gf2/simd.hpp"
@@ -24,7 +26,7 @@ constexpr const char* kUsage = R"(radiocast — declarative experiment orchestra
 
 usage:
   radiocast run <spec.json> [--out DIR] [--seeds N] [--threads N]
-                [--shards N] [--engine scalar|bitset] [--audit] [--quiet]
+                [--engine scalar|bitset] [--audit] [--quiet]
                 [--require-delivery]
   radiocast trace <spec.json> [run options]
   radiocast report <results.json> [--out FILE]
@@ -61,7 +63,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err, bool trace_mode = false) {
   std::string spec_path, out_dir = ".";
   std::string engine_override;
-  int seeds_override = 0, threads_override = -1, shards_override = -1;
+  int seeds_override = 0, threads_override = -1;
   bool audit_override = false, quiet = false, require_delivery = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
@@ -69,14 +71,23 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
       if (i + 1 >= args.size()) throw std::runtime_error("missing value after " + a);
       return args[++i];
     };
+    // The whole value must be an int >= `min`: "1x", "abc" and "0" for
+    // --seeds are errors, not silently truncated or ignored.
+    const auto next_int = [&](int min) {
+      const std::string& value = next();
+      const std::optional<int> v = parse_int(value);
+      if (!v.has_value() || *v < min) {
+        throw std::runtime_error(a + " needs an integer >= " + std::to_string(min) +
+                                 ", got \"" + value + "\"");
+      }
+      return *v;
+    };
     if (a == "--out") {
       out_dir = next();
     } else if (a == "--seeds") {
-      seeds_override = std::stoi(next());
+      seeds_override = next_int(1);
     } else if (a == "--threads") {
-      threads_override = std::stoi(next());
-    } else if (a == "--shards") {
-      shards_override = std::stoi(next());
+      threads_override = next_int(0);
     } else if (a == "--engine") {
       engine_override = next();
     } else if (a == "--audit") {
@@ -98,7 +109,6 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   exp::ScenarioSpec spec = exp::parse_scenario(read_file(spec_path));
   if (seeds_override > 0) spec.seeds = seeds_override;
   if (threads_override >= 0) spec.threads = threads_override;
-  if (shards_override >= 0) spec.shards = shards_override;
   if (audit_override) spec.audit = true;
   if (!engine_override.empty()) spec.engine = engine_override;
   if (trace_mode) {

@@ -33,11 +33,6 @@ namespace radiocast::core::montecarlo {
 /// concurrency when `fallback` is 0. Always >= 1.
 int threads_from_env(int fallback = 0);
 
-/// Resolves the intra-run shard count from RADIOCAST_BENCH_SHARDS; falls
-/// back to `fallback` when the env var is unset/invalid. Always >= 1
-/// (1 = no sharding, the legacy single-threaded round path).
-int shards_from_env(int fallback = 1);
-
 /// Execution knobs for a sweep (everything else is per-trial state).
 struct Options {
   /// 0 = resolve via threads_from_env(); 1 = inline sequential execution.
@@ -99,12 +94,6 @@ struct KBroadcastSweep {
   /// Round kernel for every trial (see radio::EngineMode; both kernels
   /// produce identical results).
   radio::EngineMode engine = radio::EngineMode::kScalar;
-  /// Intra-run shards per trial (radio::Network::set_shards; execution
-  /// knob — results are shard-count invariant). The sweep divides the
-  /// trial thread budget by this, so trials x shards stays within the
-  /// overall budget: shards help when trials are few and runs are big,
-  /// and trial fan-out wins automatically when trials are many.
-  int shards = 1;
 };
 
 /// Runs `trials` independent k-broadcast trials; results in trial order.

@@ -82,6 +82,7 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
                          radio::EngineMode engine, std::uint32_t shards) {
   RC_ASSERT(g.finalized());
   RC_ASSERT(placement.size() == g.num_nodes());
+  RC_ASSERT_MSG(shards == 1, "intra-run sharding was removed; shards must be 1");
   const ResolvedConfig rc = resolve(cfg);
   const std::vector<radio::Packet> truth = placement_packets(placement);
 
@@ -122,7 +123,6 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
   radio::ProtocolSlab<KBroadcastNode> slab(g.num_nodes());
   radio::Network net(g);
   net.set_engine(engine);
-  if (shards > 1) net.set_shards(shards);
   if (faults.reception_loss_probability > 0.0) net.set_fault_model(faults);
   if (collision_detection) net.enable_collision_detection(true);
   net.set_observer(observer);

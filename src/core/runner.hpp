@@ -105,10 +105,8 @@ struct RunResult {
 /// network, so the auditor and tracer are never invoked for it.
 /// `engine` selects the round kernel (see radio::EngineMode); both modes
 /// produce identical results, pinned by the differential oracle tests.
-/// `shards` splits each round's reception sweep over that many intra-run
-/// worker shards (see radio::Network::set_shards) — an execution knob:
-/// results are shard-count invariant bit for bit, pinned by the shard
-/// oracle tests.
+/// `shards` exists only so benchmark/runner.cpp, which passes 1, keeps
+/// building; any other value fails an assertion.
 RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
                          const Placement& placement, std::uint64_t seed,
                          std::uint64_t max_rounds = 0,

@@ -7,17 +7,20 @@
 #pragma once
 
 #include <cstdlib>
+#include <optional>
 #include <string>
+
+#include "common/parse_int.hpp"
 
 namespace radiocast::exp {
 
-/// Integer env var; `fallback` when unset, empty, or not a positive
-/// integer.
+/// Integer env var; `fallback` when unset, or when the whole value is not
+/// a positive int ("4x" and "0" fall back too).
 inline int env_int(const char* name, int fallback) {
   const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  const int v = std::atoi(env);
-  return v > 0 ? v : fallback;
+  if (env == nullptr) return fallback;
+  const std::optional<int> v = parse_int(env);
+  return v.has_value() && *v > 0 ? *v : fallback;
 }
 
 /// String env var; `fallback` when unset.

@@ -27,7 +27,7 @@ namespace radiocast::exp {
 /// Digest of everything a reproduction of one trial must match
 /// bit-for-bit: delivery outcome, all round counts, and the engine's
 /// channel counters. These are the per-trial digests pinned in manifests;
-/// public so invariance tests (engine modes, shard counts) can compare
+/// public so invariance tests (engine modes, thread counts) can compare
 /// fresh runs against pinned literals.
 std::string digest_run(const core::RunResult& r);
 

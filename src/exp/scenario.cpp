@@ -222,8 +222,8 @@ ScenarioSpec parse_scenario(std::string_view json_text) {
       o, "scenario",
       {"id", "title", "claim", "mode", "topology", "knowledge", "placement",
        "payload_bytes", "algos", "k", "loss", "collision_detection", "seeds",
-       "seed_base", "max_rounds", "audit", "engine", "threads", "shards",
-       "telemetry", "dynamic", "stream", "report"});
+       "seed_base", "max_rounds", "audit", "engine", "threads", "telemetry",
+       "dynamic", "stream", "report"});
 
   ScenarioSpec s;
   opt_string(o, "scenario", "id", s.id);
@@ -254,7 +254,6 @@ ScenarioSpec parse_scenario(std::string_view json_text) {
   opt_bool(o, "scenario", "audit", s.audit);
   opt_string(o, "scenario", "engine", s.engine);
   opt_int(o, "scenario", "threads", s.threads);
-  opt_int(o, "scenario", "shards", s.shards);
   if (const JsonValue* v = o.find("telemetry"))
     s.telemetry = parse_telemetry(*v, "scenario.telemetry");
   if (const JsonValue* v = o.find("dynamic"))
@@ -326,10 +325,8 @@ JsonValue scenario_to_json(const ScenarioSpec& s) {
   // record which kernel produced a table, so changing it changes every
   // digest (see docs/experiments.md).
   o.set("engine", s.engine);
-  // "threads" and "shards" are deliberately absent: both are execution
-  // knobs, not part of the experiment's identity (shard-count invariance
-  // is pinned bit for bit by the shard oracle tests), so neither may
-  // perturb spec digests.
+  // "threads" is deliberately absent: it is an execution knob, not part
+  // of the experiment's identity, so it may not perturb spec digests.
   o.set("telemetry", JsonValue(std::move(telem)));
   o.set("dynamic", JsonValue(std::move(dyn)));
   // The "stream" block is emitted only in stream mode — a deliberate
@@ -393,7 +390,7 @@ void validate_scenario(const ScenarioSpec& s) {
 
   if (s.seeds < 1) fail("seeds must be >= 1");
   if (s.threads < 0) fail("threads must be >= 0");
-  if (s.shards < 0) fail("shards must be >= 0");
+  if (s.shards != 1) fail("shards must be 1 (intra-run sharding was removed)");
   if (s.engine != "scalar" && s.engine != "bitset")
     fail("engine must be \"scalar\" or \"bitset\"");
 

@@ -150,11 +150,10 @@ struct ScenarioSpec {
   /// digest, so tables always record which kernel produced them.
   std::string engine = "scalar";
   int threads = 0;     ///< 0 = RADIOCAST_BENCH_THREADS / hardware
-  /// Intra-run shard count (radio::Network::set_shards). Like `threads`
-  /// an execution knob — results are shard-count invariant bit for bit —
-  /// so it is excluded from spec/manifest digests. 0 = resolve from
-  /// RADIOCAST_BENCH_SHARDS (default 1 = unsharded).
-  int shards = 0;
+  /// Exists only so benchmark/runner.cpp, which sets it to 1, keeps
+  /// building: never parsed from JSON, and validate_scenario rejects any
+  /// other value.
+  int shards = 1;
 
   TelemetrySpec telemetry;
   DynamicSpec dynamic;

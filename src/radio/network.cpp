@@ -114,336 +114,6 @@ void Network::set_packed_source(PackedTransmitSource* source) {
   packed_source_ = source;
 }
 
-void Network::set_shards(std::uint32_t shards) {
-  RC_ASSERT_MSG(!started_, "set_shards after the simulation started");
-  RC_ASSERT(shards >= 1);
-  shards_requested_ = shards;
-}
-
-void Network::ensure_shard_state() {
-  if (shard_ready_) return;
-  // The bitset engine updates (once, twice) a 64-bit word at a time, so
-  // shard boundaries must not split a word; the scalar engine writes
-  // per-node slots and shards at node granularity.
-  const std::uint32_t align = engine_ == EngineMode::kBitset ? 64 : 1;
-  shard_plan_ = graph::ShardPlan::build(graph_, shards_requested_, align);
-  const std::uint32_t S = shard_plan_.num_shards();
-  if (S > 1) {
-    shard_pool_ = std::make_unique<ThreadPool>(S - 1);
-    shard_base_.resize(S + 1);
-    std::size_t off = 0;
-    for (std::uint32_t s = 0; s < S; ++s) {
-      shard_base_[s] = off;
-      off += static_cast<std::size_t>(shard_plan_.node_end(s)) -
-             shard_plan_.node_begin(s) + 1;
-    }
-    shard_base_[S] = off;
-    shard_touched_.resize(off);
-    shard_src_.resize(off);
-    shard_counts_.resize(S);
-    shard_cursor_.resize(S);
-    if (engine_ == EngineMode::kBitset) {
-      shard_events_.resize(num_nodes());
-      shard_event_counts_.resize(S);
-      shard_tallies_.resize(S);
-    }
-  }
-  shard_ready_ = true;
-}
-
-void Network::run_sharded(const std::function<void(std::uint32_t)>& task) {
-  const std::uint32_t S = shard_plan_.num_shards();
-  for (std::uint32_t s = 1; s < S; ++s) {
-    shard_pool_->submit([&task, s] { task(s); });
-  }
-  task(0);
-  shard_pool_->wait_idle();
-}
-
-std::size_t Network::merge_shard_touched(std::uint32_t* src_out) {
-  const std::uint32_t S = shard_plan_.num_shards();
-  NodeId* const out = touched_.data();
-  std::size_t total = 0;
-  if (mutations_.shard_wrong_reduction_order) {
-    // Seeded bug: concatenate the shard-local lists in shard order. End
-    // state is untouched (the same receivers still receive the same
-    // messages) but every order-sensitive observable — fault-RNG draw
-    // positions, audit-hook and trace-event sequences — diverges from the
-    // scalar receiver-touch order whenever two shards interleave.
-    for (std::uint32_t s = 0; s < S; ++s) {
-      const std::size_t base = shard_base_[s];
-      const std::size_t c = shard_counts_[s];
-      std::copy_n(shard_touched_.data() + base, c, out + total);
-      if (src_out != nullptr) {
-        std::copy_n(shard_src_.data() + base, c, src_out + total);
-      }
-      total += c;
-    }
-    return total;
-  }
-  // K-way merge by (first-reaching transmission index, node id) — the key
-  // the legacy receiver-touch order is lexicographic in (transmissions
-  // process in index order and CSR rows ascend), and each shard-local
-  // list is already sorted by it. S is small, so a linear head scan per
-  // output element beats heap bookkeeping.
-  const NodeId* const st = shard_touched_.data();
-  const std::uint32_t* const ss = shard_src_.data();
-  for (std::uint32_t s = 0; s < S; ++s) shard_cursor_[s] = 0;
-  while (true) {
-    std::uint64_t best_key = ~0ull;
-    std::uint32_t best = S;
-    for (std::uint32_t s = 0; s < S; ++s) {
-      const std::size_t i = shard_cursor_[s];
-      if (i >= shard_counts_[s]) continue;
-      const std::size_t at = shard_base_[s] + i;
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(ss[at]) << 32) | st[at];
-      if (key < best_key) {
-        best_key = key;
-        best = s;
-      }
-    }
-    if (best == S) break;
-    const std::size_t at = shard_base_[best] + shard_cursor_[best]++;
-    out[total] = st[at];
-    if (src_out != nullptr) src_out[total] = ss[at];
-    ++total;
-  }
-  return total;
-}
-
-std::size_t Network::sharded_scalar_sweep() {
-  const std::uint32_t S = shard_plan_.num_shards();
-  const std::size_t sp1 = S + 1;
-  const std::uint32_t* const splits = shard_plan_.splits_data();
-  const NodeId* const targets = graph_.csr_targets();
-  ReachSlot* const reach = reach_.data();
-  const NodeId* const tx_from = tx_from_.data();
-  const auto tx_count = static_cast<std::uint32_t>(tx_from_.size());
-  const bool skip_exchange = mutations_.shard_skip_frontier_exchange;
-  run_sharded([&](std::uint32_t s) {
-    NodeId* const touched = shard_touched_.data() + shard_base_[s];
-    std::uint32_t* const srcs = shard_src_.data() + shard_base_[s];
-    const NodeId lo = shard_plan_.node_begin(s);
-    const NodeId hi = shard_plan_.node_end(s);
-    std::size_t count = 0;
-    for (std::uint32_t t = 0; t < tx_count; ++t) {
-      const NodeId u = tx_from[t];
-      // Seeded bug: drop the round-boundary transmit-set exchange — the
-      // shard sees only its own transmitters, losing every cut-edge
-      // reception (and the collisions they would have caused).
-      if (skip_exchange && (u < lo || u >= hi)) continue;
-      const std::uint32_t* const row = splits + static_cast<std::size_t>(u) * sp1;
-      const std::uint32_t end = row[s + 1];
-      // Same branchless slot update as the legacy Phase 2, restricted to
-      // this shard's slice of the row; srcs gets the same unconditional
-      // cursor-write treatment as touched (the first-touch value is the
-      // one that survives).
-      for (std::uint32_t e = row[s]; e < end; ++e) {
-        const NodeId v = targets[e];
-        std::uint64_t packed;
-        std::memcpy(&packed, &reach[v], sizeof packed);
-        const auto cnt = static_cast<std::uint32_t>(packed);
-        const auto src = static_cast<std::uint32_t>(packed >> 32);
-        const std::uint32_t is_new = cnt == 0 ? 1u : 0u;
-        const std::uint32_t new_src = src ^ ((src ^ t) & (0u - is_new));
-        packed = (static_cast<std::uint64_t>(new_src) << 32) |
-                 static_cast<std::uint64_t>(cnt + 1);
-        std::memcpy(&reach[v], &packed, sizeof packed);
-        touched[count] = v;
-        srcs[count] = t;
-        count += is_new;
-      }
-    }
-    shard_counts_[s] = count;
-  });
-  // Phase 3 reads first-reachers from reach_, so the merge only has to
-  // reconstruct the touch order itself.
-  return merge_shard_touched(nullptr);
-}
-
-std::size_t Network::sharded_bitset_exact_scatter() {
-  const std::uint32_t S = shard_plan_.num_shards();
-  const std::size_t sp1 = S + 1;
-  const std::uint32_t* const splits = shard_plan_.splits_data();
-  const NodeId* const targets = graph_.csr_targets();
-  std::uint64_t* const once = once_bits_.words().data();
-  std::uint64_t* const twice = twice_bits_.words().data();
-  const NodeId* const tx_from = tx_from_.data();
-  const auto tx_count = static_cast<std::uint32_t>(tx_from_.size());
-  const bool skip_exchange = mutations_.shard_skip_frontier_exchange;
-  run_sharded([&](std::uint32_t s) {
-    NodeId* const touched = shard_touched_.data() + shard_base_[s];
-    std::uint32_t* const srcs = shard_src_.data() + shard_base_[s];
-    const NodeId lo = shard_plan_.node_begin(s);
-    const NodeId hi = shard_plan_.node_end(s);
-    std::size_t count = 0;
-    for (std::uint32_t t = 0; t < tx_count; ++t) {
-      const NodeId u = tx_from[t];
-      if (skip_exchange && (u < lo || u >= hi)) continue;
-      const std::uint32_t* const row = splits + static_cast<std::size_t>(u) * sp1;
-      // Word-group the shard's slice of the row on the fly: 64-aligned
-      // shard boundaries guarantee slices of different shards never share
-      // a (once, twice) word, so the RMW below is race-free.
-      graph::for_each_word_group(
-          {targets + row[s], static_cast<std::size_t>(row[s + 1] - row[s])},
-          [&](std::uint32_t w, std::uint64_t m) {
-            const std::uint64_t old = once[w];
-            twice[w] |= old & m;
-            once[w] = old | m;
-            std::uint64_t news = m & ~old;
-            while (news != 0) {
-              const auto b = static_cast<std::uint32_t>(std::countr_zero(news));
-              news &= news - 1;
-              touched[count] = (w << 6) + b;
-              srcs[count] = t;
-              ++count;
-            }
-          });
-    }
-    shard_counts_[s] = count;
-  });
-  // The exact Phase 3 reads first-reachers from first_src_, parallel to
-  // touched_, so the merge emits both.
-  return merge_shard_touched(first_src_.data());
-}
-
-void Network::sharded_bitset_fast_sweep(
-    std::uint64_t& deliveries_acc, std::uint64_t& bits_rx_acc,
-    std::uint64_t& collision_acc, std::uint64_t& deaf_acc,
-    std::array<std::uint64_t, kNumMessageKinds>& rx_kind_acc) {
-  const std::uint32_t S = shard_plan_.num_shards();
-  const std::size_t sp1 = S + 1;
-  const std::uint32_t* const splits = shard_plan_.splits_data();
-  const std::size_t* const offsets = graph_.csr_offsets();
-  const NodeId* const targets = graph_.csr_targets();
-  const std::uint64_t* const tx = tx_bits_.words().data();
-  std::uint64_t* const once = once_bits_.words().data();
-  std::uint64_t* const twice = twice_bits_.words().data();
-  const bool cd = collision_detection_;
-  const bool grouped = packed_rows_.built();
-  const bool skip_exchange = mutations_.shard_skip_frontier_exchange;
-  // Transmitter ids come straight from the bit set (authoritative in both
-  // Phase-1 branches; with a packed source the fast path materialises no
-  // per-transmitter Message, so tx_from_ is not).
-  const std::size_t nw = tx_bits_.num_words();
-  // Fused per-shard task: every shard walks the full transmit set but
-  // scatters only into its own (once, twice) words — shard word ranges
-  // are disjoint (64-aligned boundaries) — so a shard's classification
-  // depends on nothing but its own scatter and may follow it immediately,
-  // with no intermediate barrier. Sender resolution only *reads* tx words,
-  // wherever they live.
-  run_sharded([&](std::uint32_t s) {
-    const NodeId lo = shard_plan_.node_begin(s);
-    const NodeId hi = shard_plan_.node_end(s);
-    for (std::size_t w0 = 0; w0 < nw; ++w0) {
-      std::uint64_t word = tx[w0];
-      while (word != 0) {
-        const auto u = static_cast<NodeId>((w0 << 6) + std::countr_zero(word));
-        word &= word - 1;
-        if (skip_exchange && (u < lo || u >= hi)) continue;
-        const std::uint32_t* const row =
-            splits + static_cast<std::size_t>(u) * sp1;
-        graph::for_each_word_group(
-            {targets + row[s], static_cast<std::size_t>(row[s + 1] - row[s])},
-            [&](std::uint32_t w, std::uint64_t m) {
-              twice[w] |= once[w] & m;
-              once[w] |= m;
-            });
-      }
-    }
-    ShardEvent* const events = shard_events_.data() + lo;
-    std::size_t ec = 0;
-    std::uint64_t deaf = 0;
-    std::uint64_t coll = 0;
-    const std::size_t w_begin = lo >> 6;
-    const std::size_t w_end = (static_cast<std::size_t>(hi) + 63) >> 6;
-    for (std::size_t w0 = w_begin; w0 < w_end; ++w0) {
-      const std::uint64_t o = once[w0];
-      if (o == 0) continue;
-      const std::uint64_t tw = twice[w0];
-      const std::uint64_t txw = tx[w0];
-      deaf += static_cast<std::uint64_t>(std::popcount(o & txw));
-      const std::uint64_t collw = tw & ~txw;
-      coll += static_cast<std::uint64_t>(std::popcount(collw));
-      if (cd && collw != 0) {
-        std::uint64_t cbits = collw;
-        while (cbits != 0) {
-          const auto v = static_cast<NodeId>((w0 << 6) + std::countr_zero(cbits));
-          cbits &= cbits - 1;
-          events[ec++] = {v, kShardCollision};
-        }
-      }
-      std::uint64_t succ = o & ~tw & ~txw;
-      while (succ != 0) {
-        const auto v = static_cast<NodeId>((w0 << 6) + std::countr_zero(succ));
-        succ &= succ - 1;
-        NodeId from = 0;
-        if (grouped) {
-          for (const graph::WordGroup& g : packed_rows_.row(v)) {
-            const std::uint64_t hits = tx[g.word] & g.mask;
-            if (hits != 0) {
-              from = static_cast<NodeId>((static_cast<std::size_t>(g.word) << 6) +
-                                         std::countr_zero(hits));
-              break;
-            }
-          }
-        } else {
-          const NodeId* const row = targets + offsets[v];
-          const std::size_t len = offsets[v + 1] - offsets[v];
-          std::size_t i = 0;
-          while (i < len) {
-            const std::uint32_t wd = row[i] >> 6;
-            std::uint64_t mask = 0;
-            do {
-              mask |= 1ULL << (row[i] & 63);
-              ++i;
-            } while (i < len && (row[i] >> 6) == wd);
-            const std::uint64_t hits = tx[wd] & mask;
-            if (hits != 0) {
-              from = static_cast<NodeId>((static_cast<std::size_t>(wd) << 6) +
-                                         std::countr_zero(hits));
-              break;
-            }
-          }
-        }
-        events[ec++] = {v, from};
-      }
-    }
-    shard_event_counts_[s] = ec;
-    shard_tallies_[s] = {deaf, coll};
-  });
-  // Sequential replay in ascending shard order — shards are ascending
-  // word ranges and each shard recorded word-ascending, so this is
-  // exactly the unsharded word-sweep callback order. Message
-  // materialisation and every protocol callback stay on this thread.
-  for (std::uint32_t s = 0; s < S; ++s) {
-    deaf_acc += shard_tallies_[s].deaf;
-    collision_acc += shard_tallies_[s].collision;
-    const ShardEvent* const events =
-        shard_events_.data() + shard_plan_.node_begin(s);
-    const std::size_t ec = shard_event_counts_[s];
-    for (std::size_t i = 0; i < ec; ++i) {
-      const NodeId v = events[i].v;
-      const NodeId from = events[i].from;
-      if (from == kShardCollision) {
-        wake(v);
-        upcall(v).on_collision(round_);
-        continue;
-      }
-      std::uint32_t idx = tx_index_of_[from];
-      if (idx == kInvalidTx) idx = materialize_packed_tx(from);
-      const Message& txm = transmissions_[idx];
-      const TxMeta meta = tx_meta_[idx];
-      ++deliveries_acc;
-      bits_rx_acc += meta.size_bits;
-      ++rx_kind_acc[meta.kind];
-      if (!awake_[v]) wake(v);
-      upcall(v).on_receive(round_, txm);
-    }
-  }
-}
-
 void Network::wake(NodeId id) {
   if (!awake_[id]) {
     awake_[id] = 1;
@@ -506,7 +176,6 @@ void Network::step() {
     }
 #endif
     if (engine_ == EngineMode::kBitset) ensure_bitset_buffers();
-    if (shards_requested_ > 1) ensure_shard_state();
   }
 
   if (engine_ == EngineMode::kBitset) {
@@ -598,9 +267,7 @@ void Network::round_scalar() {
   // ends up holding exactly the first-touch sequence, in the same order
   // the branching form produced.
   std::size_t touched_count = 0;
-  if (sharding_active()) {
-    touched_count = sharded_scalar_sweep();
-  } else {
+  {
     const std::size_t tx_count = tx_from_.size();
     const std::size_t* const offsets = graph_.csr_offsets();
     const NodeId* const targets = graph_.csr_targets();
@@ -748,13 +415,9 @@ std::uint32_t Network::materialize_packed_tx(NodeId from) {
 void Network::round_bitset() {
   const bool events = trace_.events_enabled();
   const bool faults_on = fault_model_.reception_loss_probability > 0.0;
-  // The shard mutations count as order-sensitive: the wrong-reduction bug
-  // only exists where a merge happens (the exact path), so they force it.
   const bool mutations_on = mutations_.deliver_on_collision ||
                             mutations_.deliver_while_transmitting ||
-                            mutations_.skip_wake_on_receive ||
-                            mutations_.shard_wrong_reduction_order ||
-                            mutations_.shard_skip_frontier_exchange;
+                            mutations_.skip_wake_on_receive;
   // The exact sub-path replays the scalar engine's receiver-touch order:
   // the fault RNG stream is defined by that order (see FaultModel), and
   // auditors, the event log, and the seeded-bug mutations all observe it.
@@ -897,10 +560,7 @@ void Network::round_bitset() {
   std::size_t touched_count = 0;
   NodeId* const touched = touched_.data();
   std::uint32_t* const first_src = first_src_.data();
-  const bool sharded = sharding_active();
-  if (exact && sharded) {
-    touched_count = sharded_bitset_exact_scatter();
-  } else if (exact) {
+  if (exact) {
     const std::size_t tc = tx_from_.size();
     for (std::uint32_t t = 0; t < tc; ++t) {
       for_row(tx_from_[t], [&](std::uint32_t w, std::uint64_t m) {
@@ -917,9 +577,7 @@ void Network::round_bitset() {
         }
       });
     }
-  } else if (!sharded) {
-    // (The sharded fast sub-path fuses its scatter into the per-shard
-    // sweep below.)
+  } else {
     for (std::size_t w0 = 0; w0 < nw; ++w0) {
       std::uint64_t word = tx[w0];
       while (word != 0) {
@@ -1000,9 +658,6 @@ void Network::round_bitset() {
       }
       deliver(source);
     }
-  } else if (sharded) {
-    sharded_bitset_fast_sweep(deliveries_acc, bits_rx_acc, collision_acc,
-                              deaf_acc, rx_kind_acc);
   } else {
     // Fast sub-path: classify all 64 receivers of a word at once.
     //   deaf      = once &  tx          (heard something while sending)

@@ -17,11 +17,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "gf2/bitvec.hpp"
 #include "graph/graph.hpp"
 #include "graph/packed.hpp"
-#include "graph/partition.hpp"
 #include "obs/observer.hpp"
 #include "radio/audit_hook.hpp"
 #include "radio/node.hpp"
@@ -117,16 +115,6 @@ struct EngineMutations {
   /// Deliver to sleeping nodes without waking them (breaks wake-on-first-
   /// reception).
   bool skip_wake_on_receive = false;
-  /// Sharded engines only: reduce per-shard touched lists by shard
-  /// concatenation instead of the deterministic (first-reacher, node-id)
-  /// merge (breaks the scalar receiver-touch order the fault-RNG stream
-  /// and every order-sensitive hook are defined by). Inert at 1 shard.
-  bool shard_wrong_reduction_order = false;
-  /// Sharded engines only: each shard applies only the transmissions whose
-  /// sender lies inside the shard — the frontier/transmit-set exchange at
-  /// the round boundary is skipped, so every cut-edge reception is lost
-  /// (flagged by the ModelAuditor's re-derived outcomes). Inert at 1 shard.
-  bool shard_skip_frontier_exchange = false;
 };
 
 class Network {
@@ -227,22 +215,6 @@ class Network {
   void set_packed_source(PackedTransmitSource* source);
   PackedTransmitSource* packed_source() const { return packed_source_; }
 
-  /// Partitions each round's reception sweep over `shards` contiguous node
-  /// shards run on an internal thread pool (see docs/performance.md,
-  /// "Graph sharding"). Results are shard-count invariant bit for bit:
-  /// shard-local sweeps write disjoint state, a barrier closes the sweep,
-  /// and a deterministic (first-reacher, node-id) merge reconstructs the
-  /// exact scalar receiver-touch order before any protocol callback, trace
-  /// event, audit hook, or fault-RNG draw fires — so `shards` is an
-  /// execution knob like the Monte Carlo thread budget, never part of a
-  /// result. 1 (the default) bypasses sharding entirely (the legacy
-  /// single-threaded path, bit-identical by construction). Must be called
-  /// before the first step. The effective count is clamped by the
-  /// partitioner (bitset shards align to 64-node blocks so packed words
-  /// never straddle shards); tiny graphs may collapse to one shard.
-  void set_shards(std::uint32_t shards);
-  std::uint32_t shards() const { return shards_requested_; }
-
  private:
   void wake(NodeId id);
   /// The target of an on_wake / on_receive / on_collision upcall: re-arms
@@ -263,37 +235,6 @@ class Network {
   void round_bitset();
   /// Allocates the packed per-round sets on the first bitset step.
   void ensure_bitset_buffers();
-  /// Builds the shard plan, worker pool, and per-shard scratch on the
-  /// first sharded step (the engine mode fixes the boundary alignment).
-  void ensure_shard_state();
-  /// True once ensure_shard_state built a plan with >= 2 shards (tiny
-  /// graphs collapse to one shard and keep the legacy paths).
-  bool sharding_active() const { return shard_ready_ && shard_plan_.num_shards() > 1; }
-  /// Runs task(s) for every shard s — shards 1..S-1 on the pool, shard 0
-  /// inline — and blocks until all finished (the round-boundary barrier).
-  void run_sharded(const std::function<void(std::uint32_t)>& task);
-  /// Shard-parallel scalar Phase 2: fills reach_ and the per-shard touched
-  /// regions, then merges them into touched_; returns the touched count.
-  std::size_t sharded_scalar_sweep();
-  /// Shard-parallel bitset exact scatter: fills once/twice and the
-  /// per-shard touched/first-src regions, then merges into touched_ and
-  /// first_src_; returns the touched count.
-  std::size_t sharded_bitset_exact_scatter();
-  /// Shard-parallel bitset fast sweep: scatter + word classification +
-  /// first-hit sender resolution per shard, then a sequential replay of
-  /// the per-shard ordered reception events (which reproduces the
-  /// unsharded word-sweep order exactly, because shards are ascending
-  /// word ranges). Accumulates into the caller's round counters.
-  void sharded_bitset_fast_sweep(
-      std::uint64_t& deliveries_acc, std::uint64_t& bits_rx_acc,
-      std::uint64_t& collision_acc, std::uint64_t& deaf_acc,
-      std::array<std::uint64_t, kNumMessageKinds>& rx_kind_acc);
-  /// Deterministic k-way merge of the shard-local touched lists by
-  /// (first-reaching transmission index, node id) — the key the scalar
-  /// receiver-touch order is lexicographic in. Writes node ids to
-  /// touched_ and, when `src_out` is non-null, the matching transmission
-  /// indices. Subverted by the shard_wrong_reduction_order mutation.
-  std::size_t merge_shard_touched(std::uint32_t* src_out);
   /// Materialises (lazily, once per round per transmitter) the Message a
   /// packed-source transmitter put on the air; returns its index in
   /// transmissions_.
@@ -421,49 +362,6 @@ class Network {
   /// Optional word-grouped adjacency (built iff the topology compresses;
   /// rows group on the fly from CSR otherwise — see graph/packed.hpp).
   graph::PackedRows packed_rows_;
-
-  // --- graph-sharding state (see set_shards; built lazily by
-  // ensure_shard_state on the first step, once the engine mode — and
-  // therefore the boundary alignment — is final) ------------------------
-  std::uint32_t shards_requested_ = 1;
-  bool shard_ready_ = false;
-  graph::ShardPlan shard_plan_;
-  /// Workers for shards 1..S-1; shard 0 always runs on the stepping
-  /// thread, so a 2-shard run spawns exactly one worker.
-  std::unique_ptr<ThreadPool> shard_pool_;
-  /// Prefix offsets into shard_touched_/shard_src_: shard s's region is
-  /// [shard_base_[s], shard_base_[s+1]) — its node span plus one slack
-  /// slot for the branchless unconditional cursor write.
-  std::vector<std::size_t> shard_base_;
-  /// Shard-local first-touch lists (node id / first-reaching transmission
-  /// index pairs), each naturally sorted by that (reacher, id) key — the
-  /// inputs of merge_shard_touched.
-  std::vector<NodeId> shard_touched_;
-  std::vector<std::uint32_t> shard_src_;
-  /// Entries used in each shard's region this round.
-  std::vector<std::size_t> shard_counts_;
-  /// Merge cursors (merge_shard_touched scratch, reused across rounds).
-  std::vector<std::size_t> shard_cursor_;
-  /// Fast bitset sub-path only: per-shard ordered reception events,
-  /// recorded word-ascending inside the parallel sweep and replayed
-  /// sequentially in shard order (== the unsharded word-sweep order).
-  /// `from` is the resolved sender, or kShardCollision for a
-  /// collision-detection callback slot.
-  struct ShardEvent {
-    NodeId v;
-    NodeId from;
-  };
-  static constexpr NodeId kShardCollision = 0xffffffffu;
-  /// One flat n-sized buffer; shard s records at node_begin(s) (each node
-  /// yields at most one event, so regions cannot overflow).
-  std::vector<ShardEvent> shard_events_;
-  std::vector<std::size_t> shard_event_counts_;
-  /// Per-shard deaf/collision popcount tallies from the fast sweep.
-  struct ShardTally {
-    std::uint64_t deaf = 0;
-    std::uint64_t collision = 0;
-  };
-  std::vector<ShardTally> shard_tallies_;
 };
 
 }  // namespace radiocast::radio

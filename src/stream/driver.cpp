@@ -28,6 +28,7 @@ double per_node_rate(const core::DynamicConfig& dyn, std::uint32_t n,
 StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg) {
   RC_ASSERT(g.finalized());
   RC_ASSERT(cfg.horizon > 0);
+  RC_ASSERT_MSG(cfg.shards == 1, "intra-run sharding was removed; shards must be 1");
 
   StreamResult result;
   result.n = g.num_nodes();
@@ -41,7 +42,6 @@ StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg) {
 
   radio::ProtocolSlab<StreamNode> slab(g.num_nodes());
   radio::Network net(g);
-  if (cfg.shards > 1) net.set_shards(cfg.shards);
 
   std::unique_ptr<audit::ChannelAuditor> auditor;
   if (cfg.audit) {

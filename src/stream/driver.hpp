@@ -56,9 +56,9 @@ struct StreamConfig {
   /// Master seed of the per-node protocol RNGs (split in node order,
   /// exactly as in core::run_dynamic_broadcast).
   std::uint64_t seed = 0;
-  /// Intra-run graph shards (radio::Network::set_shards); execution knob
-  /// only, results are shard-count invariant. 0/1 = unsharded.
-  std::uint32_t shards = 0;
+  /// Exists only so benchmark/runner.cpp, which sets it to 1, keeps
+  /// building; run_stream rejects any other value.
+  std::uint32_t shards = 1;
   /// Attach an audit::ChannelAuditor for the whole run.
   bool audit = false;
   /// Row cap of the backlog ledger (totals stay exact past it).
@@ -107,8 +107,8 @@ double per_node_rate(const core::DynamicConfig& dyn, std::uint32_t n,
                      double load);
 
 /// Runs the open system for exactly cfg.horizon rounds. Deterministic:
-/// the result is a pure function of (g, cfg), bit-identical at any shard
-/// count and independent of wall clock or host.
+/// the result is a pure function of (g, cfg), independent of wall clock
+/// or host.
 StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg);
 
 }  // namespace radiocast::stream

@@ -6,6 +6,9 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace radiocast::cli {
 namespace {
@@ -156,9 +159,39 @@ TEST(Cli, ListSummarizesScenarioDirectory) {
 }
 
 TEST(Cli, RunUnknownOptionFails) {
-  const CliRun r = run_cli({"run", "spec.json", "--frobnicate"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("unknown option"), std::string::npos);
+  // A real spec file, so a run that ignored the option would exit 0.
+  const std::string dir = temp_dir("cli_unknown_option");
+  write_file(dir + "/spec.json", kTinySpec);
+  const std::vector<std::vector<std::string>> extras = {{"--frobnicate"},
+                                                        {"--shards", "2"}};
+  for (const std::vector<std::string>& extra : extras) {
+    std::vector<std::string> args = {"run", dir + "/spec.json", "--out", dir, "--quiet"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    const CliRun r = run_cli(args);
+    EXPECT_EQ(r.code, 1) << extra[0];
+    EXPECT_NE(r.err.find("unknown option " + extra[0]), std::string::npos) << r.err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir + "/cli_tiny.results.json"));
+}
+
+TEST(Cli, RunRejectsMalformedIntegerOptions) {
+  const std::string dir = temp_dir("cli_bad_int");
+  write_file(dir + "/spec.json", kTinySpec);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--seeds", "1x"},      {"--seeds", "0"},      {"--seeds", "abc"},
+      {"--seeds", "-1"},      {"--seeds", ""},       {"--seeds", " 2"},
+      {"--seeds", "+2"},      {"--seeds", "99999999999"},
+      {"--threads", "-4"},    {"--threads", "4x"},   {"--threads", "2.5"},
+  };
+  for (const auto& [flag, value] : cases) {
+    const CliRun r =
+        run_cli({"run", dir + "/spec.json", "--out", dir, "--quiet", flag, value});
+    EXPECT_EQ(r.code, 1) << flag << " " << value;
+    // The message names both the flag and the offending value.
+    EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("\"" + value + "\""), std::string::npos) << r.err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir + "/cli_tiny.results.json"));
 }
 
 }  // namespace

@@ -83,6 +83,8 @@ TEST(Scenario, KnowledgeStringShorthand) {
 
 TEST(Scenario, RejectsUnknownTopLevelKey) {
   EXPECT_THROW(parse_scenario(R"({"id": "x", "kk": [4]})"), JsonError);
+  // A spec that still names the removed `shards` key fails, not silently runs.
+  EXPECT_THROW(parse_scenario(R"({"id":"x","shards":2})"), JsonError);
   try {
     parse_scenario(R"({"id": "x", "seed": 3})");  // typo for seed_base
     FAIL() << "expected JsonError";
@@ -111,6 +113,10 @@ TEST(Scenario, ValidationCatchesBadValues) {
   EXPECT_THROW(parse_scenario(R"({"id":"x","seeds":0})"), JsonError);
   EXPECT_THROW(parse_scenario(R"({"id":"x","topology":{"family":"moebius"}})"),
                JsonError);
+  // The benchmark-only `shards` field accepts nothing but 1.
+  ScenarioSpec sharded = parse_scenario(R"({"id": "x"})");
+  sharded.shards = 2;
+  EXPECT_THROW(validate_scenario(sharded), JsonError);
 }
 
 TEST(Scenario, FaultAndAuditAxesRequirePipelineAlgos) {
