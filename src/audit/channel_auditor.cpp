@@ -1,39 +1,21 @@
 #include "audit/channel_auditor.hpp"
 
-#include <sstream>
-
 #include "common/assert.hpp"
 
 namespace radiocast::audit {
 
-ChannelAuditor::ChannelAuditor(const graph::Graph& g, const Options& opts)
-    : graph_(g), opts_(opts), report_(opts.max_violations) {
+ChannelAuditor::ChannelAuditor(const graph::Graph& g, const Options& opts,
+                               AuditReport* sink)
+    : graph_(g),
+      opts_(opts),
+      own_report_(opts.max_violations),
+      report_(sink != nullptr ? sink : &own_report_),
+      awake_(g.num_nodes(), 0),
+      reach_(g.num_nodes(), 0),
+      source_(g.num_nodes(), 0),
+      transmitting_(g.num_nodes(), 0),
+      outcome_(g.num_nodes(), Outcome::kNone) {
   RC_ASSERT_MSG(g.finalized(), "auditor needs a finalized graph");
-  reset();
-}
-
-void ChannelAuditor::reset() {
-  report_.clear();
-  const std::size_t n = graph_.num_nodes();
-  current_round_ = 0;
-  round_open_ = false;
-  awake_.assign(n, 0);
-  reach_.assign(n, 0);
-  source_.assign(n, 0);
-  transmitting_.assign(n, 0);
-  outcome_.assign(n, Outcome::kNone);
-  touched_.clear();
-  tx_from_.clear();
-}
-
-std::string ChannelAuditor::summary() const {
-  if (report_.clean()) return "clean";
-  std::ostringstream out;
-  out << report_.total() << " violation(s); first: ";
-  const Violation& v = report_.violations().front();
-  out << v.check << " @round " << v.round << " node " << v.node << " (" << v.detail
-      << ")";
-  return out.str();
 }
 
 void ChannelAuditor::on_sim_start(

@@ -1,11 +1,12 @@
 // ChannelAuditor — protocol-agnostic radio-model conformance checking.
 //
-// The radio-model half of ModelAuditor, factored for runs that are not
-// k-broadcast instances: it implements radio::NetworkAuditHook only (no
-// core::RunAuditor lifecycle, no protocol-discipline or ground-truth
-// checks), so any caller that owns a radio::Network — the open-system
-// stream driver in particular — can attach it via Network::set_auditor and
-// get an independent re-derivation of Section 1's reception rules:
+// The repo's one independent re-derivation of Section 1's reception rules.
+// It implements radio::NetworkAuditHook only (no core::RunAuditor
+// lifecycle, no protocol-discipline or ground-truth checks), so any caller
+// that owns a radio::Network — the open-system stream driver in particular
+// — can attach it via Network::set_auditor; ModelAuditor builds one per
+// k-broadcast run and forwards every engine event to it. Every `radio.*`
+// check lives here:
 //
 //   * a node receives iff exactly one neighbor transmitted and the node
 //     itself was silent; the engine's reach counts agree with a recount
@@ -18,8 +19,8 @@
 //     at on_round_end against the recomputed expectation.
 //
 // Strictly read-only, no RNG draws: an audited run is bit-identical to an
-// unaudited one. One instance audits one simulation; construct fresh (or
-// reset()) per run.
+// unaudited one. One instance audits one simulation; construct a fresh one
+// per run.
 #pragma once
 
 #include <cstdint>
@@ -44,19 +45,25 @@ class ChannelAuditor final : public radio::NetworkAuditHook {
     /// If true, every node must be initially awake (the dynamic/stream
     /// setting); if false, the initial wake set is unconstrained.
     bool expect_all_awake = false;
-    /// Cap on stored violations; the count keeps incrementing past it.
+    /// Cap on violations stored in the auditor's own report; the count
+    /// keeps incrementing past it. Unused when a sink report is given.
     std::size_t max_violations = 1024;
   };
 
-  ChannelAuditor(const graph::Graph& g, const Options& opts);
+  /// Violations go into `sink` when one is given (it must outlive the
+  /// auditor, which never clears it), else into the auditor's own report.
+  ChannelAuditor(const graph::Graph& g, const Options& opts,
+                 AuditReport* sink = nullptr);
+  /// report_ may point into the object itself.
+  ChannelAuditor(const ChannelAuditor&) = delete;
+  ChannelAuditor& operator=(const ChannelAuditor&) = delete;
 
-  /// Re-arms the auditor for a fresh simulation on the same graph.
-  void reset();
-
-  const AuditReport& report() const { return report_; }
-  bool clean() const { return report_.clean(); }
+  const AuditReport& report() const { return *report_; }
+  bool clean() const { return report_->clean(); }
   /// One-line human-readable summary ("clean" or first violation).
-  std::string summary() const;
+  std::string summary() const { return report_->summary(); }
+  /// The round most recently opened by on_transmissions (0 before any).
+  radio::Round current_round() const { return current_round_; }
 
   // --- radio::NetworkAuditHook ---
   void on_sim_start(const std::vector<radio::NodeId>& initially_awake) override;
@@ -84,12 +91,13 @@ class ChannelAuditor final : public radio::NetworkAuditHook {
 
   void violation(std::uint64_t round, std::uint32_t node, const char* check,
                  std::string detail) {
-    report_.add(round, node, check, std::move(detail));
+    report_->add(round, node, check, std::move(detail));
   }
 
   const graph::Graph& graph_;
   Options opts_;
-  AuditReport report_;
+  AuditReport own_report_;
+  AuditReport* report_;  ///< the sink, or &own_report_
 
   radio::Round current_round_ = 0;
   bool round_open_ = false;

@@ -1,7 +1,6 @@
 #include "audit/model_auditor.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <string_view>
 #include <variant>
 
@@ -42,14 +41,9 @@ const radio::Packet* find_packet(const std::vector<radio::Packet>& truth,
 
 }  // namespace
 
-std::string ModelAuditor::summary() const {
-  if (report_.clean()) return "clean";
-  std::ostringstream out;
-  out << report_.total() << " violation(s); first: ";
-  const Violation& v = report_.violations().front();
-  out << v.check << " @round " << v.round << " node " << v.node << " (" << v.detail
-      << ")";
-  return out.str();
+ChannelAuditor& ModelAuditor::channel() {
+  RC_ASSERT(active_);
+  return *channel_;
 }
 
 void ModelAuditor::begin_run(const graph::Graph& g, const core::ResolvedConfig& rc,
@@ -63,8 +57,10 @@ void ModelAuditor::begin_run(const graph::Graph& g, const core::ResolvedConfig& 
   truth_ = truth;
   std::sort(truth_.begin(), truth_.end(),
             [](const radio::Packet& a, const radio::Packet& b) { return a.id < b.id; });
-  faults_enabled_ = faults.reception_loss_probability > 0.0;
-  collision_detection_ = collision_detection;
+  ChannelAuditor::Options opts;
+  opts.faults_enabled = faults.reception_loss_probability > 0.0;
+  opts.collision_detection = collision_detection;
+  channel_.emplace(g, opts, &report_);
 
   // Recompute the Stage-4 group partition from the truth alone — the same
   // sorted-by-id chunking DisseminationState::set_root_packets performs.
@@ -80,38 +76,24 @@ void ModelAuditor::begin_run(const graph::Graph& g, const core::ResolvedConfig& 
     group_wires_.push_back(std::move(wires));
   }
 
-  const std::size_t n = g.num_nodes();
-  sim_started_ = false;
-  current_round_ = 0;
-  round_open_ = false;
-  awake_.assign(n, 0);
-  reach_.assign(n, 0);
-  source_.assign(n, 0);
-  transmitting_.assign(n, 0);
-  outcome_.assign(n, Outcome::kNone);
-  touched_.clear();
-  tx_from_.clear();
-  nodes_.assign(n, NodeState{});
+  nodes_.assign(g.num_nodes(), NodeState{});
 }
 
 void ModelAuditor::on_sim_start(const std::vector<radio::NodeId>& initially_awake) {
-  RC_ASSERT(active_);
-  sim_started_ = true;
-  for (const radio::NodeId id : initially_awake) {
-    if (id >= awake_.size()) {
-      violation(0, id, "radio.initial_wake_range", "initial wake out of range");
-      continue;
-    }
-    awake_[id] = 1;
-  }
+  channel().on_sim_start(initially_awake);
   // run_kbroadcast's contract: exactly the packet origins start awake.
-  std::vector<std::uint8_t> expected(awake_.size(), 0);
+  const std::size_t n = nodes_.size();
+  std::vector<std::uint8_t> awake(n, 0);
+  std::vector<std::uint8_t> expected(n, 0);
+  for (const radio::NodeId id : initially_awake) {
+    if (id < n) awake[id] = 1;
+  }
   for (const radio::Packet& p : truth_) {
     const radio::NodeId origin = radio::packet_origin(p.id);
-    if (origin < expected.size()) expected[origin] = 1;
+    if (origin < n) expected[origin] = 1;
   }
-  for (radio::NodeId v = 0; v < expected.size(); ++v) {
-    if (expected[v] != awake_[v]) {
+  for (radio::NodeId v = 0; v < n; ++v) {
+    if (expected[v] != awake[v]) {
       violation(0, v, "run.initial_wake_set",
                 expected[v] ? "packet origin not awake at start"
                             : "non-participant awake at start");
@@ -120,8 +102,7 @@ void ModelAuditor::on_sim_start(const std::vector<radio::NodeId>& initially_awak
 }
 
 void ModelAuditor::check_message_kind(radio::Round round, const radio::Message& tx) {
-  const std::uint32_t stage =
-      tx.from < nodes_.size() ? nodes_[tx.from].stage : 0;
+  const std::uint32_t stage = nodes_[tx.from].stage;
   bool ok = false;
   const char* expected = "";
   switch (stage) {
@@ -221,199 +202,21 @@ void ModelAuditor::check_message_payload(radio::Round round,
 
 void ModelAuditor::on_transmissions(radio::Round round,
                                     const std::vector<radio::Message>& txs) {
-  RC_ASSERT(active_);
-  if (round_open_) {
-    violation(round, 0, "radio.round_sequence", "round opened twice");
-  }
-  round_open_ = true;
-  current_round_ = round;
-  tx_from_.clear();
-
-  radio::NodeId prev_from = 0;
-  bool first = true;
+  channel().on_transmissions(round, txs);
   for (const radio::Message& tx : txs) {
-    tx_from_.push_back(tx.from);
-    if (tx.from >= awake_.size()) {
-      violation(round, tx.from, "radio.tx_range", "transmitter id out of range");
-      continue;
-    }
-    if (!first && tx.from <= prev_from) {
-      violation(round, tx.from, "radio.tx_order",
-                "transmissions not in ascending transmitter order");
-    }
-    prev_from = tx.from;
-    first = false;
-    if (!awake_[tx.from]) {
-      violation(round, tx.from, "radio.sleeping_transmitter",
-                "transmission from a node the model says is asleep");
-    }
-    transmitting_[tx.from] = 1;
+    if (tx.from >= nodes_.size()) continue;  // radio.tx_range, flagged above
     check_message_kind(round, tx);
     check_message_payload(round, tx);
-  }
-
-  // Independent reach recount from the topology.
-  for (std::uint32_t t = 0; t < txs.size(); ++t) {
-    if (txs[t].from >= awake_.size()) continue;
-    for (const radio::NodeId v : graph_->neighbors(txs[t].from)) {
-      if (reach_[v]++ == 0) {
-        source_[v] = t;
-        touched_.push_back(v);
-      }
-    }
-  }
-}
-
-void ModelAuditor::on_deliver(radio::Round round, radio::NodeId receiver,
-                              std::uint32_t tx_index, const radio::Message& msg) {
-  RC_ASSERT(active_ && receiver < awake_.size());
-  if (reach_[receiver] != 1) {
-    violation(round, receiver, "radio.deliver_on_collision",
-              "delivery with " + std::to_string(reach_[receiver]) +
-                  " reaching transmissions (model: exactly 1)");
-  }
-  if (transmitting_[receiver]) {
-    violation(round, receiver, "radio.deliver_while_transmitting",
-              "delivery to a node that transmitted this round (half-duplex)");
-  }
-  if (tx_index >= tx_from_.size()) {
-    violation(round, receiver, "radio.deliver_source",
-              "delivery from out-of-range transmission index");
-  } else {
-    if (reach_[receiver] >= 1 && tx_index != source_[receiver]) {
-      violation(round, receiver, "radio.deliver_source",
-                "delivered transmission is not the reaching one");
-    }
-    if (msg.from != tx_from_[tx_index]) {
-      violation(round, receiver, "radio.deliver_source",
-                "message sender does not match the transmission slot");
-    }
-  }
-  if (outcome_[receiver] == Outcome::kNone) outcome_[receiver] = Outcome::kDelivered;
-}
-
-void ModelAuditor::on_collision_slot(radio::Round round, radio::NodeId receiver,
-                                     std::uint32_t reached, bool cd_callback) {
-  RC_ASSERT(active_ && receiver < awake_.size());
-  if (reached < 2 || reached != reach_[receiver]) {
-    violation(round, receiver, "radio.collision_count",
-              "collision slot reports " + std::to_string(reached) +
-                  " reaching, recount says " + std::to_string(reach_[receiver]));
-  }
-  if (transmitting_[receiver]) {
-    violation(round, receiver, "radio.collision_while_transmitting",
-              "collision outcome for a transmitting node (deaf slot expected)");
-  }
-  if (cd_callback != collision_detection_) {
-    violation(round, receiver, "radio.cd_ablation",
-              cd_callback ? "on_collision fired without the CD ablation"
-                          : "CD ablation enabled but no callback");
-  }
-  // Under the CD ablation the engine wakes the listener itself; that wake
-  // arrives as a separate on_node_wake, so no state change here.
-  if (outcome_[receiver] == Outcome::kNone) outcome_[receiver] = Outcome::kCollision;
-}
-
-void ModelAuditor::on_deaf_slot(radio::Round round, radio::NodeId receiver,
-                                std::uint32_t reached) {
-  RC_ASSERT(active_ && receiver < awake_.size());
-  if (!transmitting_[receiver]) {
-    violation(round, receiver, "radio.deaf_not_transmitting",
-              "deaf slot for a node that did not transmit");
-  }
-  if (reached == 0 || reached != reach_[receiver]) {
-    violation(round, receiver, "radio.deaf_count",
-              "deaf slot reports " + std::to_string(reached) +
-                  " reaching, recount says " + std::to_string(reach_[receiver]));
-  }
-  if (outcome_[receiver] == Outcome::kNone) outcome_[receiver] = Outcome::kDeaf;
-}
-
-void ModelAuditor::on_fault_drop(radio::Round round, radio::NodeId receiver,
-                                 std::uint32_t tx_index) {
-  RC_ASSERT(active_ && receiver < awake_.size());
-  if (!faults_enabled_) {
-    violation(round, receiver, "radio.fault_without_model",
-              "fault drop with reception_loss_probability == 0");
-  }
-  if (reach_[receiver] != 1 || transmitting_[receiver]) {
-    violation(round, receiver, "radio.fault_slot",
-              "fault erasure on a slot that was not a successful reception");
-  }
-  if (tx_index >= tx_from_.size() ||
-      (reach_[receiver] >= 1 && tx_index != source_[receiver])) {
-    violation(round, receiver, "radio.fault_source",
-              "fault drop does not reference the reaching transmission");
-  }
-  if (outcome_[receiver] == Outcome::kNone) outcome_[receiver] = Outcome::kFaultDrop;
-}
-
-void ModelAuditor::on_node_wake(radio::Round round, radio::NodeId node) {
-  RC_ASSERT(active_ && node < awake_.size());
-  if (awake_[node]) {
-    violation(round, node, "radio.double_wake", "wake event for an awake node");
-  }
-  awake_[node] = 1;
-}
-
-void ModelAuditor::on_round_end(radio::Round round) {
-  RC_ASSERT(active_);
-  if (!round_open_ || round != current_round_) {
-    violation(round, 0, "radio.round_sequence",
-              "round end does not match the opened round");
-  }
-  round_open_ = false;
-
-  for (const radio::NodeId v : touched_) {
-    const std::uint32_t reached = reach_[v];
-    const Outcome got = outcome_[v];
-    Outcome want = Outcome::kNone;
-    if (transmitting_[v]) {
-      want = Outcome::kDeaf;
-    } else if (reached >= 2) {
-      want = Outcome::kCollision;
-    } else {
-      // Exactly one reaching transmission, silent receiver: the model says
-      // deliver; with the fault ablation the slot may be erased instead.
-      want = Outcome::kDelivered;
-    }
-    const bool ok =
-        got == want || (want == Outcome::kDelivered &&
-                        got == Outcome::kFaultDrop && faults_enabled_);
-    if (!ok) {
-      const auto name = [](Outcome o) {
-        switch (o) {
-          case Outcome::kNone: return "none";
-          case Outcome::kDelivered: return "delivered";
-          case Outcome::kCollision: return "collision";
-          case Outcome::kDeaf: return "deaf";
-          case Outcome::kFaultDrop: return "fault-drop";
-        }
-        return "?";
-      };
-      violation(round, v, "radio.outcome",
-                std::string("expected ") + name(want) + ", engine reported " +
-                    name(got) + " (" + std::to_string(reached) + " reaching)");
-    }
-    if (got == Outcome::kDelivered && !awake_[v]) {
-      violation(round, v, "radio.wake_on_reception",
-                "node received a message but was never woken");
-    }
-    reach_[v] = 0;
-    outcome_[v] = Outcome::kNone;
-  }
-  touched_.clear();
-  for (const radio::NodeId from : tx_from_) {
-    if (from < transmitting_.size()) transmitting_[from] = 0;
   }
 }
 
 void ModelAuditor::on_stage_enter(radio::NodeId node, std::uint32_t stage_index,
                                   radio::Round boundary_round) {
   RC_ASSERT(active_ && node < nodes_.size());
+  const radio::Round now = channel_->current_round();
   NodeState& st = nodes_[node];
   if (stage_index < 1 || stage_index > 4 || stage_index <= st.stage) {
-    violation(current_round_, node, "protocol.stage_monotonicity",
+    violation(now, node, "protocol.stage_monotonicity",
               "stage " + std::to_string(stage_index) + " after stage " +
                   std::to_string(st.stage));
     st.stage = std::max(st.stage, stage_index);
@@ -435,13 +238,13 @@ void ModelAuditor::on_stage_enter(radio::NodeId node, std::uint32_t stage_index,
       // The node's own schedule: Stage 4 starts exactly where its recorded
       // collection ended, and only after an alarm-free phase.
       if (!st.has_ended_phase) {
-        violation(current_round_, node, "protocol.stage4_boundary",
+        violation(now, node, "protocol.stage4_boundary",
                   "entered dissemination without a recorded collection finish");
         check_boundary = false;
       } else {
         expected = st.last_phase_end;
         if (st.last_phase_alarmed) {
-          violation(current_round_, node, "protocol.stage4_after_alarm",
+          violation(now, node, "protocol.stage4_after_alarm",
                     "entered dissemination after an alarmed phase");
         }
       }
@@ -451,7 +254,7 @@ void ModelAuditor::on_stage_enter(radio::NodeId node, std::uint32_t stage_index,
       break;
   }
   if (check_boundary && boundary_round != expected) {
-    violation(current_round_, node,
+    violation(now, node,
               stage_index == 4 ? "protocol.stage4_boundary"
                                : "protocol.stage_boundary",
               "stage " + std::to_string(stage_index) + " boundary " +

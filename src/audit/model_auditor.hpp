@@ -3,22 +3,18 @@
 // The auditor attaches to core::run_kbroadcast (see core::RunAuditor) and
 // independently recomputes, every round, what the paper's model says must
 // happen, from nothing but the raw transmission set and the topology. It
-// never trusts the engine's own bookkeeping: reach counts are recounted
-// from adjacency lists, reception outcomes are re-derived from the model's
-// rules, schedule boundaries are recomputed from core::params/schedule
-// arithmetic, and coded payloads are re-encoded from the ground-truth
-// packets. Any divergence lands in an AuditReport.
+// never trusts the engine's own bookkeeping: reception outcomes are
+// re-derived by a ChannelAuditor, schedule boundaries are recomputed from
+// core::params/schedule arithmetic, and coded payloads are re-encoded from
+// the ground-truth packets. Any divergence lands in an AuditReport.
 //
 // Checks, grouped as in the paper:
 //
-//  Radio-model semantics (Section 1's model):
-//   * a node receives iff exactly one neighbor transmitted and the node
-//     itself was silent; collisions and fault erasures are indistinguishable
-//     from silence (no delivery, no callback without the CD ablation);
-//   * the engine's reach counts agree with an independent recount;
-//   * only awake nodes transmit; sleeping nodes wake on first reception;
-//   * on_collision callbacks fire exactly iff the CD ablation is enabled;
-//   * every reached listener gets exactly one outcome per round.
+//  Radio-model semantics (Section 1's model): every `radio.*` check of
+//  ChannelAuditor (channel_auditor.hpp). begin_run builds one with the
+//  run's fault and collision-detection flags, writing into this auditor's
+//  report, and every radio::NetworkAuditHook event is forwarded to it.
+//  Checked here: exactly the packet origins start awake.
 //
 //  Protocol discipline (Sections 2.1-2.4):
 //   * per-node stage transitions are monotone leader -> BFS -> collection
@@ -45,13 +41,16 @@
 // The auditor is strictly read-only and consumes no randomness, so an
 // audited run is bit-identical to an unaudited one (pinned by
 // tests/audit/corpus_test.cpp). One instance audits one run at a time;
-// begin_run resets all state, so an instance can be reused sequentially.
+// begin_run resets all per-run state but not the report, so an instance
+// reused sequentially accumulates every run's violations.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "audit/channel_auditor.hpp"
 #include "audit/violation.hpp"
 #include "core/audit.hpp"
 #include "core/schedule.hpp"
@@ -66,13 +65,16 @@ class ModelAuditor final : public core::RunAuditor {
   /// `max_violations` caps stored violations; the count keeps incrementing.
   explicit ModelAuditor(std::size_t max_violations = 1024)
       : report_(max_violations) {}
+  /// The channel auditor writes into report_, so the address must not move.
+  ModelAuditor(const ModelAuditor&) = delete;
+  ModelAuditor& operator=(const ModelAuditor&) = delete;
 
   /// Everything found so far (valid after end_run, or mid-run).
   const AuditReport& report() const { return report_; }
   /// True iff no violation has been recorded.
   bool clean() const { return report_.clean(); }
   /// One-line human-readable summary ("clean" or first violations).
-  std::string summary() const;
+  std::string summary() const { return report_.summary(); }
 
   // --- core::RunAuditor ---
   void begin_run(const graph::Graph& g, const core::ResolvedConfig& rc,
@@ -81,20 +83,31 @@ class ModelAuditor final : public core::RunAuditor {
                  bool collision_detection) override;
   void end_run(const radio::Network& net, const core::RunResult& result) override;
 
-  // --- radio::NetworkAuditHook ---
+  // --- radio::NetworkAuditHook: every event goes to the channel auditor;
+  // the first two also feed the run-context checks ---
   void on_sim_start(const std::vector<radio::NodeId>& initially_awake) override;
   void on_transmissions(radio::Round round,
                         const std::vector<radio::Message>& txs) override;
   void on_deliver(radio::Round round, radio::NodeId receiver,
-                  std::uint32_t tx_index, const radio::Message& msg) override;
+                  std::uint32_t tx_index, const radio::Message& msg) override {
+    channel().on_deliver(round, receiver, tx_index, msg);
+  }
   void on_collision_slot(radio::Round round, radio::NodeId receiver,
-                         std::uint32_t reached, bool cd_callback) override;
+                         std::uint32_t reached, bool cd_callback) override {
+    channel().on_collision_slot(round, receiver, reached, cd_callback);
+  }
   void on_deaf_slot(radio::Round round, radio::NodeId receiver,
-                    std::uint32_t reached) override;
+                    std::uint32_t reached) override {
+    channel().on_deaf_slot(round, receiver, reached);
+  }
   void on_fault_drop(radio::Round round, radio::NodeId receiver,
-                     std::uint32_t tx_index) override;
-  void on_node_wake(radio::Round round, radio::NodeId node) override;
-  void on_round_end(radio::Round round) override;
+                     std::uint32_t tx_index) override {
+    channel().on_fault_drop(round, receiver, tx_index);
+  }
+  void on_node_wake(radio::Round round, radio::NodeId node) override {
+    channel().on_node_wake(round, node);
+  }
+  void on_round_end(radio::Round round) override { channel().on_round_end(round); }
 
   // --- core::ProtocolAuditSink ---
   void on_stage_enter(radio::NodeId node, std::uint32_t stage_index,
@@ -109,15 +122,6 @@ class ModelAuditor final : public core::RunAuditor {
                                bool alarmed) override;
 
  private:
-  /// Reception outcome observed for a node in the current round.
-  enum class Outcome : std::uint8_t {
-    kNone,
-    kDelivered,
-    kCollision,
-    kDeaf,
-    kFaultDrop
-  };
-
   /// Per-node protocol-discipline tracking.
   struct NodeState {
     std::uint32_t stage = 0;  ///< last reported stage (0 = none yet)
@@ -138,6 +142,8 @@ class ModelAuditor final : public core::RunAuditor {
                  std::string detail) {
     report_.add(round, node, check, std::move(detail));
   }
+  /// The run's channel auditor (asserts a run is open).
+  ChannelAuditor& channel();
   void check_message_kind(radio::Round round, const radio::Message& tx);
   void check_message_payload(radio::Round round, const radio::Message& tx);
 
@@ -148,23 +154,10 @@ class ModelAuditor final : public core::RunAuditor {
   const graph::Graph* graph_ = nullptr;
   core::ResolvedConfig rc_;
   std::vector<radio::Packet> truth_;
-  bool faults_enabled_ = false;
-  bool collision_detection_ = false;
   /// Stage-4 group partition recomputed from the sorted truth: wire images
   /// (id || payload) per group, chunked by rc_.group_size.
   std::vector<std::vector<gf2::Payload>> group_wires_;
-
-  // Engine-side per-round state.
-  bool sim_started_ = false;
-  radio::Round current_round_ = 0;
-  bool round_open_ = false;
-  std::vector<std::uint8_t> awake_;
-  std::vector<std::uint32_t> reach_;
-  std::vector<std::uint32_t> source_;  ///< first reaching tx index
-  std::vector<std::uint8_t> transmitting_;
-  std::vector<Outcome> outcome_;
-  std::vector<radio::NodeId> touched_;
-  std::vector<radio::NodeId> tx_from_;
+  std::optional<ChannelAuditor> channel_;
 
   // Protocol-side per-node state.
   std::vector<NodeState> nodes_;

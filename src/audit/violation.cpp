@@ -1,5 +1,7 @@
 #include "audit/violation.hpp"
 
+#include <sstream>
+
 namespace radiocast::audit {
 
 std::string json_escape(const std::string& s) {
@@ -31,6 +33,16 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+std::string AuditReport::summary() const {
+  if (clean()) return "clean";
+  std::ostringstream out;
+  out << total_ << " violation(s); first: ";
+  const Violation& v = violations_.front();
+  out << v.check << " @round " << v.round << " node " << v.node << " (" << v.detail
+      << ")";
+  return out.str();
 }
 
 void write_jsonl(std::ostream& out, const AuditReport& report) {

@@ -11,9 +11,10 @@
 //
 // RunAuditor bundles both plus begin/end hooks; core::run_kbroadcast wires
 // a RunAuditor through the network and every node. The concrete
-// implementation is audit::ModelAuditor (src/audit/model_auditor.hpp);
-// keeping the interfaces here lets core stay independent of the audit
-// subsystem.
+// implementation is audit::ModelAuditor (src/audit/model_auditor.hpp),
+// which forwards the NetworkAuditHook half to an audit::ChannelAuditor and
+// checks the protocol half itself; keeping the interfaces here lets core
+// stay independent of the audit subsystem.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 #include "exp/jsonval.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -154,6 +153,12 @@ bool JsonValue::operator==(const JsonValue& other) const {
 
 namespace {
 
+/// Deepest array/object nesting a document may have. The parser recurses
+/// once per level, so hostile input like 10^5 open brackets must fail here
+/// rather than overflow the stack; no document the repo reads or writes
+/// nests deeper than 4.
+constexpr int kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -214,9 +219,15 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return JsonValue(parse_string());
       case 't':
@@ -382,24 +393,37 @@ class Parser {
     }
   }
 
+  /// Advances past a run of ASCII digits; returns how many there were.
+  std::size_t skip_digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
+    return pos_ - from;
+  }
+
+  /// RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   JsonValue parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = skip_digits();
+    if (int_digits == 0) fail("invalid number");
+    if (int_digits > 1 && text_[int_start] == '0') {
+      pos_ = int_start + 1;
+      fail("leading zero in number");
+    }
     bool is_integer = true;
     if (pos_ < text_.size() && text_[pos_] == '.') {
       is_integer = false;
       ++pos_;
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+      if (skip_digits() == 0) fail("expected a digit after '.' in number");
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       is_integer = false;
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+      if (skip_digits() == 0) fail("expected a digit in number exponent");
     }
     const std::string_view tok = text_.substr(start, pos_ - start);
-    if (tok.empty() || tok == "-") fail("invalid number");
     if (is_integer) {
       // Exact integer when it fits; uint64 for large positives.
       if (tok[0] == '-') {
@@ -427,6 +451,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 void serialize_to(const JsonValue& v, obs::JsonWriter& w);

@@ -7,7 +7,8 @@
 // module provides the minimal value tree both directions share:
 //
 //   * a strict RFC-8259 parser (UTF-8 passthrough, \uXXXX escapes decoded,
-//     no comments, no trailing commas) that reports line/column on error;
+//     the exact number grammar, no comments, no trailing commas, at most
+//     64 levels of nesting) that reports line/column on error;
 //   * a canonical serializer: object members in insertion order, numbers
 //     printed via the same round-trippable formatting as obs::JsonWriter —
 //     so parse(serialize(v)) == v and serialized bytes are stable enough

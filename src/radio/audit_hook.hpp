@@ -2,15 +2,19 @@
 //
 // A hook installed via Network::set_auditor sees, every round, the raw
 // transmission set (after the engine collected all on_transmit decisions)
-// followed by one event per reception outcome the engine produced. The
-// hook is strictly an observer: it owns no RNG draws and cannot alter the
-// round, so an audited run is bit-identical to an unaudited one. When no
-// hook is installed the only per-round cost is a handful of null checks.
+// followed by one event per reception outcome the engine produced, in the
+// scalar kernel's receiver-touch order: an installed hook sends every
+// round to that kernel, under either engine mode. The hook is strictly an
+// observer: it owns no RNG draws and cannot alter the round, so an audited
+// run is bit-identical to an unaudited one. When no hook is installed the
+// only per-round cost is a handful of null checks.
 //
-// The intended consumer is audit::ModelAuditor, which recomputes every
-// outcome independently from the transmission set and the topology and
-// cross-checks the engine (see src/audit/). The interface lives in the
-// radio layer so the engine never depends on the audit subsystem.
+// The intended consumer is audit::ChannelAuditor — attached directly, or
+// through the audit::ModelAuditor that forwards every event to one — which
+// recomputes every outcome independently from the transmission set and
+// the topology and cross-checks the engine (see src/audit/). The interface
+// lives in the radio layer so the engine never depends on the audit
+// subsystem.
 #pragma once
 
 #include <cstdint>

@@ -178,7 +178,29 @@ void Network::step() {
     if (engine_ == EngineMode::kBitset) ensure_bitset_buffers();
   }
 
-  if (engine_ == EngineMode::kBitset) {
+  // Last round's payload buffers go back to the arena first, so this
+  // round's on_transmit calls can reuse them instead of hitting the heap.
+  for (Message& spent : transmissions_) payload_arena_->recycle_body(spent.body);
+  transmissions_.clear();
+  tx_meta_.clear();
+  tx_from_.clear();
+  if (awake_list_dirty_) {
+    std::sort(awake_list_.begin(), awake_list_.end());
+    awake_list_dirty_ = false;
+  }
+
+  // Fault erasures (the shared Rng draws once per successful slot, in
+  // receiver-touch order), the event log, an audit hook and the test
+  // mutations all observe the scalar kernel's order, so any round with one
+  // of them attached runs there under either engine. Without them per-node
+  // outcomes are order-independent (protocols only interact through the
+  // channel, which the round's transmit set already fixes), and the bitset
+  // kernel may classify receivers word-wise in id order.
+  const bool order_sensitive =
+      auditor_ != nullptr || fault_model_.reception_loss_probability > 0.0 ||
+      trace_.events_enabled() || mutations_.deliver_on_collision ||
+      mutations_.deliver_while_transmitting || mutations_.skip_wake_on_receive;
+  if (engine_ == EngineMode::kBitset && !order_sensitive) {
     round_bitset();
   } else {
     round_scalar();
@@ -190,31 +212,17 @@ void Network::step() {
   ++trace_.counters().rounds;
 }
 
-void Network::round_scalar() {
-  // Phase 1: collect transmission decisions from awake nodes that are due
-  // a poll. The dense awake list replaces the historical full-n scan; it
-  // is kept sorted so on_transmit fires in the same ascending-id order as
-  // that scan did.
-  // Last round's payload buffers go back to the arena first, so the
-  // on_transmit calls below can reuse them instead of hitting the heap.
-  const bool events = trace_.events_enabled();
-  for (Message& spent : transmissions_) payload_arena_->recycle_body(spent.body);
-  transmissions_.clear();
-  tx_meta_.clear();
-  tx_from_.clear();
-  if (awake_list_dirty_) {
-    std::sort(awake_list_.begin(), awake_list_.end());
-    awake_list_dirty_ = false;
-  }
-  // Counter deltas accumulate in locals and flush once after the loop:
-  // the virtual on_transmit calls would otherwise force a reload/store of
-  // the trace structure per awake node. Observable state is unchanged —
-  // nothing reads the counters until after the flush.
+void Network::poll_transmitters() {
+  // The dense awake list replaces the historical full-n scan; it is kept
+  // sorted so on_transmit fires in the same ascending-id order as that
+  // scan did. Counter deltas accumulate in locals and flush once after the
+  // loop: the virtual on_transmit calls would otherwise force a
+  // reload/store of the trace structure per awake node. Observable state
+  // is unchanged — nothing reads the counters until after the flush.
   std::uint64_t bits_tx_acc = 0;
   std::uint64_t polls_acc = 0;
   std::array<std::uint64_t, kNumMessageKinds> tx_kind_acc{};
   NodeProtocol* const* const tx_protocols = protocols_.data();
-  std::uint8_t* const tx_transmitting = transmitting_.data();
   Round* const poll_at = poll_at_.data();
   const Round round_now = round_;
   // awake_list_ cannot change inside this loop (wake() only fires on
@@ -232,7 +240,6 @@ void Network::round_scalar() {
     poll_at[id] = proto->quiet_until();
     ++polls_acc;
     if (body.has_value()) {
-      tx_transmitting[id] = 1;
       const auto bits = static_cast<std::uint32_t>(message_size_bits(*body));
       const auto kind = static_cast<std::uint32_t>(message_kind_index(*body));
       bits_tx_acc += bits;
@@ -246,15 +253,20 @@ void Network::round_scalar() {
       tx_from_.push_back(id);
     }
   }
-  {
-    TraceCounters& c = trace_.counters();
-    c.transmissions += transmissions_.size();
-    c.bits_transmitted += bits_tx_acc;
-    c.polls += polls_acc;
-    for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
-      c.transmissions_by_kind[k] += tx_kind_acc[k];
-    }
+  TraceCounters& c = trace_.counters();
+  c.transmissions += transmissions_.size();
+  c.bits_transmitted += bits_tx_acc;
+  c.polls += polls_acc;
+  for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
+    c.transmissions_by_kind[k] += tx_kind_acc[k];
   }
+}
+
+void Network::round_scalar() {
+  // Phase 1: collect transmission decisions from awake nodes that are due
+  // a poll.
+  const bool events = trace_.events_enabled();
+  poll_transmitters();
   if (auditor_ != nullptr) auditor_->on_transmissions(round_, transmissions_);
 
   // Phase 2: compute, per node, how many transmissions reached it. The
@@ -273,8 +285,10 @@ void Network::round_scalar() {
     const NodeId* const targets = graph_.csr_targets();
     ReachSlot* const reach = reach_.data();
     NodeId* const touched = touched_.data();
+    std::uint8_t* const transmitting = transmitting_.data();
     for (std::uint32_t t = 0; t < tx_count; ++t) {
       const NodeId u = tx_from_[t];
+      transmitting[u] = 1;
       const std::size_t end = offsets[u + 1];
       for (std::size_t e = offsets[u]; e < end; ++e) {
         const NodeId v = targets[e];
@@ -392,7 +406,6 @@ void Network::ensure_bitset_buffers() {
   twice_bits_.resize(n);
   awake_bits_.resize(n);
   tx_index_of_.assign(n, kInvalidTx);
-  first_src_.resize(n + 1);
   for (const NodeId id : awake_list_) {
     awake_bits_.words()[id >> 6] |= 1ULL << (id & 63);
   }
@@ -413,30 +426,6 @@ std::uint32_t Network::materialize_packed_tx(NodeId from) {
 }
 
 void Network::round_bitset() {
-  const bool events = trace_.events_enabled();
-  const bool faults_on = fault_model_.reception_loss_probability > 0.0;
-  const bool mutations_on = mutations_.deliver_on_collision ||
-                            mutations_.deliver_while_transmitting ||
-                            mutations_.skip_wake_on_receive;
-  // The exact sub-path replays the scalar engine's receiver-touch order:
-  // the fault RNG stream is defined by that order (see FaultModel), and
-  // auditors, the event log, and the seeded-bug mutations all observe it.
-  // With none of those attached, per-node outcomes are order-independent
-  // (protocols only interact through the channel, which this round's
-  // transmit set already fixes), so the fast sub-path may classify
-  // receivers word-wise in id order and still reach the identical
-  // end-of-round state — pinned by the differential oracle tests.
-  const bool exact = auditor_ != nullptr || faults_on || events || mutations_on;
-
-  for (Message& spent : transmissions_) payload_arena_->recycle_body(spent.body);
-  transmissions_.clear();
-  tx_meta_.clear();
-  tx_from_.clear();
-  if (awake_list_dirty_) {
-    std::sort(awake_list_.begin(), awake_list_.end());
-    awake_list_dirty_ = false;
-  }
-
   const std::size_t nw = tx_bits_.num_words();
   std::uint64_t* const tx = tx_bits_.words().data();
   std::uint64_t* const once = once_bits_.words().data();
@@ -445,9 +434,8 @@ void Network::round_bitset() {
   std::fill_n(twice, nw, 0);
 
   // Phase 1: this round's transmit set, as bits. With a packed source the
-  // whole round is one bulk fill + awake mask; otherwise the scalar
-  // engine's sorted awake scan runs unchanged (same poll-hint skips, same
-  // virtual calls, same order) and additionally sets the bits.
+  // whole round is one bulk fill + awake mask; otherwise the shared poll
+  // loop runs and its transmitters are set as bits.
   if (packed_source_ != nullptr) {
     packed_source_->fill_transmit_words(round_, tx, nw);
     const std::uint64_t* const aw = awake_bits_.words().data();
@@ -457,29 +445,7 @@ void Network::round_bitset() {
     for (std::size_t w = 0; w < nw; ++w) {
       tx_count += static_cast<std::size_t>(std::popcount(tx[w]));
     }
-    if (exact) {
-      // Materialise every transmission, ascending by id — the order the
-      // scalar engine's sorted awake scan emits.
-      std::uint64_t bits_tx_acc = 0;
-      std::array<std::uint64_t, kNumMessageKinds> tx_kind_acc{};
-      for (std::size_t w = 0; w < nw; ++w) {
-        std::uint64_t word = tx[w];
-        while (word != 0) {
-          const auto from =
-              static_cast<NodeId>((w << 6) + std::countr_zero(word));
-          word &= word - 1;
-          const std::uint32_t idx = materialize_packed_tx(from);
-          bits_tx_acc += tx_meta_[idx].size_bits;
-          ++tx_kind_acc[tx_meta_[idx].kind];
-        }
-      }
-      TraceCounters& c = trace_.counters();
-      c.transmissions += transmissions_.size();
-      c.bits_transmitted += bits_tx_acc;
-      for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
-        c.transmissions_by_kind[k] += tx_kind_acc[k];
-      }
-    } else if (tx_count > 0) {
+    if (tx_count > 0) {
       // One representative body yields the round's uniform kind/size (the
       // PackedTransmitSource contract); nobody-heard transmitters are
       // never materialised.
@@ -494,47 +460,14 @@ void Network::round_bitset() {
       c.transmissions_by_kind[tx_meta_[idx].kind] += tx_count;
     }
   } else {
-    // The packed branch overwrites every tx word; this branch only ORs
-    // bits in, so last round's set must be cleared first.
+    poll_transmitters();
     std::fill_n(tx, nw, 0);
-    std::uint64_t bits_tx_acc = 0;
-    std::uint64_t polls_acc = 0;
-    std::array<std::uint64_t, kNumMessageKinds> tx_kind_acc{};
-    NodeProtocol* const* const tx_protocols = protocols_.data();
-    Round* const poll_at = poll_at_.data();
-    const Round round_now = round_;
-    const NodeId* const awake_ids = awake_list_.data();
-    const std::size_t awake_n = awake_list_.size();
-    for (std::size_t i = 0; i < awake_n; ++i) {
-      const NodeId id = awake_ids[i];
-      if (poll_at[id] > round_now) continue;  // same poll-hint skip as scalar
-      NodeProtocol* const proto = tx_protocols[id];
-      std::optional<MessageBody> body = proto->on_transmit(round_now);
-      poll_at[id] = proto->quiet_until();
-      ++polls_acc;
-      if (body.has_value()) {
-        tx[id >> 6] |= 1ULL << (id & 63);
-        const auto bits = static_cast<std::uint32_t>(message_size_bits(*body));
-        const auto kind = static_cast<std::uint32_t>(message_kind_index(*body));
-        bits_tx_acc += bits;
-        ++tx_kind_acc[kind];
-        tx_index_of_[id] = static_cast<std::uint32_t>(transmissions_.size());
-        Message& slot = transmissions_.emplace_back();
-        slot.from = id;
-        slot.body = std::move(*body);
-        tx_meta_.push_back({bits, kind});
-        tx_from_.push_back(id);
-      }
-    }
-    TraceCounters& c = trace_.counters();
-    c.transmissions += transmissions_.size();
-    c.bits_transmitted += bits_tx_acc;
-    c.polls += polls_acc;
-    for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
-      c.transmissions_by_kind[k] += tx_kind_acc[k];
+    for (std::uint32_t t = 0; t < tx_from_.size(); ++t) {
+      const NodeId id = tx_from_[t];
+      tx[id >> 6] |= 1ULL << (id & 63);
+      tx_index_of_[id] = t;
     }
   }
-  if (auditor_ != nullptr) auditor_->on_transmissions(round_, transmissions_);
 
   // Row access for the scatter/resolve sweeps: the word-grouped index when
   // the topology compressed, else on-the-fly grouping of the sorted CSR
@@ -542,191 +475,100 @@ void Network::round_bitset() {
   const bool grouped = packed_rows_.built();
   const std::size_t* const offsets = graph_.csr_offsets();
   const NodeId* const targets = graph_.csr_targets();
-  const auto for_row = [&](NodeId u, auto&& fn) {
-    if (grouped) {
-      for (const graph::WordGroup& g : packed_rows_.row(u)) fn(g.word, g.mask);
-    } else {
-      graph::for_each_word_group(
-          {targets + offsets[u], offsets[u + 1] - offsets[u]}, fn);
-    }
-  };
 
   // Phase 2: carry-save scatter. Each transmitter ORs its neighborhood
   // masks into the (once, twice) pair word-wise; afterwards once & ~twice
-  // is the exactly-one set. The exact sub-path additionally extracts each
-  // group's first-touch bits (mask & ~old_once, ascending within the word
-  // = ascending CSR order) to reproduce the scalar engine's touched_
-  // sequence and first-reacher attribution.
-  std::size_t touched_count = 0;
-  NodeId* const touched = touched_.data();
-  std::uint32_t* const first_src = first_src_.data();
-  if (exact) {
-    const std::size_t tc = tx_from_.size();
-    for (std::uint32_t t = 0; t < tc; ++t) {
-      for_row(tx_from_[t], [&](std::uint32_t w, std::uint64_t m) {
-        const std::uint64_t old = once[w];
-        twice[w] |= old & m;
-        once[w] = old | m;
-        std::uint64_t news = m & ~old;
-        while (news != 0) {
-          const auto b = static_cast<std::uint32_t>(std::countr_zero(news));
-          news &= news - 1;
-          touched[touched_count] = (w << 6) + b;
-          first_src[touched_count] = t;
-          ++touched_count;
-        }
-      });
-    }
-  } else {
-    for (std::size_t w0 = 0; w0 < nw; ++w0) {
-      std::uint64_t word = tx[w0];
-      while (word != 0) {
-        const auto u = static_cast<NodeId>((w0 << 6) + std::countr_zero(word));
-        word &= word - 1;
-        for_row(u, [&](std::uint32_t w, std::uint64_t m) {
-          twice[w] |= once[w] & m;
-          once[w] |= m;
-        });
+  // is the exactly-one set.
+  const auto scatter = [&](std::uint32_t w, std::uint64_t m) {
+    twice[w] |= once[w] & m;
+    once[w] |= m;
+  };
+  for (std::size_t w0 = 0; w0 < nw; ++w0) {
+    std::uint64_t word = tx[w0];
+    while (word != 0) {
+      const auto u = static_cast<NodeId>((w0 << 6) + std::countr_zero(word));
+      word &= word - 1;
+      if (grouped) {
+        for (const graph::WordGroup& g : packed_rows_.row(u)) scatter(g.word, g.mask);
+      } else {
+        graph::for_each_word_group(
+            {targets + offsets[u], offsets[u + 1] - offsets[u]}, scatter);
       }
     }
   }
 
-  // Phase 3.
+  // Phase 3: classify all 64 receivers of a word at once.
+  //   deaf      = once &  tx          (heard something while sending)
+  //   collision = twice & ~tx         (>= 2 reached, silent)
+  //   success   = once & ~twice & ~tx (exactly 1 reached, silent)
+  // Deaf and collision slots are pure popcounts; only successes (and,
+  // under the CD ablation, collisions) walk their bits.
   std::uint64_t deliveries_acc = 0;
   std::uint64_t bits_rx_acc = 0;
   std::uint64_t collision_acc = 0;
   std::uint64_t deaf_acc = 0;
-  std::uint64_t fault_acc = 0;
   std::array<std::uint64_t, kNumMessageKinds> rx_kind_acc{};
-  if (exact) {
-    // Same control flow as the scalar Phase 3, receiver-touch order and
-    // all; only the per-node lookups differ (bit tests instead of the
-    // transmitting_/reach_ arrays).
-    for (std::size_t i = 0; i < touched_count; ++i) {
-      const NodeId v = touched[i];
-      const std::uint32_t source = first_src[i];
-      // The audit hooks report the exact reach count; without an auditor
-      // only the 1-vs-many distinction matters and the twice bit has it.
-      std::uint32_t reached = 1 + ((twice[v >> 6] >> (v & 63)) & 1u);
-      if (auditor_ != nullptr) {
-        std::uint32_t full = 0;
-        for_row(v, [&](std::uint32_t w, std::uint64_t m) {
-          full += static_cast<std::uint32_t>(std::popcount(tx[w] & m));
-        });
-        reached = full;
+  for (std::size_t w0 = 0; w0 < nw; ++w0) {
+    const std::uint64_t o = once[w0];
+    if (o == 0) continue;
+    const std::uint64_t tw = twice[w0];
+    const std::uint64_t txw = tx[w0];
+    deaf_acc += static_cast<std::uint64_t>(std::popcount(o & txw));
+    const std::uint64_t coll = tw & ~txw;
+    collision_acc += static_cast<std::uint64_t>(std::popcount(coll));
+    if (collision_detection_ && coll != 0) {
+      std::uint64_t cbits = coll;
+      while (cbits != 0) {
+        const auto v = static_cast<NodeId>((w0 << 6) + std::countr_zero(cbits));
+        cbits &= cbits - 1;
+        wake(v);
+        upcall(v).on_collision(round_);
       }
-
-      const auto deliver = [&](std::uint32_t src) __attribute__((always_inline)) {
-        const Message& txm = transmissions_[src];
-        const TxMeta meta = tx_meta_[src];
-        ++deliveries_acc;
-        bits_rx_acc += meta.size_bits;
-        ++rx_kind_acc[meta.kind];
-        if (events) {
-          trace_.record({round_, v, TraceEvent::Kind::kDelivered,
-                         message_kind(txm.body), txm.from});
-        }
-        if (auditor_ != nullptr) auditor_->on_deliver(round_, v, src, txm);
-        if (!mutations_.skip_wake_on_receive && !awake_[v]) wake(v);
-        upcall(v).on_receive(round_, txm);
-      };
-
-      if ((tx[v >> 6] >> (v & 63)) & 1u) {
-        ++deaf_acc;
-        if (events) trace_.record({round_, v, TraceEvent::Kind::kDeaf, {}, 0});
-        if (auditor_ != nullptr) auditor_->on_deaf_slot(round_, v, reached);
-        if (mutations_.deliver_while_transmitting) deliver(source);
-        continue;
-      }
-      if (reached >= 2) {
-        ++collision_acc;
-        if (events) trace_.record({round_, v, TraceEvent::Kind::kCollision, {}, 0});
-        if (auditor_ != nullptr) {
-          auditor_->on_collision_slot(round_, v, reached, collision_detection_);
-        }
-        if (collision_detection_) {
-          wake(v);
-          upcall(v).on_collision(round_);
-        }
-        if (mutations_.deliver_on_collision) deliver(source);
-        continue;
-      }
-      if (faults_on && fault_rng_.next_bool(fault_model_.reception_loss_probability)) {
-        ++fault_acc;
-        if (auditor_ != nullptr) auditor_->on_fault_drop(round_, v, source);
-        continue;
-      }
-      deliver(source);
     }
-  } else {
-    // Fast sub-path: classify all 64 receivers of a word at once.
-    //   deaf      = once &  tx          (heard something while sending)
-    //   collision = twice & ~tx         (>= 2 reached, silent)
-    //   success   = once & ~twice & ~tx (exactly 1 reached, silent)
-    // Deaf and collision slots are pure popcounts; only successes (and,
-    // under the CD ablation, collisions) walk their bits.
-    for (std::size_t w0 = 0; w0 < nw; ++w0) {
-      const std::uint64_t o = once[w0];
-      if (o == 0) continue;
-      const std::uint64_t tw = twice[w0];
-      const std::uint64_t txw = tx[w0];
-      deaf_acc += static_cast<std::uint64_t>(std::popcount(o & txw));
-      const std::uint64_t coll = tw & ~txw;
-      collision_acc += static_cast<std::uint64_t>(std::popcount(coll));
-      if (collision_detection_ && coll != 0) {
-        std::uint64_t cbits = coll;
-        while (cbits != 0) {
-          const auto v = static_cast<NodeId>((w0 << 6) + std::countr_zero(cbits));
-          cbits &= cbits - 1;
-          wake(v);
-          upcall(v).on_collision(round_);
-        }
-      }
-      std::uint64_t succ = o & ~tw & ~txw;
-      while (succ != 0) {
-        const auto v = static_cast<NodeId>((w0 << 6) + std::countr_zero(succ));
-        succ &= succ - 1;
-        // Exactly one transmitter reached v, so the first nonzero
-        // row-word intersection pins it (first-hit trick).
-        NodeId from = 0;
-        if (grouped) {
-          for (const graph::WordGroup& g : packed_rows_.row(v)) {
-            const std::uint64_t hits = tx[g.word] & g.mask;
-            if (hits != 0) {
-              from = static_cast<NodeId>((static_cast<std::size_t>(g.word) << 6) +
-                                         std::countr_zero(hits));
-              break;
-            }
-          }
-        } else {
-          const NodeId* const row = targets + offsets[v];
-          const std::size_t len = offsets[v + 1] - offsets[v];
-          std::size_t i = 0;
-          while (i < len) {
-            const std::uint32_t wd = row[i] >> 6;
-            std::uint64_t mask = 0;
-            do {
-              mask |= 1ULL << (row[i] & 63);
-              ++i;
-            } while (i < len && (row[i] >> 6) == wd);
-            const std::uint64_t hits = tx[wd] & mask;
-            if (hits != 0) {
-              from = static_cast<NodeId>((static_cast<std::size_t>(wd) << 6) +
-                                         std::countr_zero(hits));
-              break;
-            }
+    std::uint64_t succ = o & ~tw & ~txw;
+    while (succ != 0) {
+      const auto v = static_cast<NodeId>((w0 << 6) + std::countr_zero(succ));
+      succ &= succ - 1;
+      // Exactly one transmitter reached v, so the first nonzero
+      // row-word intersection pins it (first-hit trick).
+      NodeId from = 0;
+      if (grouped) {
+        for (const graph::WordGroup& g : packed_rows_.row(v)) {
+          const std::uint64_t hits = tx[g.word] & g.mask;
+          if (hits != 0) {
+            from = static_cast<NodeId>((static_cast<std::size_t>(g.word) << 6) +
+                                       std::countr_zero(hits));
+            break;
           }
         }
-        std::uint32_t idx = tx_index_of_[from];
-        if (idx == kInvalidTx) idx = materialize_packed_tx(from);
-        const Message& txm = transmissions_[idx];
-        const TxMeta meta = tx_meta_[idx];
-        ++deliveries_acc;
-        bits_rx_acc += meta.size_bits;
-        ++rx_kind_acc[meta.kind];
-        if (!awake_[v]) wake(v);
-        upcall(v).on_receive(round_, txm);
+      } else {
+        const NodeId* const row = targets + offsets[v];
+        const std::size_t len = offsets[v + 1] - offsets[v];
+        std::size_t i = 0;
+        while (i < len) {
+          const std::uint32_t wd = row[i] >> 6;
+          std::uint64_t mask = 0;
+          do {
+            mask |= 1ULL << (row[i] & 63);
+            ++i;
+          } while (i < len && (row[i] >> 6) == wd);
+          const std::uint64_t hits = tx[wd] & mask;
+          if (hits != 0) {
+            from = static_cast<NodeId>((static_cast<std::size_t>(wd) << 6) +
+                                       std::countr_zero(hits));
+            break;
+          }
+        }
       }
+      std::uint32_t idx = tx_index_of_[from];
+      if (idx == kInvalidTx) idx = materialize_packed_tx(from);
+      const Message& txm = transmissions_[idx];
+      const TxMeta meta = tx_meta_[idx];
+      ++deliveries_acc;
+      bits_rx_acc += meta.size_bits;
+      ++rx_kind_acc[meta.kind];
+      if (!awake_[v]) wake(v);
+      upcall(v).on_receive(round_, txm);
     }
   }
   {
@@ -735,12 +577,11 @@ void Network::round_bitset() {
     c.bits_delivered += bits_rx_acc;
     c.collision_slots += collision_acc;
     c.deaf_slots += deaf_acc;
-    c.fault_drops += fault_acc;
     for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
       c.deliveries_by_kind[k] += rx_kind_acc[k];
     }
   }
-  for (const Message& m : transmissions_) tx_index_of_[m.from] = kInvalidTx;
+  for (const NodeId from : tx_from_) tx_index_of_[from] = kInvalidTx;
 }
 
 bool Network::advance_done_count() {

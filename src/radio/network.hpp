@@ -34,7 +34,10 @@ namespace radiocast::radio {
 /// historical digest was produced by it). kBitset keeps the transmit and
 /// awake sets as packed uint64_t bit vectors and computes reception with
 /// word-wise AND/popcount sweeps over CSR rows — same model, same results,
-/// ~word-parallel speed on large graphs. See docs/performance.md.
+/// ~word-parallel speed on large graphs. A round whose order is observable
+/// (an audit hook, a fault model with loss > 0, the event log, or any
+/// EngineMutations flag) runs on the scalar kernel under either mode. See
+/// docs/performance.md.
 enum class EngineMode : std::uint8_t { kScalar, kBitset };
 
 /// "scalar" / "bitset" (stable names: scenario schema + manifests).
@@ -60,10 +63,10 @@ std::optional<EngineMode> parse_engine_mode(std::string_view name);
 /// num_nodes, so the source does not need to know who is awake. Within one
 /// round every packed_body() must have the same message kind and wire size
 /// (the engine computes round totals from one representative body). The
-/// source must agree with the protocols' own on_transmit so scalar runs of
-/// the same system remain comparable; the differential oracle tests pin
-/// this for the in-tree sources. Honored only when the engine mode is
-/// kBitset; the scalar engine always uses on_transmit.
+/// source must agree with the protocols' own on_transmit: the scalar
+/// engine, and every order-sensitive round of the bitset engine (see
+/// EngineMode), call on_transmit instead of the source. The differential
+/// oracle tests pin this for the in-tree sources.
 class PackedTransmitSource {
  public:
   virtual ~PackedTransmitSource() = default;
@@ -210,8 +213,9 @@ class Network {
   EngineMode engine() const { return engine_; }
 
   /// Registers a bulk transmit-decision source (nullptr detaches). Only
-  /// honored by the bitset engine — see PackedTransmitSource. Must be set
-  /// before the first step; must outlive the network (or be detached).
+  /// honored by the bitset engine's word-parallel rounds — see
+  /// PackedTransmitSource. Must be set before the first step; must outlive
+  /// the network (or be detached).
   void set_packed_source(PackedTransmitSource* source);
   PackedTransmitSource* packed_source() const { return packed_source_; }
 
@@ -220,18 +224,21 @@ class Network {
   /// The target of an on_wake / on_receive / on_collision upcall: re-arms
   /// the node's polling from the next round (a callback may end whatever
   /// quiet spell its last poll hint declared), then returns its protocol.
-  /// Every such upcall goes through here, on every engine sub-path.
+  /// Every such upcall goes through here, in both kernels.
   NodeProtocol& upcall(NodeId id) {
     poll_at_[id] = 0;
     return *protocols_[id];
   }
-  /// One round of the node-at-a-time reference kernel.
+  /// Phase 1 of both kernels: asks every awake node that is due a poll
+  /// for its decision, in ascending id order, appending to transmissions_,
+  /// tx_meta_ and tx_from_ and to the transmission counters.
+  void poll_transmitters();
+  /// One round of the node-at-a-time reference kernel; it defines the
+  /// observable order (fault-RNG draws, auditor callbacks, trace events).
   void round_scalar();
-  /// One round of the bit-parallel kernel (see docs/performance.md). The
-  /// exact sub-path replays the scalar engine's observable order
-  /// (fault-RNG draws, auditor callbacks, trace events) bit for bit; the
-  /// fast sub-path, taken when nothing order-sensitive is attached, only
-  /// promises identical end-of-round state and counters.
+  /// One round of the bit-parallel kernel (see docs/performance.md), run
+  /// only when nothing order-sensitive is attached: it promises the scalar
+  /// kernel's end-of-round state and counters, not its callback order.
   void round_bitset();
   /// Allocates the packed per-round sets on the first bitset step.
   void ensure_bitset_buffers();
@@ -353,12 +360,9 @@ class Network {
   /// bitset buffers exist) — the packed-source AND mask.
   gf2::BitVec awake_bits_;
   /// node id -> index into transmissions_ this round (kInvalidTx when not
-  /// materialised); reset via the transmissions_ list at round end.
+  /// materialised); reset via tx_from_ at round end.
   static constexpr std::uint32_t kInvalidTx = 0xffffffffu;
   std::vector<std::uint32_t> tx_index_of_;
-  /// Exact sub-path only: first-reaching transmission index, parallel to
-  /// touched_ (scalar keeps the same datum inside ReachSlot::source).
-  std::vector<std::uint32_t> first_src_;
   /// Optional word-grouped adjacency (built iff the topology compresses;
   /// rows group on the fly from CSR otherwise — see graph/packed.hpp).
   graph::PackedRows packed_rows_;

@@ -1,9 +1,16 @@
 // Unit and integration tests of the ModelAuditor plumbing: clean runs
 // audit clean, auditing is wired through run_kbroadcast and the Monte
 // Carlo sweep driver, auditors are reusable across runs, and the network
-// attachment rules fail loudly when misused.
+// attachment rules fail loudly when misused. A scripted table then trips
+// every `radio.*` check (and run.initial_wake_set) through a bare
+// ChannelAuditor and through a ModelAuditor, which forwards to one.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "audit/channel_auditor.hpp"
 #include "audit/corpus.hpp"
 #include "audit/model_auditor.hpp"
 #include "core/montecarlo.hpp"
@@ -119,6 +126,169 @@ TEST(ModelAuditor, NetworkAttachmentRules) {
   EXPECT_EQ(net.auditor(), &auditor);
   net.set_auditor(nullptr);
   EXPECT_EQ(net.auditor(), nullptr);
+}
+
+/// One scripted audit-hook sequence on the path 0-1-2-3 and the check it
+/// must trip. "" marks the control script, which must audit clean.
+struct ChannelScript {
+  const char* check;
+  std::function<void(radio::NetworkAuditHook&)> run;
+};
+
+std::vector<ChannelScript> channel_scripts() {
+  using radio::Message;
+  using radio::NetworkAuditHook;
+  const auto tx = [](radio::NodeId from) { return Message{from, radio::AlarmMsg{}}; };
+  // Every script starts from the run's legal initial state: all four
+  // nodes awake (the bare auditor expects that, and the ModelAuditor's
+  // ground truth has one packet per node).
+  const auto start = [](NetworkAuditHook& h) { h.on_sim_start({0, 1, 2, 3}); };
+  return {
+      {"", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(1)});
+         h.on_deliver(0, 0, 0, tx(1));
+         h.on_deliver(0, 2, 0, tx(1));
+         h.on_round_end(0);
+       }},
+      {"radio.tx_order", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(2), tx(0)});
+       }},
+      {"radio.tx_range", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(7)});
+       }},
+      {"radio.sleeping_transmitter", [=](NetworkAuditHook& h) {
+         h.on_sim_start({0, 1, 2});
+         h.on_transmissions(0, {tx(3)});
+       }},
+      {"radio.round_sequence", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {});
+         h.on_transmissions(1, {});
+       }},
+      {"radio.deliver_on_collision", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(0), tx(2)});
+         h.on_deliver(0, 1, 0, tx(0));
+       }},
+      {"radio.deliver_while_transmitting", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(0), tx(1)});
+         h.on_deliver(0, 1, 0, tx(0));
+       }},
+      {"radio.deliver_source", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(1)});
+         h.on_deliver(0, 0, 5, tx(1));
+       }},
+      {"radio.collision_count", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(1)});
+         h.on_collision_slot(0, 0, 2, false);
+       }},
+      {"radio.collision_while_transmitting", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(0), tx(1), tx(2)});
+         h.on_collision_slot(0, 1, 2, false);
+       }},
+      {"radio.cd_ablation", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(0), tx(2)});
+         h.on_collision_slot(0, 1, 2, /*cd_callback=*/true);
+       }},
+      {"radio.deaf_not_transmitting", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(1)});
+         h.on_deaf_slot(0, 0, 1);
+       }},
+      {"radio.deaf_count", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(0), tx(1)});
+         h.on_deaf_slot(0, 1, 2);
+       }},
+      {"radio.fault_without_model", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(1)});
+         h.on_fault_drop(0, 0, 0);
+       }},
+      {"radio.fault_slot", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(0), tx(2)});
+         h.on_fault_drop(0, 1, 0);
+       }},
+      {"radio.fault_source", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(1)});
+         h.on_fault_drop(0, 0, 3);
+       }},
+      {"radio.double_wake", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_node_wake(0, 2);
+       }},
+      {"radio.initial_wake_range", [=](NetworkAuditHook& h) {
+         h.on_sim_start({0, 1, 2, 3, 9});
+       }},
+      {"radio.outcome", [=](NetworkAuditHook& h) {
+         start(h);
+         h.on_transmissions(0, {tx(1)});
+         h.on_round_end(0);
+       }},
+      {"radio.wake_on_reception", [=](NetworkAuditHook& h) {
+         h.on_sim_start({1});
+         h.on_transmissions(0, {tx(1)});
+         h.on_deliver(0, 0, 0, tx(1));
+         h.on_deliver(0, 2, 0, tx(1));
+         h.on_round_end(0);
+       }},
+      {"run.initial_wake_set", [=](NetworkAuditHook& h) {
+         h.on_sim_start({0, 1, 2});
+       }},
+  };
+}
+
+bool reports(const audit::AuditReport& report, const std::string& check) {
+  for (const audit::Violation& v : report.violations()) {
+    if (v.check == check) return true;
+  }
+  return false;
+}
+
+TEST(ChannelAuditor, EveryRadioCheckFiresThroughBothAuditors) {
+  const graph::Graph g = graph::make_path(4);
+  core::KBroadcastConfig cfg;
+  cfg.know = radio::Knowledge::exact(g);
+  const core::ResolvedConfig rc = core::resolve(cfg);
+  std::vector<radio::Packet> truth;
+  for (radio::NodeId v = 0; v < 4; ++v) {
+    truth.push_back({radio::make_packet_id(v, 0), {}});
+  }
+
+  for (const ChannelScript& script : channel_scripts()) {
+    const std::string check = script.check;
+    SCOPED_TRACE(check.empty() ? "control" : check);
+
+    audit::ChannelAuditor::Options opts;
+    opts.expect_all_awake = true;
+    audit::ChannelAuditor channel(g, opts);
+    script.run(channel);
+
+    // The ModelAuditor sees the same script after a legal Stage-1 entry
+    // on every node, so the control's alarm passes its kind check.
+    audit::ModelAuditor model;
+    model.begin_run(g, rc, truth, {}, /*collision_detection=*/false);
+    for (radio::NodeId v = 0; v < 4; ++v) model.on_stage_enter(v, 1, 0);
+    script.run(model);
+
+    if (check.empty()) {
+      EXPECT_TRUE(channel.clean()) << channel.summary();
+      EXPECT_TRUE(model.clean()) << model.summary();
+    } else {
+      EXPECT_TRUE(reports(channel.report(), check)) << channel.summary();
+      EXPECT_TRUE(reports(model.report(), check)) << model.summary();
+    }
+  }
 }
 
 }  // namespace

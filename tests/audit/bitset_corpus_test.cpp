@@ -2,12 +2,15 @@
 //
 // corpus_test.cpp certifies the scalar engine against the ModelAuditor on
 // the frozen seed grid; this file runs the exact same cases under
-// EngineMode::kBitset and pins three properties per case:
+// EngineMode::kBitset. An attached auditor makes every round order-sensitive,
+// so the audited bitset runs go through the scalar kernel; the unaudited
+// ones use the word-parallel kernel unless the case has faults, which also
+// send every round to the scalar kernel. Three properties per case:
 //
-//   1. zero model violations (the bit-parallel kernel obeys the radio
-//      model on every audited execution),
-//   2. audited == unaudited bit-identity within the bitset engine (the
-//      auditor stays a pure observer on the exact sub-path), and
+//   1. zero model violations on the audited bitset-engine run,
+//   2. audited == unaudited bit-identity within the bitset engine, which
+//      pins the word-parallel kernel to the scalar one on every fault-free
+//      case, and
 //   3. cross-engine result identity: the bitset run's RunResult matches
 //      the scalar run's field for field — rounds, stage accounting, and
 //      every trace counter. The engines are interchangeable on the whole

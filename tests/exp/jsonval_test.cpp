@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace radiocast::exp {
 namespace {
 
@@ -14,6 +16,14 @@ TEST(JsonVal, ParsesScalars) {
   EXPECT_EQ(json_parse("-7").as_int(), -7);
   EXPECT_DOUBLE_EQ(json_parse("2.5").as_double(), 2.5);
   EXPECT_EQ(json_parse("\"hi\"").as_string(), "hi");
+  // The rest of the RFC 8259 number grammar.
+  EXPECT_EQ(json_parse("0").as_int(), 0);
+  EXPECT_EQ(json_parse("-0").as_int(), 0);
+  EXPECT_DOUBLE_EQ(json_parse("0.25").as_double(), 0.25);
+  EXPECT_DOUBLE_EQ(json_parse("-0.5").as_double(), -0.5);
+  EXPECT_DOUBLE_EQ(json_parse("1e3").as_double(), 1000.0);
+  EXPECT_DOUBLE_EQ(json_parse("1E+3").as_double(), 1000.0);
+  EXPECT_DOUBLE_EQ(json_parse("-1.5e-3").as_double(), -0.0015);
 }
 
 TEST(JsonVal, IntegersSurviveExactly) {
@@ -54,6 +64,45 @@ TEST(JsonVal, RejectsTrailingGarbageAndSyntaxErrors) {
   EXPECT_THROW(json_parse("[1,]"), JsonError);
   EXPECT_THROW(json_parse("{\"a\" 1}"), JsonError);
   EXPECT_THROW(json_parse(""), JsonError);
+  // Numbers outside the RFC 8259 grammar: leading zeros, a bare '.', and a
+  // '.' without fraction digits.
+  for (const char* bad : {"01", "00", "-01", ".5", "-.5", "1.", "1.e3", "-", "+1",
+                          "1e", "1e+", R"({"loss":[.5]})", R"({"loss":[00]})"}) {
+    EXPECT_THROW(json_parse(bad), JsonError) << bad;
+  }
+  try {
+    json_parse("{\n  \"seeds\": 01\n}");
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("at 2:13: leading zero"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JsonVal, NestingDeeperThanTheLimitIsRejected) {
+  // 64 levels parse; one more fails with a position instead of recursing
+  // on, and so does a document deep enough to overflow the stack if it did.
+  const auto nested = [](std::size_t depth, char open, char close) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) {
+      text += open;
+      if (open == '{') text += "\"k\":";
+    }
+    text += "0";
+    return text + std::string(depth, close);
+  };
+  EXPECT_NO_THROW(json_parse(nested(64, '[', ']')));
+  EXPECT_NO_THROW(json_parse(nested(64, '{', '}')));
+  EXPECT_THROW(json_parse(nested(65, '[', ']')), JsonError);
+  EXPECT_THROW(json_parse(nested(65, '{', '}')), JsonError);
+  try {
+    json_parse(nested(100000, '[', ']'));
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("at 1:65: nesting deeper than 64 levels"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(JsonVal, ErrorsCarryLineAndColumn) {

@@ -7,12 +7,15 @@
 // reference semantics (every historical digest was produced by it), so any
 // divergence is a bitset-engine bug by definition.
 //
-// Coverage spans both bitset sub-paths: the fast word-sweep path (nothing
-// order-sensitive attached) and the exact path (faults, trace events,
-// auditor — all of which observe the scalar receiver-touch order), plus
-// collision detection, wake-on-first-reception from a single seed node,
-// the PackedTransmitSource bulk Phase 1, and a seeded engine mutation whose
-// buggy callback stream must replay identically under either engine.
+// The bitset kernel runs only rounds with nothing order-sensitive attached;
+// a fault model, the event log, an audit hook or an engine mutation sends
+// every round to the scalar kernel under either engine mode. The plain
+// tests cover the word-sweep kernel, collision detection, wake-on-first-
+// reception from a single seed node and the PackedTransmitSource bulk
+// Phase 1. The fault, event, audit-hook and mutation tests pin that
+// dispatch: with faults on, a wrongly taken word-parallel round would show
+// fault_drops == 0 (it has no erasure step), and the packed-source case
+// with a fault model must poll on_transmit exactly like the scalar run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -152,9 +155,9 @@ TEST(BitsetOracle, CollisionDetectionAblation) {
 }
 
 TEST(BitsetOracle, FaultErasuresConsumeIdenticalRngStream) {
-  // Faults force the exact sub-path: the erasure RNG is consumed one draw
-  // per successful slot in receiver-touch order, so identical fault_drops
-  // counters require the bitset engine to replay the scalar touch order.
+  // Faults send every round to the scalar kernel: the erasure RNG is
+  // consumed one draw per successful slot in receiver-touch order, which
+  // only that kernel defines.
   Rng grng(13);
   const graph::Graph g = graph::make_gnp_connected(72, 0.15, grng);
   EnginePair pair(g, 2718, 0.2);
@@ -192,9 +195,9 @@ TEST(BitsetOracle, TraceEventLogsAreIdentical) {
 }
 
 /// Serialises every NetworkAuditHook callback into one string per event.
-/// Attaching it forces the bitset engine onto the exact sub-path, and the
-/// resulting log pins the complete callback stream — ordering included —
-/// against the scalar engine's. (ModelAuditor-level certification under
+/// Attaching it sends the bitset engine's rounds to the scalar kernel, and
+/// the resulting log pins the complete callback stream — ordering included
+/// — against the scalar engine's. (ModelAuditor-level certification under
 /// the bitset engine lives in tests/audit/bitset_corpus_test.cpp, where
 /// the full k-broadcast run context it requires exists.)
 class RecordingHook final : public NetworkAuditHook {
@@ -246,8 +249,8 @@ class RecordingHook final : public NetworkAuditHook {
 TEST(BitsetOracle, AuditHookStreamsAreIdentical) {
   // The strongest lock-step check: the full serialized callback stream —
   // per-slot outcomes in receiver-touch order, transmission sets, wakes,
-  // round ends — must match entry for entry. An attached hook also forces
-  // the bitset engine's exact sub-path.
+  // round ends — must match entry for entry. An attached hook also sends
+  // the bitset engine's rounds to the scalar kernel.
   Rng grng(67);
   const graph::Graph g = graph::make_random_geometric(60, 0.3, grng);
   EnginePair pair(g, 5555, 0.25);
@@ -272,8 +275,8 @@ TEST(BitsetOracle, SeededMutationReplaysIdenticallyOnBothEngines) {
   // A deliberate model violation (deliver on collision) must be replayed
   // bit for bit by the bitset engine: the mutated callback stream differs
   // from the clean one, but is identical across engines. This pins the
-  // exact sub-path under EngineMutations, which the corpus (mutation-free)
-  // cannot reach.
+  // scalar-kernel dispatch under EngineMutations, which the corpus
+  // (mutation-free) cannot reach.
   Rng grng(67);
   const graph::Graph g = graph::make_gnp_connected(40, 0.3, grng);
 
@@ -359,36 +362,52 @@ TEST(BitsetOracle, PackedSourceMatchesOnTransmitProtocols) {
   for (auto& p : patterns) p = prng();
   PatternSource source(patterns);
 
-  Network scalar_net(g);
-  Network bitset_net(g);
-  bitset_net.set_engine(EngineMode::kBitset);
-  bitset_net.set_packed_source(&source);
-  std::vector<PatternNode*> a_nodes, b_nodes;
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    auto a = std::make_unique<PatternNode>(patterns[v]);
-    auto b = std::make_unique<PatternNode>(patterns[v]);
-    a_nodes.push_back(a.get());
-    b_nodes.push_back(b.get());
-    scalar_net.set_protocol(v, std::move(a));
-    bitset_net.set_protocol(v, std::move(b));
-    scalar_net.wake_at_start(v);
-    bitset_net.wake_at_start(v);
+  // Without faults the bitset engine reads the packed source; with a fault
+  // model every round is order-sensitive, so it polls on_transmit like the
+  // scalar engine and must match it in every counter, polls included.
+  for (const bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "loss 0.3" : "no faults");
+    Network scalar_net(g);
+    Network bitset_net(g);
+    bitset_net.set_engine(EngineMode::kBitset);
+    bitset_net.set_packed_source(&source);
+    if (faults) {
+      FaultModel fm;
+      fm.reception_loss_probability = 0.3;
+      scalar_net.set_fault_model(fm);
+      bitset_net.set_fault_model(fm);
+    }
+    std::vector<PatternNode*> a_nodes, b_nodes;
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      auto a = std::make_unique<PatternNode>(patterns[v]);
+      auto b = std::make_unique<PatternNode>(patterns[v]);
+      a_nodes.push_back(a.get());
+      b_nodes.push_back(b.get());
+      scalar_net.set_protocol(v, std::move(a));
+      bitset_net.set_protocol(v, std::move(b));
+      scalar_net.wake_at_start(v);
+      bitset_net.wake_at_start(v);
+    }
+    for (int r = 0; r < 192; ++r) {
+      scalar_net.step();
+      bitset_net.step();
+      TraceCounters scalar = scalar_net.trace().counters();
+      if (!faults) {
+        // The packed source decides whole rounds without a single
+        // on_transmit call, so the poll work counter is the one field
+        // allowed to differ.
+        ASSERT_EQ(bitset_net.trace().counters().polls, 0u);
+        scalar.polls = 0;
+      }
+      ASSERT_EQ(scalar, bitset_net.trace().counters()) << "round " << r;
+    }
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(a_nodes[v]->receives, b_nodes[v]->receives) << "node " << v;
+      ASSERT_EQ(a_nodes[v]->last_from, b_nodes[v]->last_from) << "node " << v;
+    }
+    EXPECT_GT(scalar_net.trace().counters().deliveries, 0u);
+    EXPECT_EQ(scalar_net.trace().counters().fault_drops > 0, faults);
   }
-  for (int r = 0; r < 192; ++r) {
-    scalar_net.step();
-    bitset_net.step();
-    // The packed source decides whole rounds without a single on_transmit
-    // call, so the poll work counter is the one field allowed to differ.
-    ASSERT_EQ(bitset_net.trace().counters().polls, 0u);
-    TraceCounters scalar = scalar_net.trace().counters();
-    scalar.polls = 0;
-    ASSERT_EQ(scalar, bitset_net.trace().counters()) << "round " << r;
-  }
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    ASSERT_EQ(a_nodes[v]->receives, b_nodes[v]->receives) << "node " << v;
-    ASSERT_EQ(a_nodes[v]->last_from, b_nodes[v]->last_from) << "node " << v;
-  }
-  EXPECT_GT(scalar_net.trace().counters().deliveries, 0u);
 }
 
 TEST(BitsetOracle, EngineModeNamesRoundTrip) {
