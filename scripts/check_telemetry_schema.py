@@ -133,7 +133,6 @@ SCHEMAS = {
         "packets": NUMBER,
         "dropped_flight_events": NUMBER,
         "dropped_ledger_rows": NUMBER,
-        "dropped_trace_events": NUMBER,
     },
 }
 

@@ -148,12 +148,6 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
       out << "flight trace: " << trace_path << "\n";
     }
   }
-  if (outcome.dropped_trace_events > 0) {
-    err << "warning: " << outcome.dropped_trace_events
-        << " engine trace events were dropped (bounded event log overflowed); "
-           "per-event artifacts are incomplete\n";
-  }
-
   if (!outcome.audit_clean) {
     err << "AUDIT VIOLATIONS:\n";
     for (const std::string& v : outcome.audit_violations) err << "  " << v << "\n";

@@ -49,14 +49,9 @@ void CollectionState::begin_phase(std::uint64_t phase_start) {
   phase_end_ = grab_end_ + cfg_.rc.alarm_rounds;
   window_index_ = 0;
   alarm_started_ = false;
-  if (cfg_.observer != nullptr) {
-    cfg_.observer->on_collection_phase_begin(
-        phase_index_, estimate_, cfg_.observer_round_offset + phase_start_);
-  }
   if (cfg_.audit != nullptr) {
-    cfg_.audit->on_collection_phase_begin(
-        cfg_.audit_node, phase_index_, estimate_,
-        cfg_.observer_round_offset + phase_start_);
+    cfg_.audit->on_collection_phase_begin(cfg_.audit_node, phase_index_, estimate_,
+                                          cfg_.round_offset + phase_start_);
   }
   begin_window(0);
 }
@@ -64,15 +59,10 @@ void CollectionState::begin_phase(std::uint64_t phase_start) {
 void CollectionState::begin_window(std::size_t window_index) {
   RC_ASSERT(window_index < windows_.size());
   const GatherWindow& w = windows_[window_index];
-  if (cfg_.observer != nullptr) {
-    cfg_.observer->on_collection_epoch(
-        w.copies > 1 ? "mspg" : "ospg", w.slots, w.copies,
-        cfg_.observer_round_offset + phase_start_ + w.start);
-  }
   if (cfg_.audit != nullptr) {
     cfg_.audit->on_collection_epoch(
         cfg_.audit_node, w.copies > 1 ? "mspg" : "ospg", w.slots, w.copies,
-        cfg_.observer_round_offset + phase_start_ + w.start);
+        cfg_.round_offset + phase_start_ + w.start);
   }
   start_schedule_.clear();
   relay_packet_.reset();
@@ -97,13 +87,9 @@ void CollectionState::advance(std::uint64_t rel_round) {
     if (rel_round >= phase_end_) {
       // Phase boundary: alarm outcome decides between doubling and ending.
       const bool alarmed = alarm_started_ && alarm_.positive();
-      if (cfg_.observer != nullptr) {
-        cfg_.observer->on_collection_phase_end(
-            cfg_.observer_round_offset + phase_end_, alarmed);
-      }
       if (cfg_.audit != nullptr) {
-        cfg_.audit->on_collection_phase_end(
-            cfg_.audit_node, cfg_.observer_round_offset + phase_end_, alarmed);
+        cfg_.audit->on_collection_phase_end(cfg_.audit_node,
+                                            cfg_.round_offset + phase_end_, alarmed);
       }
       if (alarmed) {
         estimate_ *= 2;
@@ -120,13 +106,9 @@ void CollectionState::advance(std::uint64_t rel_round) {
       if (!alarm_started_) {
         alarm_started_ = true;
         alarm_.reset(!is_root_ && acked_count_ < own_packets_.size());
-        if (cfg_.observer != nullptr) {
-          cfg_.observer->on_collection_epoch(
-              "alarm", 0, 0, cfg_.observer_round_offset + grab_end_);
-        }
         if (cfg_.audit != nullptr) {
-          cfg_.audit->on_collection_epoch(
-              cfg_.audit_node, "alarm", 0, 0, cfg_.observer_round_offset + grab_end_);
+          cfg_.audit->on_collection_epoch(cfg_.audit_node, "alarm", 0, 0,
+                                          cfg_.round_offset + grab_end_);
         }
       }
       return;

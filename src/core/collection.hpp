@@ -26,7 +26,6 @@
 
 #include "common/rng.hpp"
 #include "core/schedule.hpp"
-#include "obs/observer.hpp"
 #include "protocols/alarm.hpp"
 #include "radio/knowledge.hpp"
 #include "radio/node.hpp"
@@ -39,16 +38,11 @@ class CollectionState {
  public:
   struct Config {
     ResolvedConfig rc;
-    /// Optional flight recorder fed at phase and epoch boundaries (set on
-    /// the observed node only; stage schedules are global, so one node's
-    /// boundaries are the run's).
-    obs::RunObserver* observer = nullptr;
     /// Absolute round of this stage's start — converts the relative rounds
-    /// this state machine runs on into run-global rounds for the observer
-    /// and the audit sink.
-    std::uint64_t observer_round_offset = 0;
-    /// Optional model-conformance audit sink, fed the same phase/epoch
-    /// boundaries as the observer but on *every* node, tagged with
+    /// this state machine runs on into run-global rounds for the audit
+    /// sink.
+    std::uint64_t round_offset = 0;
+    /// Optional audit sink fed at phase and epoch boundaries, tagged with
     /// `audit_node`.
     ProtocolAuditSink* audit = nullptr;
     radio::NodeId audit_node = 0;

@@ -52,8 +52,7 @@ void KBroadcastNode::ensure_stage(radio::Round round) {
   }
   if (round >= stage3_start_ && !collection_.has_value()) {
     CollectionState::Config cfg{rc_};
-    cfg.observer = observer_;
-    cfg.observer_round_offset = stage3_start_;
+    cfg.round_offset = stage3_start_;
     cfg.audit = audit_;
     cfg.audit_node = self_;
     std::optional<radio::NodeId> parent;
@@ -88,29 +87,27 @@ void KBroadcastNode::ensure_stage(radio::Round round) {
 }
 
 void KBroadcastNode::report_stage(radio::Round round) {
-  if (observer_ == nullptr && audit_ == nullptr) return;
+  if (audit_ == nullptr) return;
   const Stage s = stage_for(round);
   if (reported_stage_.has_value() && *reported_stage_ == s) return;
   reported_stage_ = s;
   std::uint32_t index = 0;
-  const char* name = nullptr;
   radio::Round boundary = 0;
   switch (s) {
     case Stage::kLeader:
-      index = 1, name = "stage1.leader", boundary = 0;
+      index = 1, boundary = 0;
       break;
     case Stage::kBfs:
-      index = 2, name = "stage2.bfs", boundary = stage2_start_;
+      index = 2, boundary = stage2_start_;
       break;
     case Stage::kCollection:
-      index = 3, name = "stage3.collection", boundary = stage3_start_;
+      index = 3, boundary = stage3_start_;
       break;
     case Stage::kDissemination:
-      index = 4, name = "stage4.dissemination", boundary = stage3_end_;
+      index = 4, boundary = stage3_end_;
       break;
   }
-  if (observer_ != nullptr) observer_->on_stage(index, name, boundary);
-  if (audit_ != nullptr) audit_->on_stage_enter(self_, index, boundary);
+  audit_->on_stage_enter(self_, index, boundary);
 }
 
 std::optional<radio::MessageBody> KBroadcastNode::apply_mutations(

@@ -75,15 +75,10 @@ class KBroadcastNode final : public radio::NodeProtocol {
   /// Absolute round at which this node's Stage 3 ended (0 if not yet).
   radio::Round stage3_end() const { return stage3_end_; }
 
-  /// Attaches a flight recorder: this node reports its stage transitions
-  /// (and, via CollectionState, phase/epoch boundaries) to the observer.
-  /// Wire it on one node only — the runner picks the expected leader,
-  /// whose schedule view is the run's. Must be set before the run starts.
-  void set_observer(obs::RunObserver* observer) { observer_ = observer; }
-
-  /// Attaches a model-conformance audit sink (nullptr detaches). Unlike
-  /// the observer, the sink is wired on *every* node, so the auditor can
-  /// check cross-node schedule agreement. Must be set before the run
+  /// Attaches the run's protocol sink (nullptr detaches): this node
+  /// reports its stage transitions and, via CollectionState, its phase and
+  /// epoch boundaries. The runner wires it on *every* node, so an auditor
+  /// can check cross-node schedule agreement. Must be set before the run
   /// starts; the sink must outlive the node.
   void set_audit_sink(ProtocolAuditSink* sink) { audit_ = sink; }
 
@@ -110,9 +105,9 @@ class KBroadcastNode final : public radio::NodeProtocol {
   radio::Round next_poll(radio::Round round) const;
   /// Creates stage state lazily when the schedule crosses a boundary.
   void ensure_stage(radio::Round round);
-  /// Reports a stage transition to the observer and audit sink, once per
-  /// stage, stamped with the schedule's boundary round (not the
-  /// observation round) so stage spans tile the run exactly.
+  /// Reports a stage transition to the audit sink, once per stage, stamped
+  /// with the schedule's boundary round (not the observation round) so
+  /// stage spans tile the run exactly.
   void report_stage(radio::Round round);
   /// Applies test-only outgoing-message mutations (no-op in production).
   std::optional<radio::MessageBody> apply_mutations(
@@ -132,12 +127,11 @@ class KBroadcastNode final : public radio::NodeProtocol {
   std::optional<CollectionState> collection_;
   std::optional<DisseminationState> dissemination_;
 
-  obs::RunObserver* observer_ = nullptr;
   ProtocolAuditSink* audit_ = nullptr;
   TestMutations mutations_;
   std::uint64_t collisions_observed_ = 0;
-  /// Last stage reported to the observer/audit sink (none before the
-  /// first report).
+  /// Last stage reported to the audit sink (none before the first
+  /// report).
   std::optional<Stage> reported_stage_;
 };
 

@@ -5,10 +5,11 @@
 
 #include "common/assert.hpp"
 #include "core/audit.hpp"
-#include "obs/packet_trace.hpp"
 #include "core/protocol.hpp"
 #include "core/schedule.hpp"
 #include "graph/algorithms.hpp"
+#include "obs/observer.hpp"
+#include "obs/packet_trace.hpp"
 #include "radio/network.hpp"
 #include "radio/protocol_slab.hpp"
 
@@ -101,22 +102,17 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
 
   if (max_rounds == 0) max_rounds = total_rounds_bound(result.k, rc);
 
-  // The expected leader (max-id packet holder) doubles as the observed
-  // node: its stage schedule is the run's schedule w.h.p.
-  radio::NodeId expected_leader = 0;
-  for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!placement[v].empty()) expected_leader = std::max(expected_leader, v);
-  }
+  // The expected leader: the max-id packet holder.
+  const radio::NodeId expected_leader = radio::packet_origin(truth.back().id);
 
-  if (auditor != nullptr) {
-    auditor->begin_run(g, rc, truth, faults, collision_detection);
-  }
-  if (tracer != nullptr) {
-    tracer->begin_trial(g.num_nodes(), truth, rc.group_size);
-    for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
-      for (const radio::Packet& p : placement[v]) tracer->seed_packet(p.id, v);
-    }
-  }
+  // One tap slot for the network and every node (stack-owned list: it
+  // must outlive the network's last step, which ends with this call).
+  TapList taps;
+  taps.add(auditor);
+  taps.add(tracer);
+  taps.add(observer);
+  RunAuditor* const tap = taps.as_tap();
+  if (tap != nullptr) tap->begin_run(g, rc, truth, faults, collision_detection);
 
   // All protocol instances live in one contiguous slab (declared before the
   // network so it outlives the non-owning pointers handed to it).
@@ -125,24 +121,12 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
   net.set_engine(engine);
   if (faults.reception_loss_probability > 0.0) net.set_fault_model(faults);
   if (collision_detection) net.enable_collision_detection(true);
-  net.set_observer(observer);
-  // The engine has one audit-hook slot; when both a model auditor and a
-  // packet tracer are requested they share it through a tee (stack-owned:
-  // it must outlive the network's last step, which ends with this call).
-  radio::AuditHookTee tee(auditor, tracer);
-  if (auditor != nullptr && tracer != nullptr) {
-    net.set_auditor(&tee);
-  } else if (tracer != nullptr) {
-    net.set_auditor(tracer);
-  } else {
-    net.set_auditor(auditor);
-  }
+  net.set_auditor(tap);
   Rng master(seed);
   for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
     Rng child = master.split();
     KBroadcastNode& node = slab.emplace(rc, v, placement[v], child);
-    if (observer != nullptr && v == expected_leader) node.set_observer(observer);
-    if (auditor != nullptr) node.set_audit_sink(auditor);
+    node.set_audit_sink(tap);
     net.set_protocol(v, &node);
     if (!placement[v].empty()) net.wake_at_start(v);
   }
@@ -151,16 +135,6 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
   result.timed_out = !all_done;
   result.total_rounds = net.current_round();
   result.counters = net.trace().counters();
-  result.dropped_trace_events = net.trace().dropped_events();
-  if (observer != nullptr) {
-    observer->finish(result.total_rounds);
-    if (result.dropped_trace_events > 0) {
-      observer->metrics()
-          .counter("trace.dropped_events")
-          .inc(result.dropped_trace_events);
-    }
-    result.metrics = observer->metrics_snapshot();
-  }
 
   // --- Verification against ground truth ---
   std::uint32_t leaders = 0;
@@ -200,7 +174,8 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
     result.collection_phases = coll->phases_run();
     result.final_estimate = coll->estimate();
   }
-  if (auditor != nullptr) auditor->end_run(net, result);
+  if (tap != nullptr) tap->end_run(net, result);
+  if (observer != nullptr) result.metrics = observer->metrics_snapshot();
   return result;
 }
 

@@ -14,13 +14,13 @@
 #include "common/rng.hpp"
 #include "core/params.hpp"
 #include "graph/graph.hpp"
-#include "obs/observer.hpp"
+#include "obs/metrics.hpp"
 #include "radio/message.hpp"
 #include "radio/network.hpp"
-#include "radio/trace.hpp"
 
 namespace radiocast::obs {
 class PacketTracer;
+class RunObserver;
 }
 
 namespace radiocast::core {
@@ -68,11 +68,6 @@ struct RunResult {
 
   radio::TraceCounters counters;
 
-  /// Events the engine's bounded trace log discarded (radio::Trace::
-  /// dropped_events). Zero unless event logging was enabled and overflowed
-  /// — nonzero means per-event artifacts of this run are incomplete.
-  std::uint64_t dropped_trace_events = 0;
-
   /// Flight-recorder metrics snapshot — filled only when an observer was
   /// passed to run_kbroadcast (empty otherwise). Span data stays on the
   /// observer itself (ask it for spans() / feed it to obs::write_*).
@@ -86,23 +81,21 @@ struct RunResult {
 /// Runs the paper's protocol (or its uncoded variant, per cfg.coded).
 /// `max_rounds` == 0 derives a generous bound from the schedule. `faults`
 /// optionally injects external interference (see radio::FaultModel).
-/// `observer`, when non-null, records the run's span tree (stages >
-/// collection phases > OSPG/MSPG/ALARM epochs) and labelled metrics; the
-/// runner wires it to the network and to the expected leader's protocol,
-/// closes all spans at the end, and copies the metrics into the result.
-/// `auditor`, when non-null, gets begin_run before the network is built,
-/// every engine/protocol audit event during the run (the runner wires it
-/// to the network and to *every* node), and end_run with the final result;
-/// auditing is read-only, so an audited run is bit-identical to an
-/// unaudited one. `collision_detection` forwards the engine ablation flag
-/// (see radio::Network::enable_collision_detection).
-/// `tracer`, when non-null, records per-packet lifecycle telemetry (first
-/// receptions, decode rounds, flight paths — see obs/packet_trace.hpp);
-/// the runner arms it with the run's ground truth and placement and tees
-/// it with the auditor when both are present. Like the auditor it is
-/// read-only: a traced run is bit-identical to an untraced one.
+/// `auditor`, `tracer` and `observer` are the run's taps, each a
+/// RunAuditor (core/audit.hpp) and each optional. Every non-null tap gets
+/// begin_run before the network is built, every engine and protocol event
+/// during the run (the runner wires one tap slot to the network and to
+/// *every* node; several taps share it through a TapList, in the order
+/// auditor, tracer, observer), and end_run with the verified result. Taps
+/// are read-only, so a tapped run is bit-identical to an untapped one.
+/// `auditor` checks the run against the model (audit::ModelAuditor);
+/// `tracer` records per-packet lifecycle telemetry (obs/packet_trace.hpp);
+/// `observer` records the span tree (stages > collection phases >
+/// OSPG/MSPG/ALARM epochs) and labelled metrics, which the runner copies
+/// into the result. `collision_detection` forwards the engine ablation
+/// flag (see radio::Network::enable_collision_detection).
 /// Note: a run with zero packets returns vacuously without building a
-/// network, so the auditor and tracer are never invoked for it.
+/// network, so no tap is invoked for it.
 /// `engine` selects the round kernel (see radio::EngineMode); both modes
 /// produce identical results, pinned by the differential oracle tests.
 /// `shards` exists only so benchmark/runner.cpp, which passes 1, keeps

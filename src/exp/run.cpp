@@ -14,6 +14,7 @@
 #include "gf2/simd.hpp"
 #include "graph/generators.hpp"
 #include "obs/export.hpp"
+#include "obs/observer.hpp"
 #include "obs/packet_trace.hpp"
 #include "stream/driver.hpp"
 
@@ -156,7 +157,6 @@ struct Builder {
   std::uint64_t packets_tracked = 0;
   std::uint64_t dropped_flight_events = 0;
   std::uint64_t dropped_ledger_rows = 0;
-  std::uint64_t dropped_trace_events = 0;
 
   JsonValue meta_common(const graph::Graph& g, const radio::Knowledge& know) const {
     JsonObject meta;
@@ -261,7 +261,6 @@ struct Builder {
       summary.set("packets", packets_tracked);
       summary.set("dropped_flight_events", dropped_flight_events);
       summary.set("dropped_ledger_rows", dropped_ledger_rows);
-      summary.set("dropped_trace_events", dropped_trace_events);
       telemetry += telemetry_line(std::move(summary)) + "\n";
     }
     det.set("telemetry_digest",
@@ -273,7 +272,6 @@ struct Builder {
     env.set("threads", static_cast<std::int64_t>(resolved_threads));
     env.set("timestamp_utc", "");  // filled by the CLI; excluded from digests
     env.set("elapsed_seconds", elapsed_seconds);
-    env.set("dropped_trace_events", dropped_trace_events);
 
     ScenarioOutcome out;
     out.results = results_doc;
@@ -283,7 +281,6 @@ struct Builder {
     out.all_delivered = all_delivered;
     out.telemetry = std::move(telemetry);
     out.flight_trace = std::move(flight_trace);
-    out.dropped_trace_events = dropped_trace_events;
     return out;
   }
 };
@@ -407,7 +404,6 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
     int delivered = 0;
     std::vector<std::string> trial_digests;
     for (const core::RunResult& r : results) {
-      b.dropped_trace_events += r.dropped_trace_events;
       if (r.delivered_all) ++delivered;
       rounds.add(static_cast<double>(r.total_rounds));
       rpp.add(r.amortized_rounds_per_packet());

@@ -50,10 +50,6 @@ struct ScenarioOutcome {
   /// Chrome trace_event export of the first pipeline cell's trial-0
   /// flight log. Empty unless telemetry.flight_paths was enabled.
   std::string flight_trace;
-  /// Engine trace events discarded across all trials (sum of
-  /// core::RunResult::dropped_trace_events; also in the manifest's
-  /// environment block). Nonzero means per-event artifacts are truncated.
-  std::uint64_t dropped_trace_events = 0;
 };
 
 /// Runs the (validated) scenario. Throws JsonError on spec inconsistencies

@@ -3,8 +3,22 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "core/runner.hpp"
 
 namespace radiocast::obs {
+
+namespace {
+
+/// Span name and metric label of each paper stage, by 1-based index.
+const char* stage_name(std::uint32_t stage_index) {
+  static constexpr const char* kNames[] = {"stage1.leader", "stage2.bfs",
+                                           "stage3.collection",
+                                           "stage4.dissemination"};
+  RC_ASSERT(stage_index >= 1 && stage_index <= 4);
+  return kNames[stage_index - 1];
+}
+
+}  // namespace
 
 std::uint32_t ChannelLedger::silent_slots(const RoundStats& stats) {
   // Awake listeners minus the listener slots with a known outcome; see
@@ -95,7 +109,7 @@ void RunObserver::rebind_stage_instruments() {
   tx_by_kind_.clear();
   rx_by_kind_.clear();
   if (opts_.per_kind_metrics) {
-    for (const std::string& kind : kind_names_) {
+    for (const char* kind : radio::message_kind_names()) {
       const LabelSet kl = {{"stage", stage_name_}, {"kind", kind}};
       tx_by_kind_.push_back(&metrics_.counter("sim.transmissions", kl));
       rx_by_kind_.push_back(&metrics_.counter("sim.deliveries", kl));
@@ -103,42 +117,74 @@ void RunObserver::rebind_stage_instruments() {
   }
 }
 
-void RunObserver::on_round(const RoundStats& stats) {
-  last_round_seen_ = stats.round;
+void RunObserver::begin_run(const graph::Graph& /*g*/,
+                            const core::ResolvedConfig& /*rc*/,
+                            const std::vector<radio::Packet>& truth,
+                            const radio::FaultModel& /*faults*/,
+                            bool /*collision_detection*/) {
+  // Truth is sorted by id and ids lead with the origin, so the last packet
+  // belongs to the max-id packet holder.
+  RC_ASSERT(!truth.empty());
+  leader_ = radio::packet_origin(truth.back().id);
+}
+
+void RunObserver::end_run(const radio::Network& /*net*/,
+                          const core::RunResult& result) {
+  close_stage(result.total_rounds);
+}
+
+void RunObserver::on_sim_start(const std::vector<radio::NodeId>& initially_awake) {
+  awake_ = static_cast<std::uint32_t>(initially_awake.size());
+  round_.wakeups += awake_;
+}
+
+void RunObserver::on_transmissions(radio::Round /*round*/,
+                                   const std::vector<radio::Message>& txs) {
+  // Wake-ups happen after the transmit decisions, so this is the awake
+  // count Phase 1 saw.
+  round_.awake = awake_;
+  round_.transmissions = static_cast<std::uint32_t>(txs.size());
+  for (const radio::Message& m : txs) {
+    ++round_tx_by_kind_[radio::message_kind_index(m.body)];
+  }
+}
+
+void RunObserver::on_deliver(radio::Round /*round*/, radio::NodeId /*receiver*/,
+                             std::uint32_t /*tx_index*/, const radio::Message& msg) {
+  ++round_.deliveries;
+  ++round_rx_by_kind_[radio::message_kind_index(msg.body)];
+}
+
+void RunObserver::on_round_end(radio::Round round) {
+  round_.round = round;
   if (stage_name_.empty()) {
-    // Rounds before the first stage hook (e.g. no observer-wired protocol):
+    // Rounds before the first stage report (e.g. no reporting protocol):
     // attribute to a catch-all stage so nothing is silently lost.
     stage_name_ = "unattributed";
     rebind_stage_instruments();
   }
-  if (kind_names_.empty() && stats.num_kinds > 0) {
-    kind_names_.assign(stats.kind_names, stats.kind_names + stats.num_kinds);
-    rebind_stage_instruments();
-  }
   rounds_->inc();
-  transmissions_->inc(stats.transmissions);
-  deliveries_->inc(stats.deliveries);
-  collisions_->inc(stats.collision_slots);
-  deaf_->inc(stats.deaf_slots);
-  fault_drops_->inc(stats.fault_drops);
-  wakeups_->inc(stats.wakeups);
+  transmissions_->inc(round_.transmissions);
+  deliveries_->inc(round_.deliveries);
+  collisions_->inc(round_.collision_slots);
+  deaf_->inc(round_.deaf_slots);
+  fault_drops_->inc(round_.fault_drops);
+  wakeups_->inc(round_.wakeups);
   if (tx_per_round_ != nullptr) {
-    tx_per_round_->observe(static_cast<double>(stats.transmissions));
-    rx_per_round_->observe(static_cast<double>(stats.deliveries));
+    tx_per_round_->observe(static_cast<double>(round_.transmissions));
+    rx_per_round_->observe(static_cast<double>(round_.deliveries));
   }
   if (!tx_by_kind_.empty()) {
-    RC_ASSERT(tx_by_kind_.size() == stats.num_kinds);
-    for (std::size_t i = 0; i < stats.num_kinds; ++i) {
+    for (std::size_t i = 0; i < radio::kNumMessageKinds; ++i) {
       // Skip untouched kinds: most rounds carry one kind of traffic.
-      if (stats.transmissions_by_kind[i] != 0) {
-        tx_by_kind_[i]->inc(stats.transmissions_by_kind[i]);
-      }
-      if (stats.deliveries_by_kind[i] != 0) {
-        rx_by_kind_[i]->inc(stats.deliveries_by_kind[i]);
-      }
+      if (round_tx_by_kind_[i] != 0) tx_by_kind_[i]->inc(round_tx_by_kind_[i]);
+      if (round_rx_by_kind_[i] != 0) rx_by_kind_[i]->inc(round_rx_by_kind_[i]);
     }
   }
-  if (ledger_) ledger_->on_round(stats, stage_name_, epoch_name_);
+  if (ledger_) ledger_->on_round(round_, stage_name_, epoch_name_);
+  round_ = RoundStats{};
+  round_tx_by_kind_.fill(0);
+  round_rx_by_kind_.fill(0);
 }
 
 void RunObserver::close_epoch(std::uint64_t round) {
@@ -165,17 +211,21 @@ void RunObserver::close_stage(std::uint64_t round) {
   }
 }
 
-void RunObserver::on_stage(std::uint32_t stage_index, const char* name,
-                           std::uint64_t round) {
-  close_stage(round);
-  stage_name_ = name;
-  stage_span_ = recorder_.open(name, "stage", round, {{"stage", stage_index}});
+void RunObserver::on_stage_enter(radio::NodeId node, std::uint32_t stage_index,
+                                 radio::Round boundary_round) {
+  if (node != leader_) return;
+  close_stage(boundary_round);
+  stage_name_ = stage_name(stage_index);
+  stage_span_ = recorder_.open(stage_name_, "stage", boundary_round,
+                               {{"stage", stage_index}});
   rebind_stage_instruments();
 }
 
-void RunObserver::on_collection_phase_begin(std::uint32_t phase_index,
+void RunObserver::on_collection_phase_begin(radio::NodeId node,
+                                            std::uint32_t phase_index,
                                             std::uint64_t estimate,
-                                            std::uint64_t round) {
+                                            radio::Round round) {
+  if (node != leader_) return;
   close_phase(round);
   phase_span_ = recorder_.open("phase", "phase", round,
                                {{"phase", phase_index}, {"estimate", estimate}});
@@ -183,8 +233,10 @@ void RunObserver::on_collection_phase_begin(std::uint32_t phase_index,
   metrics_.counter("collection.phases").inc();
 }
 
-void RunObserver::on_collection_epoch(const char* kind, std::uint64_t slots,
-                                      std::uint32_t copies, std::uint64_t round) {
+void RunObserver::on_collection_epoch(radio::NodeId node, const char* kind,
+                                      std::uint64_t slots, std::uint32_t copies,
+                                      radio::Round round) {
+  if (node != leader_) return;
   close_epoch(round);
   std::vector<SpanAttr> attrs;
   if (slots != 0) attrs.push_back({"slots", slots});
@@ -194,15 +246,13 @@ void RunObserver::on_collection_epoch(const char* kind, std::uint64_t slots,
   metrics_.counter("collection.epochs", {{"epoch", kind}}).inc();
 }
 
-void RunObserver::on_collection_phase_end(std::uint64_t round, bool alarmed) {
+void RunObserver::on_collection_phase_end(radio::NodeId node, radio::Round round,
+                                          bool alarmed) {
+  if (node != leader_) return;
   if (phase_span_ != 0) {
     recorder_.add_attr(phase_span_, "alarmed", alarmed ? 1 : 0);
   }
   close_phase(round);
-}
-
-void RunObserver::finish(std::uint64_t end_round) {
-  close_stage(end_round);
 }
 
 }  // namespace radiocast::obs

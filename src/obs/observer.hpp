@@ -1,40 +1,41 @@
-// RunObserver — the flight recorder's sink, wired through an end-to-end
-// run (core::run_kbroadcast) when observability is requested.
+// RunObserver — the flight recorder's sink, a core::RunAuditor subscriber
+// wired through an end-to-end run (core::run_kbroadcast) when
+// observability is requested.
 //
-// Two producers feed it:
-//   * radio::Network::step calls on_round() once per round with that
-//     round's channel-activity deltas (allocation-free: the stats struct
-//     points into scratch arrays owned by the network);
-//   * the k-broadcast protocol state machines (on the expected leader
-//     node only — stage schedules are global, so one node's view is the
-//     run's view) call the on_stage / on_collection_* hooks at stage
+// It listens to both halves of the run's one event model:
+//   * the engine's slot events (radio::NetworkAuditHook): the observer
+//     counts each round's transmissions, deliveries, collision, deaf and
+//     fault slots and wake-ups into a RoundStats and folds it into the
+//     open stage at on_round_end;
+//   * the protocol's boundary reports (core::ProtocolAuditSink) — stage
 //     transitions, collection-phase boundaries (each doubling of the
-//     estimate x), and OSPG/MSPG/ALARM epoch boundaries.
+//     estimate x), and OSPG/MSPG/ALARM epoch boundaries. Every node
+//     reports them; the observer keeps only the expected leader's (the
+//     origin of the largest truth id): stage schedules are global, so one
+//     node's view is the run's view.
 //
 // The observer turns these into (a) a hierarchical span tree
 // stage > phase > epoch whose sibling spans tile their parent exactly —
 // per-epoch round counts sum to the run's total_rounds — and (b) labelled
 // metrics: per-stage round/transmission/delivery/collision counters split
 // by message kind, plus per-round activity histograms.
-//
-// This header depends only on metrics.hpp/recorder.hpp (std-only), so the
-// radio layer can include it without a dependency cycle.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 
 namespace radiocast::obs {
 
-/// One round's channel activity, reported by the simulation engine. The
-/// per-kind arrays are parallel to `kind_names` and live in scratch owned
-/// by the caller — valid only for the duration of on_round().
+/// One round's channel activity, counted by RunObserver from the engine's
+/// slot events.
 struct RoundStats {
   std::uint64_t round = 0;
   /// Nodes awake when the round's transmission decisions were made.
@@ -45,15 +46,11 @@ struct RoundStats {
   std::uint32_t deaf_slots = 0;
   std::uint32_t fault_drops = 0;
   std::uint32_t wakeups = 0;
-  std::size_t num_kinds = 0;
-  const char* const* kind_names = nullptr;
-  const std::uint32_t* transmissions_by_kind = nullptr;
-  const std::uint32_t* deliveries_by_kind = nullptr;
 };
 
 /// Channel-utilization ledger: how every round's slot budget was spent,
 /// attributed to the protocol stage (and collection epoch) open when the
-/// round ran. Fed by RunObserver::on_round when enabled.
+/// round ran. Fed by RunObserver at every round end when enabled.
 ///
 /// Slot taxonomy per round (counts straight from RoundStats):
 ///   transmissions | deliveries (single-transmit successes) | collisions |
@@ -123,9 +120,9 @@ class ChannelLedger {
   std::size_t last_aggregate_ = SIZE_MAX;
 };
 
-/// The flight recorder's sink: channel stats + protocol hooks in, span
+/// The flight recorder's sink: slot events + protocol boundaries in, span
 /// tree + labelled metrics out (see the file comment).
-class RunObserver {
+class RunObserver final : public core::RunAuditor {
  public:
   /// Knobs for what gets recorded (all on by default).
   struct Options {
@@ -144,28 +141,53 @@ class RunObserver {
   RunObserver() : RunObserver(Options{}) {}
   explicit RunObserver(Options opts);
 
-  // --- Fed by radio::Network (every round) ---
-  /// Folds one round's channel activity into the current stage's metrics.
-  void on_round(const RoundStats& stats);
+  // --- core::RunAuditor ---
+  /// Picks the observed node: the expected leader.
+  void begin_run(const graph::Graph& g, const core::ResolvedConfig& rc,
+                 const std::vector<radio::Packet>& truth,
+                 const radio::FaultModel& faults, bool collision_detection) override;
+  /// Closes every span still open (the run is over at total_rounds).
+  void end_run(const radio::Network& net, const core::RunResult& result) override;
 
-  // --- Fed by the protocol state machines (leader node) ---
-  /// A new stage begins at `round`; closes the previous stage (and any
-  /// open phase/epoch spans). `stage_index` is 1-based.
-  void on_stage(std::uint32_t stage_index, const char* name, std::uint64_t round);
+  // --- radio::NetworkAuditHook: counted into the round's RoundStats ---
+  void on_sim_start(const std::vector<radio::NodeId>& initially_awake) override;
+  void on_transmissions(radio::Round round,
+                        const std::vector<radio::Message>& txs) override;
+  void on_deliver(radio::Round round, radio::NodeId receiver, std::uint32_t tx_index,
+                  const radio::Message& msg) override;
+  void on_collision_slot(radio::Round, radio::NodeId, std::uint32_t, bool) override {
+    ++round_.collision_slots;
+  }
+  void on_deaf_slot(radio::Round, radio::NodeId, std::uint32_t) override {
+    ++round_.deaf_slots;
+  }
+  void on_fault_drop(radio::Round, radio::NodeId, std::uint32_t) override {
+    ++round_.fault_drops;
+  }
+  void on_node_wake(radio::Round, radio::NodeId) override {
+    ++awake_;
+    ++round_.wakeups;
+  }
+  /// Folds the round's channel activity into the current stage's metrics.
+  void on_round_end(radio::Round round) override;
+
+  // --- core::ProtocolAuditSink (the expected leader's reports only) ---
+  /// A new stage begins at `boundary_round`; closes the previous stage
+  /// (and any open phase/epoch spans). `stage_index` is 1-based.
+  void on_stage_enter(radio::NodeId node, std::uint32_t stage_index,
+                      radio::Round boundary_round) override;
   /// A Stage-3 collection phase begins with estimate x.
-  void on_collection_phase_begin(std::uint32_t phase_index, std::uint64_t estimate,
-                                 std::uint64_t round);
+  void on_collection_phase_begin(radio::NodeId node, std::uint32_t phase_index,
+                                 std::uint64_t estimate, radio::Round round) override;
   /// An epoch within the current phase begins ("ospg", "mspg", "alarm");
   /// closes the previous epoch. `slots`/`copies` describe the gather
   /// window (0 for alarm epochs).
-  void on_collection_epoch(const char* kind, std::uint64_t slots,
-                           std::uint32_t copies, std::uint64_t round);
+  void on_collection_epoch(radio::NodeId node, const char* kind, std::uint64_t slots,
+                           std::uint32_t copies, radio::Round round) override;
   /// The current phase ends; `alarmed` is the alarm outcome that decides
   /// between doubling and finishing.
-  void on_collection_phase_end(std::uint64_t round, bool alarmed);
-
-  /// Closes every span still open (the run is over at `end_round`).
-  void finish(std::uint64_t end_round);
+  void on_collection_phase_end(radio::NodeId node, radio::Round round,
+                               bool alarmed) override;
 
   // --- Results ---
   /// Live access to the underlying registry / recorder.
@@ -178,7 +200,7 @@ class RunObserver {
   std::vector<Span> spans() const { return recorder_.snapshot(); }
   MetricsSnapshot metrics_snapshot() const { return metrics_.snapshot(); }
 
-  /// Name of the stage currently open ("" before the first on_stage).
+  /// Name of the stage currently open ("" before the first stage report).
   const std::string& current_stage() const { return stage_name_; }
 
   /// The channel-utilization ledger (nullptr unless Options enabled it).
@@ -193,6 +215,14 @@ class RunObserver {
   void close_stage(std::uint64_t round);
 
   Options opts_;
+  /// The node whose protocol reports are recorded (set by begin_run).
+  radio::NodeId leader_ = 0;
+  /// Nodes awake so far: the initial wake set plus every wake event.
+  std::uint32_t awake_ = 0;
+  /// The current round's channel activity, reset after each fold.
+  RoundStats round_;
+  std::array<std::uint32_t, radio::kNumMessageKinds> round_tx_by_kind_{};
+  std::array<std::uint32_t, radio::kNumMessageKinds> round_rx_by_kind_{};
   MetricsRegistry metrics_;
   SpanRecorder recorder_;
 
@@ -202,7 +232,6 @@ class RunObserver {
   std::uint64_t stage_span_ = 0;
   std::uint64_t phase_span_ = 0;
   std::uint64_t epoch_span_ = 0;
-  std::uint64_t last_round_seen_ = 0;
 
   // Hot-path instrument cache, rebound per stage.
   Counter* rounds_ = nullptr;
@@ -216,7 +245,6 @@ class RunObserver {
   Histogram* rx_per_round_ = nullptr;
   std::vector<Counter*> tx_by_kind_;
   std::vector<Counter*> rx_by_kind_;
-  std::vector<std::string> kind_names_;
 };
 
 }  // namespace radiocast::obs

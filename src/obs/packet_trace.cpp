@@ -17,33 +17,35 @@ const char* PacketTracer::via_name(Via via) {
   return "?";
 }
 
-void PacketTracer::begin_trial(std::uint32_t num_nodes,
-                               const std::vector<radio::Packet>& truth,
-                               std::uint32_t group_size) {
-  RC_ASSERT(num_nodes >= 1);
-  RC_ASSERT(group_size >= 1 && group_size <= 64);
-  n_ = num_nodes;
+void PacketTracer::begin_run(const graph::Graph& g, const core::ResolvedConfig& rc,
+                             const std::vector<radio::Packet>& truth,
+                             const radio::FaultModel& /*faults*/,
+                             bool /*collision_detection*/) {
+  RC_ASSERT(g.num_nodes() >= 1);
+  RC_ASSERT(rc.group_size >= 1 && rc.group_size <= 64);
+  n_ = g.num_nodes();
   k_ = static_cast<std::uint32_t>(truth.size());
-  group_size_ = group_size;
-  group_count_ = k_ == 0 ? 0 : static_cast<std::uint32_t>(ceil_div(k_, group_size));
+  group_size_ = rc.group_size;
+  group_count_ = k_ == 0 ? 0 : static_cast<std::uint32_t>(ceil_div(k_, group_size_));
   truth_ = truth;
   truth_ids_.clear();
   truth_ids_.reserve(truth_.size());
   for (const radio::Packet& p : truth_) truth_ids_.push_back(p.id);
   RC_ASSERT_MSG(std::is_sorted(truth_ids_.begin(), truth_ids_.end()),
-                "begin_trial expects truth sorted by packet id");
+                "begin_run expects truth sorted by packet id");
   cells_.assign(static_cast<std::size_t>(k_) * n_, Cell{});
   trackers_.clear();
   trackers_.resize(static_cast<std::size_t>(n_) * group_count_);
   group_done_.assign(static_cast<std::size_t>(n_) * group_count_, 0);
   flights_.clear();
   dropped_flights_ = 0;
-}
-
-void PacketTracer::seed_packet(radio::PacketId id, radio::NodeId node) {
-  const std::uint32_t p = packet_index(id);
-  RC_ASSERT_MSG(p < k_, "seed_packet: id not in ground truth");
-  record(p, node, 0, node, Via::kOrigin);
+  // Origins hold their packets from round 0. Ids lead with the origin, so
+  // truth order is node-major: the flight log starts node by node.
+  for (std::uint32_t p = 0; p < k_; ++p) {
+    const radio::NodeId origin = radio::packet_origin(truth_ids_[p]);
+    RC_ASSERT(origin < n_);
+    record(p, origin, 0, origin, Via::kOrigin);
+  }
 }
 
 std::uint32_t PacketTracer::packet_index(radio::PacketId id) const {

@@ -1,9 +1,9 @@
-// PacketTracer — per-packet lifecycle telemetry over the engine audit tap.
+// PacketTracer — per-packet lifecycle telemetry over the run's tap.
 //
-// Installed as a radio::NetworkAuditHook (tee'd with the ModelAuditor when
-// both are requested, see core::run_kbroadcast), the tracer watches every
-// delivery of a run and reconstructs, for each message m and node v, the
-// round v first *held* m:
+// Attached as a core::RunAuditor subscriber (beside the ModelAuditor and
+// the RunObserver when those are requested, see core::run_kbroadcast), the
+// tracer watches every delivery of a run and reconstructs, for each
+// message m and node v, the round v first *held* m:
 //
 //   * origin nodes hold their packets from round 0 (latency 0);
 //   * a DataMsg or PlainPacketMsg delivery carrying m hands it to the
@@ -32,13 +32,13 @@
 #include <memory>
 #include <vector>
 
+#include "core/audit.hpp"
 #include "gf2/solver.hpp"
 #include "obs/histogram.hpp"
-#include "radio/audit_hook.hpp"
 
 namespace radiocast::obs {
 
-class PacketTracer final : public radio::NetworkAuditHook {
+class PacketTracer final : public core::RunAuditor {
  public:
   /// How node v came to hold a packet.
   enum class Via : std::uint8_t {
@@ -72,16 +72,15 @@ class PacketTracer final : public radio::NetworkAuditHook {
   PacketTracer() : PacketTracer(Options{}) {}
   explicit PacketTracer(Options opts) : opts_(opts) {}
 
-  /// Arms the tracer for one run: `truth` is the sorted-by-id ground truth
-  /// (core::placement_packets) and `group_size` the protocol's coding
-  /// group width (ResolvedConfig::group_size) used to map rank-complete
-  /// events back to packet indices. Resets all prior state.
-  void begin_trial(std::uint32_t num_nodes,
-                   const std::vector<radio::Packet>& truth,
-                   std::uint32_t group_size);
-
-  /// Marks `node` as holding packet `id` from round 0 (initial placement).
-  void seed_packet(radio::PacketId id, radio::NodeId node);
+  /// Arms the tracer for one run over `g`: `truth` is the sorted-by-id
+  /// ground truth (core::placement_packets), each packet held by its
+  /// origin node from round 0, and `rc.group_size` the coding group width
+  /// used to map rank-complete events back to packet indices. Resets all
+  /// prior state.
+  void begin_run(const graph::Graph& g, const core::ResolvedConfig& rc,
+                 const std::vector<radio::Packet>& truth,
+                 const radio::FaultModel& faults, bool collision_detection) override;
+  void end_run(const radio::Network&, const core::RunResult&) override {}
 
   // --- radio::NetworkAuditHook (only on_deliver carries information the
   // tracer needs; the rest are no-ops) ---
@@ -94,6 +93,14 @@ class PacketTracer final : public radio::NetworkAuditHook {
   void on_fault_drop(radio::Round, radio::NodeId, std::uint32_t) override {}
   void on_node_wake(radio::Round, radio::NodeId) override {}
   void on_round_end(radio::Round) override {}
+
+  // --- core::ProtocolAuditSink (no-ops) ---
+  void on_stage_enter(radio::NodeId, std::uint32_t, radio::Round) override {}
+  void on_collection_phase_begin(radio::NodeId, std::uint32_t, std::uint64_t,
+                                 radio::Round) override {}
+  void on_collection_epoch(radio::NodeId, const char*, std::uint64_t, std::uint32_t,
+                           radio::Round) override {}
+  void on_collection_phase_end(radio::NodeId, radio::Round, bool) override {}
 
   // --- Queries (valid after / during a trial) ---
   std::uint32_t num_nodes() const { return n_; }

@@ -9,11 +9,13 @@
 // run is bit-identical to an unaudited one. When no hook is installed the
 // only per-round cost is a handful of null checks.
 //
-// The intended consumer is audit::ChannelAuditor — attached directly, or
-// through the audit::ModelAuditor that forwards every event to one — which
+// The consumers are audit::ChannelAuditor — attached directly, or through
+// the audit::ModelAuditor that forwards every event to one — which
 // recomputes every outcome independently from the transmission set and
-// the topology and cross-checks the engine (see src/audit/). The interface
-// lives in the radio layer so the engine never depends on the audit
+// the topology and cross-checks the engine (see src/audit/), and the
+// flight recorder's obs::RunObserver and obs::PacketTracer. Several of
+// them share the engine's one slot through a core::TapList. The interface
+// lives in the radio layer so the engine never depends on either
 // subsystem.
 #pragma once
 
@@ -69,55 +71,6 @@ class NetworkAuditHook {
 
   /// All outcomes of round `round` have been reported.
   virtual void on_round_end(Round round) = 0;
-};
-
-/// Fan-out: forwards every event to two hooks, in construction order. The
-/// engine has exactly one auditor slot (one null check on the hot path);
-/// composing sinks — e.g. a ModelAuditor plus an obs::PacketTracer — is
-/// the tee's job, not the engine's. Both hooks may be null.
-class AuditHookTee final : public NetworkAuditHook {
- public:
-  AuditHookTee(NetworkAuditHook* first, NetworkAuditHook* second)
-      : first_(first), second_(second) {}
-
-  void on_sim_start(const std::vector<NodeId>& initially_awake) override {
-    if (first_ != nullptr) first_->on_sim_start(initially_awake);
-    if (second_ != nullptr) second_->on_sim_start(initially_awake);
-  }
-  void on_transmissions(Round round, const std::vector<Message>& txs) override {
-    if (first_ != nullptr) first_->on_transmissions(round, txs);
-    if (second_ != nullptr) second_->on_transmissions(round, txs);
-  }
-  void on_deliver(Round round, NodeId receiver, std::uint32_t tx_index,
-                  const Message& msg) override {
-    if (first_ != nullptr) first_->on_deliver(round, receiver, tx_index, msg);
-    if (second_ != nullptr) second_->on_deliver(round, receiver, tx_index, msg);
-  }
-  void on_collision_slot(Round round, NodeId receiver, std::uint32_t reached,
-                         bool cd_callback) override {
-    if (first_ != nullptr) first_->on_collision_slot(round, receiver, reached, cd_callback);
-    if (second_ != nullptr) second_->on_collision_slot(round, receiver, reached, cd_callback);
-  }
-  void on_deaf_slot(Round round, NodeId receiver, std::uint32_t reached) override {
-    if (first_ != nullptr) first_->on_deaf_slot(round, receiver, reached);
-    if (second_ != nullptr) second_->on_deaf_slot(round, receiver, reached);
-  }
-  void on_fault_drop(Round round, NodeId receiver, std::uint32_t tx_index) override {
-    if (first_ != nullptr) first_->on_fault_drop(round, receiver, tx_index);
-    if (second_ != nullptr) second_->on_fault_drop(round, receiver, tx_index);
-  }
-  void on_node_wake(Round round, NodeId node) override {
-    if (first_ != nullptr) first_->on_node_wake(round, node);
-    if (second_ != nullptr) second_->on_node_wake(round, node);
-  }
-  void on_round_end(Round round) override {
-    if (first_ != nullptr) first_->on_round_end(round);
-    if (second_ != nullptr) second_->on_round_end(round);
-  }
-
- private:
-  NetworkAuditHook* first_;
-  NetworkAuditHook* second_;
 };
 
 }  // namespace radiocast::radio

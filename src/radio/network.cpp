@@ -126,42 +126,7 @@ void Network::wake(NodeId id) {
   }
 }
 
-void Network::report_round(std::uint64_t round) {
-  const TraceCounters& now = trace_.counters();
-  obs::RoundStats stats;
-  stats.round = round;
-  stats.awake = round_awake_base_;
-  stats.transmissions =
-      static_cast<std::uint32_t>(now.transmissions - round_base_.transmissions);
-  stats.deliveries =
-      static_cast<std::uint32_t>(now.deliveries - round_base_.deliveries);
-  stats.collision_slots =
-      static_cast<std::uint32_t>(now.collision_slots - round_base_.collision_slots);
-  stats.deaf_slots =
-      static_cast<std::uint32_t>(now.deaf_slots - round_base_.deaf_slots);
-  stats.fault_drops =
-      static_cast<std::uint32_t>(now.fault_drops - round_base_.fault_drops);
-  stats.wakeups = static_cast<std::uint32_t>(now.wakeups - round_base_.wakeups);
-  for (std::size_t i = 0; i < kNumMessageKinds; ++i) {
-    round_tx_by_kind_[i] = static_cast<std::uint32_t>(
-        now.transmissions_by_kind[i] - round_base_.transmissions_by_kind[i]);
-    round_rx_by_kind_[i] = static_cast<std::uint32_t>(
-        now.deliveries_by_kind[i] - round_base_.deliveries_by_kind[i]);
-  }
-  stats.num_kinds = kNumMessageKinds;
-  stats.kind_names = message_kind_names().data();
-  stats.transmissions_by_kind = round_tx_by_kind_.data();
-  stats.deliveries_by_kind = round_rx_by_kind_.data();
-  observer_->on_round(stats);
-}
-
 void Network::step() {
-  if (observer_ != nullptr) {
-    round_base_ = trace_.counters();
-    // Initially-awake nodes are already in awake_list_ (wake_at_start),
-    // so this is the awake count Phase 1 will see even on round 0.
-    round_awake_base_ = static_cast<std::uint32_t>(awake_list_.size());
-  }
   if (!started_) {
     started_ = true;
     if (auditor_ != nullptr) auditor_->on_sim_start(pending_initial_wakes_);
@@ -190,16 +155,16 @@ void Network::step() {
   }
 
   // Fault erasures (the shared Rng draws once per successful slot, in
-  // receiver-touch order), the event log, an audit hook and the test
-  // mutations all observe the scalar kernel's order, so any round with one
-  // of them attached runs there under either engine. Without them per-node
+  // receiver-touch order), an audit hook and the test mutations all
+  // observe the scalar kernel's order, so any round with one of them
+  // attached runs there under either engine. Without them per-node
   // outcomes are order-independent (protocols only interact through the
   // channel, which the round's transmit set already fixes), and the bitset
   // kernel may classify receivers word-wise in id order.
   const bool order_sensitive =
       auditor_ != nullptr || fault_model_.reception_loss_probability > 0.0 ||
-      trace_.events_enabled() || mutations_.deliver_on_collision ||
-      mutations_.deliver_while_transmitting || mutations_.skip_wake_on_receive;
+      mutations_.deliver_on_collision || mutations_.deliver_while_transmitting ||
+      mutations_.skip_wake_on_receive;
   if (engine_ == EngineMode::kBitset && !order_sensitive) {
     round_bitset();
   } else {
@@ -207,7 +172,6 @@ void Network::step() {
   }
 
   if (auditor_ != nullptr) auditor_->on_round_end(round_);
-  if (observer_ != nullptr) report_round(round_);
   ++round_;
   ++trace_.counters().rounds;
 }
@@ -265,7 +229,6 @@ void Network::poll_transmitters() {
 void Network::round_scalar() {
   // Phase 1: collect transmission decisions from awake nodes that are due
   // a poll.
-  const bool events = trace_.events_enabled();
   poll_transmitters();
   if (auditor_ != nullptr) auditor_->on_transmissions(round_, transmissions_);
 
@@ -348,10 +311,6 @@ void Network::round_scalar() {
         ++deliveries_acc;
         bits_rx_acc += meta.size_bits;
         ++rx_kind_acc[meta.kind];
-        if (events) {
-          trace_.record({round_, v, TraceEvent::Kind::kDelivered,
-                         message_kind(tx.body), tx.from});
-        }
         if (auditor_ != nullptr) auditor_->on_deliver(round_, v, source, tx);
         if (!mutations_.skip_wake_on_receive && !awake_[v]) wake(v);
         upcall(v).on_receive(round_, tx);
@@ -359,14 +318,12 @@ void Network::round_scalar() {
 
       if (transmitting[v]) {
         ++deaf_acc;
-        if (events) trace_.record({round_, v, TraceEvent::Kind::kDeaf, {}, 0});
         if (auditor_ != nullptr) auditor_->on_deaf_slot(round_, v, reached);
         if (mutations_.deliver_while_transmitting) deliver(slot.source);
         continue;
       }
       if (reached >= 2) {
         ++collision_acc;
-        if (events) trace_.record({round_, v, TraceEvent::Kind::kCollision, {}, 0});
         if (auditor_ != nullptr) {
           auditor_->on_collision_slot(round_, v, reached, collision_detection_);
         }

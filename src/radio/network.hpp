@@ -20,7 +20,6 @@
 #include "gf2/bitvec.hpp"
 #include "graph/graph.hpp"
 #include "graph/packed.hpp"
-#include "obs/observer.hpp"
 #include "radio/audit_hook.hpp"
 #include "radio/node.hpp"
 #include "radio/payload_arena.hpp"
@@ -35,8 +34,8 @@ namespace radiocast::radio {
 /// awake sets as packed uint64_t bit vectors and computes reception with
 /// word-wise AND/popcount sweeps over CSR rows — same model, same results,
 /// ~word-parallel speed on large graphs. A round whose order is observable
-/// (an audit hook, a fault model with loss > 0, the event log, or any
-/// EngineMutations flag) runs on the scalar kernel under either mode. See
+/// (an audit hook, a fault model with loss > 0, or any EngineMutations
+/// flag) runs on the scalar kernel under either mode. See
 /// docs/performance.md.
 enum class EngineMode : std::uint8_t { kScalar, kBitset };
 
@@ -185,19 +184,13 @@ class Network {
   Trace& trace() { return trace_; }
   const Trace& trace() const { return trace_; }
 
-  /// Attaches a flight-recorder sink (nullptr detaches). When attached,
-  /// step() reports every round's channel-activity deltas via
-  /// obs::RunObserver::on_round; when detached the only per-round cost is
-  /// one branch. The observer must outlive the network (or be detached).
-  void set_observer(obs::RunObserver* observer) { observer_ = observer; }
-  obs::RunObserver* observer() const { return observer_; }
-
-  /// Attaches a model-conformance auditor (nullptr detaches). The hook
-  /// sees the raw transmission set and every reception outcome of every
-  /// round (see radio/audit_hook.hpp); it is read-only, so an audited run
-  /// is bit-identical to an unaudited one. Must be attached before the
-  /// first step so the auditor sees the initial wake set; must outlive
-  /// the network (or be detached).
+  /// Attaches the run's tap (nullptr detaches): a model-conformance
+  /// auditor, a flight-recorder subscriber, or a core::TapList of them.
+  /// The hook sees the raw transmission set and every reception outcome of
+  /// every round (see radio/audit_hook.hpp); it is read-only, so a tapped
+  /// run is bit-identical to an untapped one. Must be attached before the
+  /// first step so the hook sees the initial wake set; must outlive the
+  /// network (or be detached).
   void set_auditor(NetworkAuditHook* auditor);
   NetworkAuditHook* auditor() const { return auditor_; }
 
@@ -234,7 +227,7 @@ class Network {
   /// tx_meta_ and tx_from_ and to the transmission counters.
   void poll_transmitters();
   /// One round of the node-at-a-time reference kernel; it defines the
-  /// observable order (fault-RNG draws, auditor callbacks, trace events).
+  /// observable order (fault-RNG draws, audit-hook callbacks).
   void round_scalar();
   /// One round of the bit-parallel kernel (see docs/performance.md), run
   /// only when nothing order-sensitive is attached: it promises the scalar
@@ -246,8 +239,6 @@ class Network {
   /// packed-source transmitter put on the air; returns its index in
   /// transmissions_.
   std::uint32_t materialize_packed_tx(NodeId from);
-  /// Fills round_stats_ with this round's deltas and feeds the observer.
-  void report_round(std::uint64_t round);
   /// Advances the completion counter past newly-done protocols; returns
   /// true iff all protocols are done (see done_count_ below).
   bool advance_done_count();
@@ -297,17 +288,7 @@ class Network {
   bool collision_detection_ = false;
   EngineMutations mutations_;
 
-  obs::RunObserver* observer_ = nullptr;
   NetworkAuditHook* auditor_ = nullptr;
-  /// Counter values at the start of the current round; the per-round
-  /// deltas reported to the observer are computed against these.
-  TraceCounters round_base_;
-  /// Awake-node count when the round's transmissions were decided.
-  std::uint32_t round_awake_base_ = 0;
-  /// Scratch per-kind delta arrays pointed to by the RoundStats we pass
-  /// to the observer (keeps on_round allocation-free).
-  std::array<std::uint32_t, kNumMessageKinds> round_tx_by_kind_{};
-  std::array<std::uint32_t, kNumMessageKinds> round_rx_by_kind_{};
 
   // Scratch buffers reused across rounds to avoid per-round allocation
   // (all sized/reserved in the constructor so the first round allocates

@@ -1,13 +1,10 @@
-// Simulation trace: counters and (optionally) per-round event records.
-//
-// Counters are always on (they are what benches report); the event log is
-// opt-in because end-to-end runs span millions of node-rounds.
+// Simulation trace: the engine's run-wide channel counters. They are always
+// on (they are what runs digest and benches report); per-slot events go to
+// an attached NetworkAuditHook instead (radio/audit_hook.hpp).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "radio/message.hpp"
 
@@ -42,45 +39,13 @@ struct TraceCounters {
   bool operator==(const TraceCounters&) const = default;
 };
 
-/// One delivered-or-lost reception opportunity, recorded only when event
-/// logging is enabled.
-struct TraceEvent {
-  std::uint64_t round = 0;
-  NodeId node = 0;  // the receiver-side node
-  enum class Kind : std::uint8_t { kDelivered, kCollision, kDeaf } kind = Kind::kDelivered;
-  std::string message_kind;  // empty for collisions
-  NodeId from = 0;
-};
-
 class Trace {
  public:
-  /// Default cap on the event log. A long end-to-end run produces one
-  /// event per reception opportunity, so an unbounded log is an OOM risk;
-  /// events past the cap are counted in dropped_events() instead of kept.
-  static constexpr std::size_t kDefaultMaxEvents = 1u << 20;
-
   const TraceCounters& counters() const { return counters_; }
   TraceCounters& counters() { return counters_; }
 
-  void enable_events(bool on) { events_enabled_ = on; }
-  bool events_enabled() const { return events_enabled_; }
-  /// Caps the event log at `cap` entries (0 keeps the current events but
-  /// drops all further ones). Configuration, like enable_events.
-  void set_max_events(std::size_t cap) { max_events_ = cap; }
-  std::size_t max_events() const { return max_events_; }
-  /// Events discarded because the log was full.
-  std::uint64_t dropped_events() const { return dropped_events_; }
-
-  void record(TraceEvent event);
-  const std::vector<TraceEvent>& events() const { return events_; }
-  void clear();
-
  private:
   TraceCounters counters_;
-  bool events_enabled_ = false;
-  std::size_t max_events_ = kDefaultMaxEvents;
-  std::uint64_t dropped_events_ = 0;
-  std::vector<TraceEvent> events_;
 };
 
 }  // namespace radiocast::radio

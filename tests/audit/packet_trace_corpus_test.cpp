@@ -1,7 +1,8 @@
 // PacketTracer cross-check on the pinned audit corpus: every corpus case
-// is run untraced, traced (tee'd with a ModelAuditor), and traced again.
-// The auditor independently re-derives every reception the tracer consumes,
-// so a clean teed run certifies the tracer's event stream; on top of that
+// is run untraced, traced (beside a ModelAuditor in one core::TapList),
+// and traced again. The auditor independently re-derives every reception
+// the tracer consumes, so a clean shared run certifies the tracer's event
+// stream; on top of that
 // the traced results must be bit-identical to the untraced run (tracing is
 // read-only), the tracer's first-hold records must be self-consistent with
 // the run result, and the flight log must replay identically.

@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/params.hpp"
 #include "gf2/solver.hpp"
+#include "graph/generators.hpp"
 #include "radio/message.hpp"
 
 namespace radiocast::obs {
@@ -20,12 +22,26 @@ using Via = PacketTracer::Via;
 
 constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
-std::vector<radio::Packet> make_truth(std::uint32_t k) {
-  // Sorted by id, as core::placement_packets guarantees.
+/// One packet per entry of `origins` (nondecreasing), numbered per origin,
+/// so the truth is sorted by id as core::placement_packets guarantees.
+std::vector<radio::Packet> make_truth(const std::vector<radio::NodeId>& origins) {
   std::vector<radio::Packet> truth;
-  for (std::uint32_t i = 0; i < k; ++i)
-    truth.push_back({make_packet_id(0, i), {}});
+  std::uint32_t seq = 0;
+  for (std::size_t i = 0; i < origins.size(); ++i) {
+    seq = i > 0 && origins[i] == origins[i - 1] ? seq + 1 : 0;
+    truth.push_back({make_packet_id(origins[i], seq), {}});
+  }
   return truth;
+}
+
+/// Arms `t` for a run over an n-node path with coding groups of
+/// `group_size`; every packet starts at its origin.
+void begin_run(PacketTracer& t, std::uint32_t n,
+               const std::vector<radio::Packet>& truth, std::uint32_t group_size) {
+  const graph::Graph g = graph::make_path(n);
+  core::ResolvedConfig rc;
+  rc.group_size = group_size;
+  t.begin_run(g, rc, truth, {}, false);
 }
 
 radio::Message plain_msg(radio::NodeId from, const radio::Packet& pkt,
@@ -48,10 +64,8 @@ radio::Message data_msg(radio::NodeId from, const radio::Packet& pkt,
 
 TEST(PacketTracer, OriginSeedsHoldAtLatencyZero) {
   PacketTracer t;
-  const auto truth = make_truth(2);
-  t.begin_trial(4, truth, 2);
-  t.seed_packet(truth[0].id, 0);
-  t.seed_packet(truth[1].id, 1);
+  const auto truth = make_truth({0, 1});
+  begin_run(t, 4, truth, 2);
 
   EXPECT_TRUE(t.held(0, 0));
   EXPECT_EQ(t.latency(0, 0), 0u);
@@ -71,9 +85,8 @@ TEST(PacketTracer, OriginSeedsHoldAtLatencyZero) {
 
 TEST(PacketTracer, PlainDeliveryRecordsOnlyTheFirstHold) {
   PacketTracer t;
-  const auto truth = make_truth(2);
-  t.begin_trial(4, truth, 2);
-  t.seed_packet(truth[0].id, 0);
+  const auto truth = make_truth({0, 0});
+  begin_run(t, 4, truth, 2);
 
   // Reception in round 3 => latency 4.
   t.on_deliver(3, 2, 0, plain_msg(0, truth[0], 0, 0, 2));
@@ -96,9 +109,8 @@ TEST(PacketTracer, PlainDeliveryRecordsOnlyTheFirstHold) {
 
 TEST(PacketTracer, DataDeliveriesChainHopDepth) {
   PacketTracer t;
-  const auto truth = make_truth(1);
-  t.begin_trial(5, truth, 1);
-  t.seed_packet(truth[0].id, 0);
+  const auto truth = make_truth({0});
+  begin_run(t, 5, truth, 1);
 
   t.on_deliver(0, 1, 0, data_msg(0, truth[0], 1));  // 0 -> 1, depth 1
   t.on_deliver(4, 2, 0, data_msg(1, truth[0], 2));  // 1 -> 2, depth 2
@@ -116,10 +128,8 @@ TEST(PacketTracer, DataDeliveriesChainHopDepth) {
 
 TEST(PacketTracer, CodedRowsFireDecodeAtRankCompleteness) {
   PacketTracer t;
-  const auto truth = make_truth(2);
-  t.begin_trial(2, truth, 2);
-  t.seed_packet(truth[0].id, 0);
-  t.seed_packet(truth[1].id, 0);
+  const auto truth = make_truth({0, 0});
+  begin_run(t, 2, truth, 2);
 
   // Node 1: rank 1 after the first row — nothing decodable yet.
   t.on_deliver(0, 1, 0, coded_msg(0, 0, 2, 0b01));
@@ -143,10 +153,8 @@ TEST(PacketTracer, CodedRowsFireDecodeAtRankCompleteness) {
 
 TEST(PacketTracer, PlainReceptionsDoubleAsUnitDecoderRows) {
   PacketTracer t;
-  const auto truth = make_truth(2);
-  t.begin_trial(2, truth, 2);
-  t.seed_packet(truth[0].id, 0);
-  t.seed_packet(truth[1].id, 0);
+  const auto truth = make_truth({0, 0});
+  begin_run(t, 2, truth, 2);
 
   // Plain packet 0 in round 0: direct hold AND unit row e0.
   t.on_deliver(0, 1, 0, plain_msg(0, truth[0], 0, 0, 2));
@@ -165,9 +173,8 @@ TEST(PacketTracer, TailGroupUsesItsNarrowWidth) {
   // k=3, group_size=2: group 1 holds only packet 2 (width 1), and
   // coefficient bits beyond the width are clamped off the wire mask.
   PacketTracer t;
-  const auto truth = make_truth(3);
-  t.begin_trial(2, truth, 2);
-  for (const auto& p : truth) t.seed_packet(p.id, 0);
+  const auto truth = make_truth({0, 0, 0});
+  begin_run(t, 2, truth, 2);
 
   t.on_deliver(0, 1, 0, coded_msg(0, 1, 2, 0b11));
   EXPECT_TRUE(t.held(2, 1));
@@ -182,10 +189,8 @@ TEST(PacketTracer, FlightLogCapCountsDroppedEvents) {
   opts.flight_paths = true;
   opts.max_flight_events = 2;
   PacketTracer t(opts);
-  const auto truth = make_truth(2);
-  t.begin_trial(4, truth, 2);
-  t.seed_packet(truth[0].id, 0);
-  t.seed_packet(truth[1].id, 1);
+  const auto truth = make_truth({0, 1});
+  begin_run(t, 4, truth, 2);
   t.on_deliver(0, 2, 0, plain_msg(0, truth[0], 0, 0, 2));
 
   EXPECT_EQ(t.flight_events().size(), 2u);
@@ -199,9 +204,8 @@ TEST(PacketTracer, FlightPathsCanBeDisabled) {
   PacketTracer::Options opts;
   opts.flight_paths = false;
   PacketTracer t(opts);
-  const auto truth = make_truth(1);
-  t.begin_trial(3, truth, 1);
-  t.seed_packet(truth[0].id, 0);
+  const auto truth = make_truth({0});
+  begin_run(t, 3, truth, 1);
   t.on_deliver(0, 1, 0, plain_msg(0, truth[0], 0, 0, 1));
 
   EXPECT_TRUE(t.flight_events().empty());
@@ -211,10 +215,8 @@ TEST(PacketTracer, FlightPathsCanBeDisabled) {
 
 TEST(PacketTracer, FlightPathFiltersOnePacketInChronologicalOrder) {
   PacketTracer t;
-  const auto truth = make_truth(2);
-  t.begin_trial(4, truth, 2);
-  t.seed_packet(truth[0].id, 0);
-  t.seed_packet(truth[1].id, 1);
+  const auto truth = make_truth({0, 1});
+  begin_run(t, 4, truth, 2);
   t.on_deliver(1, 2, 0, data_msg(0, truth[0], 2));
   t.on_deliver(2, 3, 0, data_msg(1, truth[1], 3));
   t.on_deliver(5, 3, 0, data_msg(2, truth[0], 3));
@@ -232,18 +234,21 @@ TEST(PacketTracer, FlightPathFiltersOnePacketInChronologicalOrder) {
 }
 
 TEST(PacketTracer, BeginTrialResetsAllState) {
-  PacketTracer t;
-  const auto truth = make_truth(2);
-  t.begin_trial(3, truth, 2);
-  t.seed_packet(truth[0].id, 0);
+  PacketTracer::Options opts;
+  opts.max_flight_events = 2;
+  PacketTracer t(opts);
+  const auto truth = make_truth({0, 0});
+  begin_run(t, 3, truth, 2);
   t.on_deliver(0, 1, 0, plain_msg(0, truth[0], 0, 0, 2));
-  ASSERT_FALSE(t.flight_events().empty());
+  ASSERT_EQ(t.dropped_flight_events(), 1u);
 
-  t.begin_trial(3, truth, 2);
-  EXPECT_TRUE(t.flight_events().empty());
+  // A new run keeps only its own origin seeds.
+  begin_run(t, 3, truth, 2);
+  EXPECT_EQ(t.flight_events().size(), 2u);
   EXPECT_EQ(t.dropped_flight_events(), 0u);
-  EXPECT_FALSE(t.held(0, 0));
-  EXPECT_EQ(t.undelivered(0), 3u);
+  EXPECT_TRUE(t.held(0, 0));
+  EXPECT_FALSE(t.held(0, 1));
+  EXPECT_EQ(t.undelivered(0), 2u);
 }
 
 TEST(PacketTracer, ViaNamesMatchTelemetrySchema) {

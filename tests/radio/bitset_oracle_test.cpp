@@ -8,14 +8,14 @@
 // divergence is a bitset-engine bug by definition.
 //
 // The bitset kernel runs only rounds with nothing order-sensitive attached;
-// a fault model, the event log, an audit hook or an engine mutation sends
-// every round to the scalar kernel under either engine mode. The plain
-// tests cover the word-sweep kernel, collision detection, wake-on-first-
-// reception from a single seed node and the PackedTransmitSource bulk
-// Phase 1. The fault, event, audit-hook and mutation tests pin that
-// dispatch: with faults on, a wrongly taken word-parallel round would show
-// fault_drops == 0 (it has no erasure step), and the packed-source case
-// with a fault model must poll on_transmit exactly like the scalar run.
+// a fault model, an audit hook or an engine mutation sends every round to
+// the scalar kernel under either engine mode. The plain tests cover the
+// word-sweep kernel, collision detection, wake-on-first-reception from a
+// single seed node and the PackedTransmitSource bulk Phase 1. The fault,
+// audit-hook and mutation tests pin that dispatch: with faults on, a
+// wrongly taken word-parallel round would show fault_drops == 0 (it has no
+// erasure step), and the packed-source case with a fault model must poll
+// on_transmit exactly like the scalar run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -169,29 +169,6 @@ TEST(BitsetOracle, FaultErasuresConsumeIdenticalRngStream) {
   pair.wake_all();
   for (int r = 0; r < 300; ++r) pair.step_and_compare();
   EXPECT_GT(pair.scalar_net.trace().counters().fault_drops, 0u);
-}
-
-TEST(BitsetOracle, TraceEventLogsAreIdentical) {
-  Rng grng(23);
-  const graph::Graph g = graph::make_gnp_connected(48, 0.25, grng);
-  EnginePair pair(g, 123, 0.3);
-  pair.scalar_net.trace().enable_events(true);
-  pair.bitset_net.trace().enable_events(true);
-  pair.wake_all();
-  for (int r = 0; r < 120; ++r) pair.step_and_compare();
-
-  const auto& ea = pair.scalar_net.trace().events();
-  const auto& eb = pair.bitset_net.trace().events();
-  ASSERT_EQ(ea.size(), eb.size());
-  ASSERT_GT(ea.size(), 0u);
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    SCOPED_TRACE("event " + std::to_string(i));
-    EXPECT_EQ(ea[i].round, eb[i].round);
-    EXPECT_EQ(ea[i].node, eb[i].node);
-    EXPECT_EQ(ea[i].kind, eb[i].kind);
-    EXPECT_EQ(ea[i].message_kind, eb[i].message_kind);
-    EXPECT_EQ(ea[i].from, eb[i].from);
-  }
 }
 
 /// Serialises every NetworkAuditHook callback into one string per event.

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "radio/network.hpp"
+#include "slot_recorder.hpp"
 
 namespace radiocast::radio {
 namespace {
@@ -128,13 +129,18 @@ TEST(EngineProperties, FromFieldIsAlwaysANeighbor) {
     net.set_protocol(v, std::make_unique<RandomChatter>(0.15, master.split()));
     net.wake_at_start(v);
   }
-  net.trace().enable_events(true);
+  SlotRecorder hook;
+  net.set_auditor(&hook);
   for (int i = 0; i < 200; ++i) net.step();
-  for (const TraceEvent& e : net.trace().events()) {
-    if (e.kind == TraceEvent::Kind::kDelivered) {
-      EXPECT_TRUE(g.has_edge(e.node, e.from));
+  std::uint64_t delivered = 0;
+  for (const SlotRecorder::Slot& s : hook.slots) {
+    if (s.outcome == SlotRecorder::Outcome::kDelivered) {
+      ++delivered;
+      EXPECT_TRUE(g.has_edge(s.node, s.from));
     }
   }
+  EXPECT_EQ(delivered, net.trace().counters().deliveries);
+  EXPECT_GT(delivered, 0u);
 }
 
 TEST(EngineProperties, HighLoadMostlyCollides) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "slot_recorder.hpp"
 
 namespace radiocast::radio {
 namespace {
@@ -217,15 +218,18 @@ TEST(Network, BitCountersTrackSizes) {
 }
 
 TEST(Network, EventLogRecordsKinds) {
+  // The audit hook's slot events carry the outcome, receiver, sender and
+  // message kind of every reception opportunity.
   graph::Graph g;
   Network net = make_star_net(g, 2, {{1, {{0, AlarmMsg{}}}}});
-  net.trace().enable_events(true);
+  SlotRecorder hook;
+  net.set_auditor(&hook);
   net.step();
-  ASSERT_EQ(net.trace().events().size(), 1u);
-  EXPECT_EQ(net.trace().events()[0].kind, TraceEvent::Kind::kDelivered);
-  EXPECT_EQ(net.trace().events()[0].message_kind, "alarm");
-  EXPECT_EQ(net.trace().events()[0].node, 0u);
-  EXPECT_EQ(net.trace().events()[0].from, 1u);
+  ASSERT_EQ(hook.slots.size(), 1u);
+  EXPECT_EQ(hook.slots[0].outcome, SlotRecorder::Outcome::kDelivered);
+  EXPECT_EQ(hook.slots[0].message_kind, "alarm");
+  EXPECT_EQ(hook.slots[0].node, 0u);
+  EXPECT_EQ(hook.slots[0].from, 1u);
 }
 
 // Configuration-after-start and out-of-range misuse must die loudly:

@@ -2,86 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace radiocast::radio {
 namespace {
 
-TEST(Trace, EventsOffByDefault) {
-  Trace t;
-  EXPECT_FALSE(t.events_enabled());
-  t.record({1, 2, TraceEvent::Kind::kDelivered, "alarm", 3});
-  EXPECT_TRUE(t.events().empty());
-}
-
-TEST(Trace, RecordsWhenEnabled) {
-  Trace t;
-  t.enable_events(true);
-  t.record({1, 2, TraceEvent::Kind::kDelivered, "alarm", 3});
-  t.record({2, 0, TraceEvent::Kind::kCollision, "", 0});
-  ASSERT_EQ(t.events().size(), 2u);
-  EXPECT_EQ(t.events()[0].round, 1u);
-  EXPECT_EQ(t.events()[0].node, 2u);
-  EXPECT_EQ(t.events()[0].from, 3u);
-  EXPECT_EQ(t.events()[1].kind, TraceEvent::Kind::kCollision);
-}
-
-TEST(Trace, ClearResetsEverything) {
-  Trace t;
-  t.enable_events(true);
-  t.counters().transmissions = 42;
-  t.counters().transmissions_by_kind[0] = 7;
-  t.record({1, 0, TraceEvent::Kind::kDeaf, "", 0});
-  t.clear();
-  EXPECT_EQ(t.counters().transmissions, 0u);
-  EXPECT_EQ(t.counters().transmissions_by_kind[0], 0u);
-  EXPECT_TRUE(t.events().empty());
-  // The enable flag survives a clear (it is configuration, not state).
-  EXPECT_TRUE(t.events_enabled());
-}
-
-TEST(Trace, EventLogIsBoundedAndCountsDrops) {
-  Trace t;
-  t.enable_events(true);
-  t.set_max_events(2);
-  EXPECT_EQ(t.max_events(), 2u);
-  t.record({1, 0, TraceEvent::Kind::kDelivered, "alarm", 2});
-  t.record({2, 0, TraceEvent::Kind::kDelivered, "alarm", 2});
-  t.record({3, 0, TraceEvent::Kind::kDelivered, "alarm", 2});
-  t.record({4, 0, TraceEvent::Kind::kCollision, "", 0});
-  // The first two events are kept; later ones are dropped, not rotated.
-  ASSERT_EQ(t.events().size(), 2u);
-  EXPECT_EQ(t.events()[0].round, 1u);
-  EXPECT_EQ(t.events()[1].round, 2u);
-  EXPECT_EQ(t.dropped_events(), 2u);
-}
-
-TEST(Trace, ClearPreservesCapButResetsDropCount) {
-  Trace t;
-  t.enable_events(true);
-  t.set_max_events(1);
-  t.record({1, 0, TraceEvent::Kind::kDeaf, "", 0});
-  t.record({2, 0, TraceEvent::Kind::kDeaf, "", 0});
-  EXPECT_EQ(t.dropped_events(), 1u);
-  t.clear();
-  EXPECT_EQ(t.dropped_events(), 0u);
-  EXPECT_EQ(t.max_events(), 1u);  // cap is configuration, survives clear
-  t.record({3, 0, TraceEvent::Kind::kDeaf, "", 0});
-  t.record({4, 0, TraceEvent::Kind::kDeaf, "", 0});
-  ASSERT_EQ(t.events().size(), 1u);
-  EXPECT_EQ(t.events()[0].round, 3u);
-  EXPECT_EQ(t.dropped_events(), 1u);
-}
-
-TEST(Trace, DisabledEventsDoNotCountAsDropped) {
-  Trace t;
-  // Events off: record() is a no-op, not a "drop" — dropped_events()
-  // specifically means "lost to the cap while enabled".
-  t.record({1, 0, TraceEvent::Kind::kDelivered, "alarm", 2});
-  EXPECT_EQ(t.dropped_events(), 0u);
-}
-
 TEST(Trace, KindNamesMatchVariantTags) {
   // message_kind_name(index) must agree with message_kind(body) for every
-  // alternative — the analysis module depends on this.
+  // alternative — obs::RunObserver's per-kind counters depend on this: they
+  // are labelled by index and counted from message bodies.
   const std::vector<MessageBody> bodies = {
       BfsConstructMsg{}, AlarmMsg{}, DataMsg{}, AckMsg{}, PlainPacketMsg{},
       CodedMsg{}};
