@@ -1,5 +1,6 @@
 // Dynamic packet stream — the paper's future-work scenario, served by the
-// library's dynamic extension (core/dynamic.hpp).
+// library's dynamic extension (core/dynamic.hpp) and the open-system
+// driver (stream/driver.hpp).
 //
 // Packets appear at random nodes over time (telemetry events in a sensor
 // field). After a one-time setup (leader election + BFS), the network runs
@@ -7,12 +8,14 @@
 // within a bounded number of epochs of its arrival.
 //
 //   $ ./dynamic_stream [packets] [seed]
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/rng.hpp"
 #include "core/dynamic.hpp"
 #include "graph/generators.hpp"
+#include "stream/driver.hpp"
 
 int main(int argc, char** argv) {
   using namespace radiocast;
@@ -25,31 +28,31 @@ int main(int argc, char** argv) {
 
   core::KBroadcastConfig kcfg;
   kcfg.know = radio::Knowledge::exact(g);
-  core::DynamicConfig cfg;
-  cfg.rc = core::resolve(kcfg);
+  stream::StreamConfig cfg;
+  cfg.dyn.rc = core::resolve(kcfg);
+  cfg.buffer_capacity = UINT32_MAX;  // a finite list: nothing is dropped
+  cfg.seed = seed + 2;
 
   // Spread arrivals over ~3 epochs of traffic after setup, then run long
   // enough for the tail to drain.
-  const std::uint64_t epoch_estimate =
-      core::collection_phase_rounds(cfg.rc.initial_estimate, cfg.rc) +
-      cfg.dissemination_window();
-  const std::uint64_t spread = cfg.rc.stage3_start() + 3 * epoch_estimate;
-  const std::uint64_t horizon = spread + 4 * epoch_estimate;
+  const std::uint64_t epoch_estimate = stream::epoch_estimate_rounds(cfg.dyn);
+  const std::uint64_t spread = cfg.dyn.rc.stage3_start() + 3 * epoch_estimate;
+  cfg.horizon = spread + 4 * epoch_estimate;
 
   Rng arng(seed + 1);
-  std::vector<core::Arrival> arrivals =
-      core::make_arrivals(g.num_nodes(), k, spread, 16, arng);
+  const stream::StreamResult r = stream::run_stream(
+      g, cfg, core::make_arrivals(g.num_nodes(), k, spread, 16, arng));
 
-  const core::DynamicRunResult r =
-      core::run_dynamic_broadcast(g, cfg, arrivals, horizon, seed + 2);
-
-  std::printf("nodes=%u packets=%u horizon=%llu rounds\n", r.n, r.k,
+  std::printf("nodes=%u packets=%llu horizon=%llu rounds\n", r.n,
+              static_cast<unsigned long long>(r.arrivals_scheduled),
               static_cast<unsigned long long>(r.horizon));
-  std::printf("delivered everywhere: %u/%u\n", r.delivered_everywhere, r.k);
-  std::printf("latency (arrival -> at every node): mean=%.0f max=%.0f rounds\n",
-              r.latency_mean, r.latency_max);
+  std::printf("delivered everywhere: %llu/%llu\n",
+              static_cast<unsigned long long>(r.delivered_everywhere),
+              static_cast<unsigned long long>(r.arrivals_scheduled));
+  std::printf("latency (arrival -> at every node): mean=%.0f max=%llu rounds\n",
+              r.latency.mean(), static_cast<unsigned long long>(r.latency.max()));
   std::printf("epoch length ~%llu rounds (setup %llu)\n",
               static_cast<unsigned long long>(epoch_estimate),
-              static_cast<unsigned long long>(cfg.rc.stage3_start()));
-  return r.delivered_everywhere == r.k ? 0 : 1;
+              static_cast<unsigned long long>(cfg.dyn.rc.stage3_start()));
+  return r.delivered_everywhere == r.arrivals_scheduled ? 0 : 1;
 }

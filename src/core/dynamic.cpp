@@ -1,12 +1,9 @@
 #include "core/dynamic.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/assert.hpp"
 #include "common/math_util.hpp"
-#include "radio/protocol_slab.hpp"
-#include "common/stats.hpp"
 
 namespace radiocast::core {
 
@@ -36,23 +33,10 @@ DynamicBroadcastNode::DynamicBroadcastNode(const DynamicConfig& cfg,
   dissem_window_ = cfg_.dissemination_window();
 }
 
-void DynamicBroadcastNode::inject(radio::Packet packet) {
-  deliver(packet);  // the holder trivially has it
-  pending_.push_back(std::move(packet));
-}
-
 void DynamicBroadcastNode::deliver(radio::Packet packet) {
   const auto [it, fresh] = delivered_.emplace(packet.id, std::move(packet));
   if (fresh) on_packet_delivered(it->second);
 }
-
-std::vector<radio::Packet> DynamicBroadcastNode::take_epoch_packets() {
-  std::vector<radio::Packet> out = std::move(pending_);
-  pending_.clear();
-  return out;
-}
-
-void DynamicBroadcastNode::on_packet_delivered(const radio::Packet& /*packet*/) {}
 
 void DynamicBroadcastNode::start_collect(radio::Round round) {
   phase_ = Phase::kCollect;
@@ -227,79 +211,6 @@ std::vector<Arrival> make_arrivals(std::uint32_t n, std::uint32_t k,
   std::sort(arrivals.begin(), arrivals.end(),
             [](const Arrival& x, const Arrival& y) { return x.round < y.round; });
   return arrivals;
-}
-
-DynamicRunResult run_dynamic_broadcast(const graph::Graph& g,
-                                       const DynamicConfig& cfg,
-                                       std::vector<Arrival> arrivals,
-                                       std::uint64_t horizon, std::uint64_t seed) {
-  RC_ASSERT(g.finalized());
-  DynamicRunResult result;
-  result.n = g.num_nodes();
-  result.k = static_cast<std::uint32_t>(arrivals.size());
-  result.horizon = horizon;
-
-  radio::ProtocolSlab<DynamicBroadcastNode> slab(g.num_nodes());
-  radio::Network net(g);
-  Rng master(seed);
-  std::vector<DynamicBroadcastNode*> nodes(g.num_nodes());
-  for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
-    DynamicBroadcastNode& node = slab.emplace(cfg, v, master.split());
-    nodes[v] = &node;
-    net.set_protocol(v, &node);
-    net.wake_at_start(v);  // dynamic setting: every node is on from round 0
-  }
-
-  // Per-packet delivery tracking, polled every `check_interval` rounds
-  // (latencies are accurate to that granularity).
-  struct Tracking {
-    radio::Round arrived = 0;
-    bool everywhere = false;
-    radio::Round done_at = 0;
-  };
-  std::unordered_map<radio::PacketId, Tracking> tracking;
-  const std::uint64_t check_interval = 64;
-
-  std::size_t next_arrival = 0;
-  for (std::uint64_t round = 0; round < horizon; ++round) {
-    while (next_arrival < arrivals.size() && arrivals[next_arrival].round <= round) {
-      Arrival& a = arrivals[next_arrival++];
-      tracking[a.packet.id] = {round, false, 0};
-      nodes[a.node]->inject(std::move(a.packet));
-    }
-    net.step();
-    if (round % check_interval == 0 || round + 1 == horizon) {
-      for (auto& [id, track] : tracking) {
-        if (track.everywhere) continue;
-        bool everywhere = true;
-        for (radio::NodeId v = 0; v < g.num_nodes() && everywhere; ++v) {
-          everywhere = nodes[v]->delivered().count(id) != 0;
-        }
-        if (everywhere) {
-          track.everywhere = true;
-          track.done_at = round;
-        }
-      }
-    }
-  }
-
-  SampleSet latencies;
-  for (const auto& [id, track] : tracking) {
-    if (track.everywhere) {
-      ++result.delivered_everywhere;
-      latencies.add(static_cast<double>(track.done_at - track.arrived));
-    }
-  }
-  if (!latencies.empty()) {
-    result.latency_mean = latencies.mean();
-    result.latency_max = latencies.max();
-  }
-  if (result.delivered_everywhere > 0) {
-    result.amortized_rounds_per_packet =
-        static_cast<double>(horizon) / result.delivered_everywhere;
-  }
-  result.counters = net.trace().counters();
-  return result;
 }
 
 }  // namespace radiocast::core

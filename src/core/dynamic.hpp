@@ -25,7 +25,9 @@
 // The amortized cost per packet remains O(logΔ) whenever the arrival rate
 // keeps epochs near capacity; the per-packet *latency* is bounded by two
 // epoch lengths (one to be collected, one to be disseminated) — both
-// measured by run_dynamic_broadcast.
+// measured by stream::run_stream, whose stream::StreamNode is the concrete
+// node: it supplies the arrivals and observes the first holds through the
+// two hooks below.
 #pragma once
 
 #include <cstdint>
@@ -67,15 +69,6 @@ class DynamicBroadcastNode : public radio::NodeProtocol {
   std::optional<radio::MessageBody> on_transmit(radio::Round round) override;
   void on_receive(radio::Round round, const radio::Message& msg) override;
 
-  /// Application-level packet arrival (out-of-band, as in any real stack:
-  /// the application hands the packet to the protocol). The packet joins
-  /// the next collection sub-stage. Safe while the node is inside a quiet
-  /// spell (NodeProtocol::quiet_until), with no re-arm: the call only
-  /// records the packet as held and appends it to pending_, and nothing
-  /// reads pending_ before start_collect, which runs at an epoch boundary
-  /// where every hint is capped.
-  void inject(radio::Packet packet);
-
   /// All packets this node has delivered so far (own + decoded), keyed by id.
   const std::unordered_map<radio::PacketId, radio::Packet>& delivered() const {
     return delivered_;
@@ -86,26 +79,21 @@ class DynamicBroadcastNode : public radio::NodeProtocol {
 
  protected:
   // --- Epoch re-entry hooks ---------------------------------------------
-  // The open-system stream layer (src/stream/) subclasses this node to put
-  // a bounded, policy-governed source buffer between the application and
-  // the epoch pipeline. The default implementations reproduce the closed
-  // dynamic-mode behavior exactly, so the base class is unchanged by the
-  // hooks' existence.
 
   /// Called at every collection re-entry (epoch start): returns the fresh
   /// application packets joining this epoch's collection sub-stage, after
-  /// the carry-over of the previous epoch's unacked packets. The default
-  /// drains the unbounded pending_ list fed by inject(). This is the only
-  /// reader of out-of-band arrivals, and it runs inside on_transmit at the
-  /// epoch boundary, which every poll hint is capped at — so arrivals that
-  /// land during a quiet spell are picked up in exactly the round they
-  /// would be without hints.
-  virtual std::vector<radio::Packet> take_epoch_packets();
+  /// the carry-over of the previous epoch's unacked packets. This is the
+  /// only reader of out-of-band arrivals, and it runs inside on_transmit
+  /// at the epoch boundary, which every poll hint is capped at — so
+  /// arrivals that land during a quiet spell are picked up in exactly the
+  /// round they would be without hints.
+  virtual std::vector<radio::Packet> take_epoch_packets() = 0;
 
   /// Fired exactly once per packet the first time this node holds it —
-  /// own injection, root harvest at the collect→disseminate boundary, or
-  /// a Stage-4 decode at the epoch close. Default: no-op.
-  virtual void on_packet_delivered(const radio::Packet& packet);
+  /// its own admission (deliver() on a packet take_epoch_packets hands
+  /// in), root harvest at the collect→disseminate boundary, or a Stage-4
+  /// decode at the epoch close.
+  virtual void on_packet_delivered(const radio::Packet& packet) = 0;
 
   /// Records `packet` as held by this node and fires on_packet_delivered
   /// on first sight. Subclasses use this to seed their own admissions.
@@ -146,8 +134,6 @@ class DynamicBroadcastNode : public radio::NodeProtocol {
   std::optional<CollectionState> collect_;
   std::optional<DisseminationState> dissem_;
 
-  /// Packets that arrived but have not yet entered a collection sub-stage.
-  std::vector<radio::Packet> pending_;
   /// Root only: collected packets awaiting a dissemination slot.
   std::deque<radio::Packet> root_queue_;
   /// Root only: ids already disseminated (avoid re-sending re-collected
@@ -157,35 +143,15 @@ class DynamicBroadcastNode : public radio::NodeProtocol {
   std::unordered_map<radio::PacketId, radio::Packet> delivered_;
 };
 
-/// One packet arrival event for the harness.
+/// One packet arrival event: `packet` reaches `node` at `round`.
 struct Arrival {
   radio::Round round = 0;
   radio::NodeId node = 0;
   radio::Packet packet;
 };
 
-struct DynamicRunResult {
-  std::uint32_t n = 0;
-  std::uint32_t k = 0;           ///< total packets injected
-  std::uint64_t horizon = 0;     ///< rounds simulated
-  std::uint32_t delivered_everywhere = 0;  ///< packets every node holds
-  /// Latency (rounds from arrival to full delivery) stats over delivered
-  /// packets.
-  double latency_mean = 0;
-  double latency_max = 0;
-  double amortized_rounds_per_packet = 0;
-  radio::TraceCounters counters;
-};
-
-/// Simulates a Poisson-like arrival stream (given explicitly as `arrivals`,
-/// sorted by round) over `horizon` rounds and reports delivery/latency.
-DynamicRunResult run_dynamic_broadcast(const graph::Graph& g,
-                                       const DynamicConfig& cfg,
-                                       std::vector<Arrival> arrivals,
-                                       std::uint64_t horizon, std::uint64_t seed);
-
-/// Convenience: builds a uniform random arrival stream of `k` packets over
-/// [0, spread_rounds).
+/// Dynamic mode's finite arrival list: `k` packets at uniform random rounds
+/// in [0, spread_rounds) and uniform random nodes, sorted by round.
 std::vector<Arrival> make_arrivals(std::uint32_t n, std::uint32_t k,
                                    std::uint64_t spread_rounds,
                                    std::uint32_t payload_bytes, Rng& rng);

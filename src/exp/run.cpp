@@ -9,7 +9,6 @@
 #include "common/stats.hpp"
 #include "core/dynamic.hpp"
 #include "core/montecarlo.hpp"
-#include "core/schedule.hpp"
 #include "exp/manifest.hpp"
 #include "gf2/simd.hpp"
 #include "graph/generators.hpp"
@@ -87,14 +86,24 @@ std::string digest_run(const core::RunResult& r) {
 
 namespace {
 
-std::string digest_dynamic(const core::DynamicRunResult& r) {
+std::string digest_stream(const stream::StreamResult& r) {
   JsonObject o;
   o.set("n", static_cast<std::uint64_t>(r.n));
-  o.set("k", static_cast<std::uint64_t>(r.k));
   o.set("horizon", r.horizon);
-  o.set("delivered_everywhere", static_cast<std::uint64_t>(r.delivered_everywhere));
-  o.set("latency_mean", r.latency_mean);
-  o.set("latency_max", r.latency_max);
+  o.set("arrivals", r.arrivals_scheduled);
+  o.set("delivered_everywhere", r.delivered_everywhere);
+  o.set("offered", r.queue.offered);
+  o.set("admitted", r.queue.admitted);
+  o.set("dropped", r.queue.dropped);
+  o.set("backpressured", r.queue.backpressured);
+  o.set("peak_depth", r.queue.peak_depth);
+  o.set("epochs", static_cast<std::uint64_t>(r.epochs_completed));
+  o.set("in_system_end", r.in_system_end);
+  o.set("saturated", r.saturated);
+  o.set("saturation_onset", r.saturation_onset_round);
+  o.set("latency_count", r.latency.count());
+  o.set("latency_sum", r.latency.sum());
+  o.set("latency_max", r.latency.max());
   o.set("counters", counters_json(r.counters));
   return digest_json(JsonValue(std::move(o)));
 }
@@ -602,17 +611,18 @@ void run_dynamic_cells(Builder& b, const graph::Graph& g,
   core::montecarlo::Options opts;
   opts.threads = b.resolved_threads;
 
+  // A finite arrival list through the stream driver: the buffer never
+  // fills, so every arrival joins the next epoch's collection.
   core::KBroadcastConfig kcfg;
   kcfg.know = know;
-  core::DynamicConfig cfg;
-  cfg.rc = core::resolve(kcfg);
-  cfg.batch_capacity = spec.dynamic.batch_capacity;
+  stream::StreamConfig cfg;
+  cfg.dyn.rc = core::resolve(kcfg);
+  cfg.dyn.batch_capacity = spec.dynamic.batch_capacity;
+  cfg.buffer_capacity = UINT32_MAX;
 
-  const std::uint64_t epoch_estimate =
-      core::collection_phase_rounds(cfg.rc.initial_estimate, cfg.rc) +
-      cfg.dissemination_window();
+  const std::uint64_t epoch_estimate = stream::epoch_estimate_rounds(cfg.dyn);
   const std::uint64_t spread =
-      cfg.rc.stage3_start() + spec.dynamic.arrival_epochs * epoch_estimate;
+      cfg.dyn.rc.stage3_start() + spec.dynamic.arrival_epochs * epoch_estimate;
 
   b.columns = {"load",
                "k",
@@ -627,35 +637,35 @@ void run_dynamic_cells(Builder& b, const graph::Graph& g,
   }
 
   for (const double load : spec.dynamic.load) {
-    const auto k = static_cast<std::uint32_t>(load * cfg.resolved_capacity() *
+    const auto k = static_cast<std::uint32_t>(load * cfg.dyn.resolved_capacity() *
                                               spec.dynamic.arrival_epochs);
-    const std::uint64_t horizon =
-        spread + (4 + static_cast<std::uint64_t>(2 * load)) * epoch_estimate;
+    cfg.horizon = spread + (4 + static_cast<std::uint64_t>(2 * load)) * epoch_estimate;
 
-    const std::vector<core::DynamicRunResult> results = core::montecarlo::run(
+    const std::vector<stream::StreamResult> results = core::montecarlo::run(
         spec.seeds,
         [&](int t) {
           Rng arng(placement_seed(spec, t));
-          std::vector<core::Arrival> arrivals = core::make_arrivals(
-              g.num_nodes(), k, spread, spec.payload_bytes, arng);
-          return core::run_dynamic_broadcast(g, cfg, std::move(arrivals), horizon,
-                                             run_seed(spec, t));
+          stream::StreamConfig trial_cfg = cfg;
+          trial_cfg.seed = run_seed(spec, t);
+          return stream::run_stream(
+              g, trial_cfg,
+              core::make_arrivals(g.num_nodes(), k, spread, spec.payload_bytes, arng));
         },
         opts);
 
     SampleSet lat_mean, lat_max, rppkt;
-    std::uint32_t delivered = 0, offered = 0;
+    std::uint64_t delivered = 0, offered = 0;
     std::vector<std::string> trial_digests;
-    for (const core::DynamicRunResult& r : results) {
+    for (const stream::StreamResult& r : results) {
       delivered += r.delivered_everywhere;
-      offered += r.k;
-      lat_mean.add(r.latency_mean / static_cast<double>(epoch_estimate));
-      lat_max.add(r.latency_max / static_cast<double>(epoch_estimate));
+      offered += r.arrivals_scheduled;
+      lat_mean.add(r.latency.mean() / static_cast<double>(epoch_estimate));
+      lat_max.add(r.latency.max() / static_cast<double>(epoch_estimate));
       if (r.delivered_everywhere > 0) {
-        rppkt.add(static_cast<double>(r.horizon - cfg.rc.stage3_start()) /
+        rppkt.add(static_cast<double>(r.horizon - cfg.dyn.rc.stage3_start()) /
                   r.delivered_everywhere);
       }
-      trial_digests.push_back(digest_dynamic(r));
+      trial_digests.push_back(digest_stream(r));
     }
     b.all_delivered = b.all_delivered && delivered == offered;
 
@@ -678,28 +688,6 @@ void run_dynamic_cells(Builder& b, const graph::Graph& g,
     }
     b.manifest_cells.emplace_back(std::move(mcell));
   }
-}
-
-std::string digest_stream(const stream::StreamResult& r) {
-  JsonObject o;
-  o.set("n", static_cast<std::uint64_t>(r.n));
-  o.set("horizon", r.horizon);
-  o.set("arrivals", r.arrivals_scheduled);
-  o.set("delivered_everywhere", r.delivered_everywhere);
-  o.set("offered", r.queue.offered);
-  o.set("admitted", r.queue.admitted);
-  o.set("dropped", r.queue.dropped);
-  o.set("backpressured", r.queue.backpressured);
-  o.set("peak_depth", r.queue.peak_depth);
-  o.set("epochs", static_cast<std::uint64_t>(r.epochs_completed));
-  o.set("in_system_end", r.in_system_end);
-  o.set("saturated", r.saturated);
-  o.set("saturation_onset", r.saturation_onset_round);
-  o.set("latency_count", r.latency.count());
-  o.set("latency_sum", r.latency.sum());
-  o.set("latency_max", r.latency.max());
-  o.set("counters", counters_json(r.counters));
-  return digest_json(JsonValue(std::move(o)));
 }
 
 void run_stream_cells(Builder& b, const graph::Graph& g,

@@ -405,6 +405,12 @@ void validate_scenario(const ScenarioSpec& s) {
       fail("telemetry.flight_paths is not supported in stream mode");
   }
 
+  const bool has_faults =
+      std::any_of(s.loss.begin(), s.loss.end(), [](double l) { return l > 0; });
+  const bool has_cd =
+      std::any_of(s.collision_detection.begin(), s.collision_detection.end(),
+                  [](bool b) { return b; });
+
   if (s.mode == "kbroadcast") {
     if (s.algos.empty()) fail("algos must not be empty");
     bool needs_sweep_engine = false;
@@ -424,11 +430,6 @@ void validate_scenario(const ScenarioSpec& s) {
     // seq_bgi/gossip run through the plain run_algo entry point, which has
     // no fault/CD/audit taps — restrict the ablation axes to the pipeline
     // algorithms rather than silently ignoring them.
-    const bool has_faults = std::any_of(s.loss.begin(), s.loss.end(),
-                                        [](double l) { return l > 0; });
-    const bool has_cd =
-        std::any_of(s.collision_detection.begin(), s.collision_detection.end(),
-                    [](bool b) { return b; });
     if (needs_sweep_engine && (has_faults || has_cd || s.audit))
       fail("loss > 0, collision_detection and audit require algos within "
            "{coded, uncoded}");
@@ -436,12 +437,21 @@ void validate_scenario(const ScenarioSpec& s) {
     // plain run_algo entry point, which always uses the scalar kernel.
     if (needs_sweep_engine && s.engine != "scalar")
       fail("engine \"bitset\" requires algos within {coded, uncoded}");
-  } else if (s.mode == "dynamic") {
+    return;
+  }
+
+  // Both open-system modes run stream::run_stream: its nodes run the
+  // scalar round kernel, and it has no fault or CD tap — the CD/fault
+  // ablations are closed-run axes, rejected rather than silently ignored.
+  if (s.engine != "scalar")
+    fail("engine \"bitset\" is not supported in " + s.mode + " mode");
+  if (has_faults || has_cd)
+    fail("loss > 0 and collision_detection are not supported in " + s.mode + " mode");
+  if (s.mode == "dynamic") {
     if (s.dynamic.load.empty()) fail("dynamic.load must not be empty");
     for (const double l : s.dynamic.load)
       if (l <= 0 || l > 16) fail("dynamic.load values must be in (0, 16]");
     if (s.audit) fail("audit is not supported in dynamic mode");
-    if (s.engine != "scalar") fail("engine \"bitset\" is not supported in dynamic mode");
   } else {  // stream
     if (s.stream.rate.empty()) fail("stream.rate must not be empty");
     for (const double r : s.stream.rate)
@@ -461,16 +471,6 @@ void validate_scenario(const ScenarioSpec& s) {
     if (s.stream.horizon_epochs == 0) fail("stream.horizon_epochs must be >= 1");
     if (s.stream.saturation_window == 0)
       fail("stream.saturation_window must be >= 1");
-    // The protocol nodes run the scalar round kernel in this mode (as in
-    // dynamic mode); the CD/fault ablations are closed-run axes.
-    if (s.engine != "scalar") fail("engine \"bitset\" is not supported in stream mode");
-    const bool has_faults =
-        std::any_of(s.loss.begin(), s.loss.end(), [](double l) { return l > 0; });
-    const bool has_cd =
-        std::any_of(s.collision_detection.begin(), s.collision_detection.end(),
-                    [](bool b) { return b; });
-    if (has_faults || has_cd)
-      fail("loss > 0 and collision_detection are not supported in stream mode");
   }
 }
 

@@ -26,6 +26,12 @@ double per_node_rate(const core::DynamicConfig& dyn, std::uint32_t n,
 }
 
 StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg) {
+  return run_stream(g, cfg,
+                    make_arrival_schedule(g.num_nodes(), cfg.arrivals, cfg.horizon));
+}
+
+StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg,
+                        std::vector<core::Arrival> schedule) {
   RC_ASSERT(g.finalized());
   RC_ASSERT(cfg.horizon > 0);
   RC_ASSERT_MSG(cfg.shards == 1, "intra-run sharding was removed; shards must be 1");
@@ -35,9 +41,6 @@ StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg) {
   result.horizon = cfg.horizon;
   result.epoch_estimate = epoch_estimate_rounds(cfg.dyn);
   result.ledger = obs::QueueLedger(cfg.ledger_max_rows);
-
-  std::vector<core::Arrival> schedule =
-      make_arrival_schedule(g.num_nodes(), cfg.arrivals, cfg.horizon);
   result.arrivals_scheduled = schedule.size();
 
   radio::ProtocolSlab<StreamNode> slab(g.num_nodes());

@@ -1,12 +1,11 @@
-// StreamDriver — the open-system harness: continuous arrivals through
-// bounded source buffers over the pipelined collect→disseminate epochs of
-// core::DynamicBroadcastNode, run to a round budget.
+// StreamDriver — the open-system harness: arrivals through bounded source
+// buffers over the pipelined collect→disseminate epochs of
+// core::DynamicBroadcastNode, run to a round budget. It serves both open
+// scenario modes: stream mode materializes an arrival schedule from a
+// dedicated RNG stream (stream/arrivals.hpp), and dynamic mode hands in
+// its finite arrival list (core::make_arrivals) with an unbounded buffer.
+// The driver
 //
-// The closed harness (core::run_dynamic_broadcast) injects a finite
-// arrival list and polls delivery every 64 rounds; this driver instead
-//
-//   * materializes an unbounded-horizon arrival schedule from a dedicated
-//     RNG stream (stream/arrivals.hpp),
 //   * routes every arrival through a per-node SourceQueue with a
 //     configurable full-buffer policy (stream/queue.hpp),
 //   * consumes, after every round, the first-hold events the nodes logged
@@ -31,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "audit/violation.hpp"
 #include "core/dynamic.hpp"
@@ -53,8 +53,7 @@ struct StreamConfig {
   SaturationConfig saturation;
   /// Round budget (the run always executes exactly this many rounds).
   std::uint64_t horizon = 0;
-  /// Master seed of the per-node protocol RNGs (split in node order,
-  /// exactly as in core::run_dynamic_broadcast).
+  /// Master seed of the per-node protocol RNGs (split in node order).
   std::uint64_t seed = 0;
   /// Exists only so benchmark/runner.cpp, which sets it to 1, keeps
   /// building; run_stream rejects any other value.
@@ -106,9 +105,16 @@ std::uint64_t epoch_estimate_rounds(const core::DynamicConfig& dyn);
 double per_node_rate(const core::DynamicConfig& dyn, std::uint32_t n,
                      double load);
 
-/// Runs the open system for exactly cfg.horizon rounds. Deterministic:
+/// Runs the open system for exactly cfg.horizon rounds over the schedule
+/// make_arrival_schedule(n, cfg.arrivals, cfg.horizon). Deterministic:
 /// the result is a pure function of (g, cfg), independent of wall clock
 /// or host.
 StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg);
+
+/// The same run over an explicit arrival list, sorted by round (ids
+/// unique; arrivals at or past cfg.horizon never arrive); cfg.arrivals is
+/// not read. A pure function of (g, cfg, schedule).
+StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg,
+                        std::vector<core::Arrival> schedule);
 
 }  // namespace radiocast::stream

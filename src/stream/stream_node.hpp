@@ -1,11 +1,11 @@
-// DynamicBroadcastNode with a bounded, policy-governed source buffer.
+// DynamicBroadcastNode with a bounded, policy-governed source buffer: the
+// one concrete open-system node, and offer() the one way in for arrivals.
 //
-// The closed dynamic mode injects straight into an unbounded pending list;
-// the open system routes every arrival through a SourceQueue instead, and
-// appends every first-hold event and epoch re-entry to the run's HoldLog
-// in the round it happens, so the driver can compute exact per-packet
-// delivery latencies (the closed harness polls every 64 rounds) without
-// visiting every node every round.
+// Every arrival goes through a SourceQueue (dynamic mode gives it an
+// unbounded one), and the node appends every first-hold event and epoch
+// re-entry to the run's HoldLog in the round it happens, so the driver can
+// compute exact per-packet delivery latencies without visiting every node
+// every round.
 //
 // StreamNode inherits DynamicBroadcastNode's poll hint unchanged: offer()
 // needs no re-arm, because only take_epoch_packets() reads the buffer and
@@ -51,16 +51,14 @@ class StreamNode final : public core::DynamicBroadcastNode {
   const SourceQueue& queue() const { return queue_; }
 
  protected:
-  /// Epoch re-entry pulls from the bounded buffer (which refills from any
-  /// backpressure holdback) instead of the base class's unbounded list,
-  /// and logs the epoch just entered. Runs inside on_transmit at the
-  /// epoch boundary, never inside a quiet spell.
+  /// Epoch re-entry drains the buffer (which refills from any
+  /// backpressure holdback) and logs the epoch just entered. Runs inside
+  /// on_transmit at the epoch boundary, never inside a quiet spell.
   std::vector<radio::Packet> take_epoch_packets() override {
     log_->epoch = std::max(log_->epoch, epochs_completed());
     std::vector<radio::Packet> out = queue_.drain();
     // Admitted packets count as held by their source the moment they
-    // enter the pipeline (mirrors inject()'s deliver-on-injection in the
-    // closed mode; a buffered-then-dropped packet is never "held").
+    // enter the pipeline (a buffered-then-dropped packet is never "held").
     for (const radio::Packet& p : out) deliver(p);
     return out;
   }

@@ -1,17 +1,19 @@
-// Poll-hint soundness for the open-system nodes.
+// Poll-hint soundness for the open-system node.
 //
-// core::DynamicBroadcastNode and stream::StreamNode declare quiet spells
-// (radio::NodeProtocol::quiet_until) like KBroadcastNode, while arrivals
-// reach them out of band — inject() and offer() — with no engine re-arm.
-// That is sound because nothing reads an arrival before the node's next
-// epoch re-entry, where every hint is capped. Each harness's network runs
-// twice in lock step on the same arrivals, under both engines: bare, so
-// the engine skips nodes on their hints, and with every node wrapped in
-// an InterceptingProtocol, which never forwards the hint and so is polled
-// on every awake round. Per run this pins:
+// stream::StreamNode declares quiet spells (radio::NodeProtocol::
+// quiet_until) like KBroadcastNode, while arrivals reach it out of band —
+// offer() — with no engine re-arm. That is sound because nothing reads an
+// arrival before the node's next epoch re-entry, where every hint is
+// capped. The network runs twice in lock step on the same arrivals, under
+// both engines: bare, so the engine skips nodes on their hints, and with
+// every node wrapped in an InterceptingProtocol, which never forwards the
+// hint and so is polled on every awake round. Two arrival regimes feed
+// it: dynamic mode's finite make_arrivals list through an unbounded
+// buffer, and stream mode's Poisson schedule through a backpressure
+// buffer of 2. Per run this pins:
 //
 //   1. identical transmitter sets, first holds and epochs in every round,
-//      and a stream hold log that is exactly each round's new holds;
+//      and a hold log that is exactly each round's new holds;
 //   2. no transmission in a round the inner node had declared quiet since
 //      its last callback;
 //   3. the poll accounting: the wrapped run polls every awake node-round,
@@ -19,9 +21,9 @@
 //      quiet rounds the wrapped run observed;
 //   4. arrivals do land on quiet nodes, so the no-re-arm argument is
 //      exercised rather than assumed;
-//   5. the bare mirror of each harness equals the harness itself —
-//      core::run_dynamic_broadcast and stream::run_stream — poll counter
-//      included.
+//   5. every packet a node holds carries the bytes it arrived with;
+//   6. the bare mirror equals stream::run_stream over the same arrival
+//      list, poll counter included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +33,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "core/dynamic.hpp"
 #include "graph/generators.hpp"
 #include "obs/histogram.hpp"
@@ -44,21 +45,19 @@
 namespace radiocast::audit {
 namespace {
 
-enum class Harness { kDynamic, kStream };
+/// Dynamic mode's arrival list, or stream mode's arrival process.
+enum class Regime { kDynamic, kStream };
 
-/// What both sides of a lock step share — graph, harness config and
-/// arrivals, built exactly as the harness builds them.
+/// What both sides of a lock step share — graph, run config and arrivals,
+/// built exactly as the scenario mode builds them.
 struct Inputs {
-  Harness harness = Harness::kDynamic;
   graph::Graph g;
-  /// dyn, horizon and seed serve both harnesses; the rest is stream-only.
   stream::StreamConfig cfg;
   std::vector<core::Arrival> arrivals;  ///< sorted by round
 };
 
-Inputs make_inputs(Harness harness) {
+Inputs make_inputs(Regime regime) {
   Inputs s;
-  s.harness = harness;
   Rng grng(21);
   s.g = graph::make_random_geometric(24, 0.4, grng);
   core::KBroadcastConfig kcfg;
@@ -68,7 +67,7 @@ Inputs make_inputs(Harness harness) {
   s.cfg.horizon =
       s.cfg.dyn.rc.stage3_start() + 4 * stream::epoch_estimate_rounds(s.cfg.dyn);
   s.cfg.seed = 23;
-  if (harness == Harness::kStream) {
+  if (regime == Regime::kStream) {
     // Above the knee with a tiny backpressure buffer: drains refill from
     // the holdback list at every epoch re-entry.
     s.cfg.arrivals.rate = stream::per_node_rate(s.cfg.dyn, s.g.num_nodes(), 1.5);
@@ -78,6 +77,9 @@ Inputs make_inputs(Harness harness) {
     s.arrivals =
         stream::make_arrival_schedule(s.g.num_nodes(), s.cfg.arrivals, s.cfg.horizon);
   } else {
+    // 40 packets over the first half of the run, 8 per window: the root
+    // collects more than one window carries and holds the rest over.
+    s.cfg.buffer_capacity = UINT32_MAX;
     Rng arng(31);
     s.arrivals = core::make_arrivals(s.g.num_nodes(), 40, s.cfg.horizon / 2,
                                      /*payload_bytes=*/8, arng);
@@ -85,7 +87,7 @@ Inputs make_inputs(Harness harness) {
   return s;
 }
 
-/// One side of the lock step, its nodes seeded as the harness seeds them;
+/// One side of the lock step, its nodes seeded as run_stream seeds them;
 /// with `wrap`, each node sits in an InterceptingProtocol that tracks the
 /// inner node's hint.
 struct Side {
@@ -95,16 +97,9 @@ struct Side {
     net.set_auditor(&recorder);
     Rng master(s.cfg.seed);
     for (radio::NodeId v = 0; v < s.g.num_nodes(); ++v) {
-      std::unique_ptr<core::DynamicBroadcastNode> node;
-      if (s.harness == Harness::kStream) {
-        auto sn = std::make_unique<stream::StreamNode>(
-            s.cfg.dyn, v, master.split(), s.cfg.buffer_capacity, s.cfg.policy, &log);
-        stream_nodes.push_back(sn.get());
-        node = std::move(sn);
-      } else {
-        node = std::make_unique<core::DynamicBroadcastNode>(s.cfg.dyn, v, master.split());
-      }
-      core::DynamicBroadcastNode* inner = node.get();
+      auto node = std::make_unique<stream::StreamNode>(
+          s.cfg.dyn, v, master.split(), s.cfg.buffer_capacity, s.cfg.policy, &log);
+      stream::StreamNode* inner = node.get();
       nodes.push_back(inner);
       if (wrap) {
         auto w = std::make_unique<radio::InterceptingProtocol>(std::move(node));
@@ -127,42 +122,29 @@ struct Side {
     }
   }
 
-  /// Hands an arrival to its node the way the harness does.
-  void arrive(const core::Arrival& a) {
-    if (stream_nodes.empty()) {
-      nodes[a.node]->inject(a.packet);
-    } else {
-      stream_nodes[a.node]->offer(a.packet);
-    }
-  }
-
-  stream::HoldLog log;  ///< stream harness only
+  stream::HoldLog log;
   TransmitRecorder recorder;
   radio::Network net;
-  std::vector<core::DynamicBroadcastNode*> nodes;  ///< inner nodes
-  std::vector<stream::StreamNode*> stream_nodes;   ///< stream harness only
+  std::vector<stream::StreamNode*> nodes;  ///< inner nodes
   /// Wrapped side only: the inner node's hint since its last callback.
   std::vector<radio::Round> due;
   std::uint64_t quiet_polls = 0;
   std::uint64_t early_transmissions = 0;
 };
 
-/// Per-packet accounting of the bare mirror: run_stream's holder count
-/// and run_dynamic_broadcast's 64-round everywhere check.
+/// Per-packet accounting of the bare mirror, as run_stream keeps it.
 struct Track {
   radio::Round arrived = 0;
   std::uint32_t holders = 0;
-  bool everywhere = false;
-  radio::Round done_at = 0;
 };
 
-using Param = std::tuple<Harness, radio::EngineMode>;
+using Param = std::tuple<Regime, radio::EngineMode>;
 
 class OpenSystemLockstep : public ::testing::TestWithParam<Param> {};
 
 TEST_P(OpenSystemLockstep, WrappedRunMatchesBareRoundByRound) {
-  const auto& [harness, engine] = GetParam();
-  const Inputs s = make_inputs(harness);
+  const auto& [regime, engine] = GetParam();
+  const Inputs s = make_inputs(regime);
   const std::uint32_t n = s.g.num_nodes();
   const std::uint64_t horizon = s.cfg.horizon;
   Side bare(s, engine, /*wrap=*/false);
@@ -182,8 +164,8 @@ TEST_P(OpenSystemLockstep, WrappedRunMatchesBareRoundByRound) {
       const core::Arrival& a = s.arrivals[next_arrival];
       if (wrapped.due[a.node] > round) ++quiet_arrivals;
       tracking.emplace(a.packet.id, Track{round});
-      bare.arrive(a);
-      wrapped.arrive(a);
+      bare.nodes[a.node]->offer(a.packet);
+      wrapped.nodes[a.node]->offer(a.packet);
     }
     awake_node_rounds += wrapped.net.num_awake();
     bare.net.step();
@@ -201,11 +183,9 @@ TEST_P(OpenSystemLockstep, WrappedRunMatchesBareRoundByRound) {
       holds += bare.nodes[v]->delivered().size();
       epoch = std::max(epoch, bare.nodes[v]->epochs_completed());
     }
-    if (harness == Harness::kStream) {
-      // The log is exactly this round's new holds and the highest epoch.
-      ASSERT_EQ(bare.log.held.size(), holds - prev_holds) << "round " << round;
-      ASSERT_EQ(bare.log.epoch, epoch) << "round " << round;
-    }
+    // The log is exactly this round's new holds and the highest epoch.
+    ASSERT_EQ(bare.log.held.size(), holds - prev_holds) << "round " << round;
+    ASSERT_EQ(bare.log.epoch, epoch) << "round " << round;
     prev_holds = holds;
 
     // run_stream's accounting, from the bare side's hold log.
@@ -220,20 +200,6 @@ TEST_P(OpenSystemLockstep, WrappedRunMatchesBareRoundByRound) {
     }
     bare.log.held.clear();
     wrapped.log.held.clear();
-    // run_dynamic_broadcast's accounting, polled every 64 rounds.
-    if (round % 64 == 0 || round + 1 == horizon) {
-      for (auto& [id, t] : tracking) {
-        if (t.everywhere) continue;
-        bool everywhere = true;
-        for (radio::NodeId v = 0; v < n && everywhere; ++v) {
-          everywhere = bare.nodes[v]->delivered().count(id) != 0;
-        }
-        if (everywhere) {
-          t.everywhere = true;
-          t.done_at = round;
-        }
-      }
-    }
   }
 
   EXPECT_EQ(wrapped.early_transmissions, 0u);
@@ -246,60 +212,47 @@ TEST_P(OpenSystemLockstep, WrappedRunMatchesBareRoundByRound) {
   wrapped_counters.polls = bare_counters.polls;
   EXPECT_EQ(bare_counters, wrapped_counters);
 
-  if (harness == Harness::kStream) {
-    std::uint64_t buffered = 0;
-    stream::QueueStats queue;
-    for (const stream::StreamNode* node : bare.stream_nodes) {
-      buffered += node->queue().buffered() + node->queue().held_back();
-      queue.merge(node->queue().stats());
-    }
-    for (const auto& [id, t] : tracking) {
-      std::uint32_t holders = 0;
-      for (const core::DynamicBroadcastNode* node : bare.nodes) {
-        holders += static_cast<std::uint32_t>(node->delivered().count(id));
-      }
-      ASSERT_EQ(t.holders, holders) << "packet " << id;
-    }
-    const stream::StreamResult r = stream::run_stream(s.g, s.cfg);
-    EXPECT_GT(r.delivered_everywhere, 0u);
-    EXPECT_EQ(r.delivered_everywhere, delivered);
-    EXPECT_EQ(r.latency.count(), latency.count());
-    EXPECT_EQ(r.latency.sum(), latency.sum());
-    EXPECT_EQ(r.latency.max(), latency.max());
-    EXPECT_EQ(r.epochs_completed, bare.log.epoch);
-    EXPECT_EQ(r.in_system_end, buffered + in_flight);
-    EXPECT_EQ(r.queue.offered, queue.offered);
-    EXPECT_EQ(r.queue.admitted, queue.admitted);
-    EXPECT_EQ(r.queue.dropped, queue.dropped);
-    EXPECT_EQ(r.queue.backpressured, queue.backpressured);
-    EXPECT_EQ(r.queue.peak_depth, queue.peak_depth);
-    EXPECT_EQ(r.counters, bare_counters);
-  } else {
-    SampleSet latencies;
-    std::uint32_t everywhere = 0;
-    for (const auto& [id, t] : tracking) {
-      if (!t.everywhere) continue;
-      ++everywhere;
-      latencies.add(static_cast<double>(t.done_at - t.arrived));
-    }
-    const core::DynamicRunResult r =
-        core::run_dynamic_broadcast(s.g, s.cfg.dyn, s.arrivals, horizon, s.cfg.seed);
-    EXPECT_GT(r.delivered_everywhere, 0u);
-    EXPECT_EQ(r.delivered_everywhere, everywhere);
-    EXPECT_DOUBLE_EQ(r.latency_mean, latencies.mean());
-    EXPECT_DOUBLE_EQ(r.latency_max, latencies.max());
-    EXPECT_EQ(r.counters, bare_counters);
+  std::uint64_t buffered = 0;
+  stream::QueueStats queue;
+  for (const stream::StreamNode* node : bare.nodes) {
+    buffered += node->queue().buffered() + node->queue().held_back();
+    queue.merge(node->queue().stats());
   }
+  for (const core::Arrival& a : s.arrivals) {
+    std::uint32_t holders = 0;
+    for (const stream::StreamNode* node : bare.nodes) {
+      const auto it = node->delivered().find(a.packet.id);
+      if (it == node->delivered().end()) continue;
+      ++holders;
+      EXPECT_EQ(it->second.payload, a.packet.payload) << "packet " << a.packet.id;
+    }
+    ASSERT_EQ(tracking.at(a.packet.id).holders, holders) << "packet " << a.packet.id;
+  }
+  const stream::StreamResult r = stream::run_stream(s.g, s.cfg, s.arrivals);
+  EXPECT_GT(r.delivered_everywhere, 0u);
+  EXPECT_EQ(r.arrivals_scheduled, s.arrivals.size());
+  EXPECT_EQ(r.delivered_everywhere, delivered);
+  EXPECT_EQ(r.latency.count(), latency.count());
+  EXPECT_EQ(r.latency.sum(), latency.sum());
+  EXPECT_EQ(r.latency.max(), latency.max());
+  EXPECT_EQ(r.epochs_completed, bare.log.epoch);
+  EXPECT_EQ(r.in_system_end, buffered + in_flight);
+  EXPECT_EQ(r.queue.offered, queue.offered);
+  EXPECT_EQ(r.queue.admitted, queue.admitted);
+  EXPECT_EQ(r.queue.dropped, queue.dropped);
+  EXPECT_EQ(r.queue.backpressured, queue.backpressured);
+  EXPECT_EQ(r.queue.peak_depth, queue.peak_depth);
+  EXPECT_EQ(r.counters, bare_counters);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Harnesses, OpenSystemLockstep,
-    ::testing::Combine(::testing::Values(Harness::kDynamic, Harness::kStream),
+    ::testing::Combine(::testing::Values(Regime::kDynamic, Regime::kStream),
                        ::testing::Values(radio::EngineMode::kScalar,
                                          radio::EngineMode::kBitset)),
     [](const ::testing::TestParamInfo<Param>& info) {
-      return std::string(std::get<0>(info.param) == Harness::kStream ? "stream"
-                                                                      : "dynamic") +
+      return std::string(std::get<0>(info.param) == Regime::kStream ? "stream"
+                                                                     : "dynamic") +
              "_" + radio::engine_mode_name(std::get<1>(info.param));
     });
 

@@ -1,22 +1,32 @@
 // Tests of the dynamic-arrival extension (paper's conclusion / future
 // work): setup once, then repeated collect+disseminate epochs over an
-// online packet stream.
+// online packet stream. Dynamic mode runs a finite arrival list through
+// stream::run_stream with an unbounded source buffer; the node tests drive
+// stream::StreamNode, the one concrete open-system node, directly.
 #include "core/dynamic.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "stream/driver.hpp"
+#include "stream/stream_node.hpp"
 
 namespace radiocast::core {
 namespace {
 
-DynamicConfig make_cfg(const graph::Graph& g, std::uint32_t capacity = 0) {
+/// Dynamic mode's run config: an unbounded source buffer, so every
+/// arrival joins the next epoch's collection.
+stream::StreamConfig make_cfg(const graph::Graph& g, std::uint32_t capacity = 0) {
   KBroadcastConfig kcfg;
   kcfg.know = radio::Knowledge::exact(g);
-  DynamicConfig cfg;
-  cfg.rc = resolve(kcfg);
-  cfg.batch_capacity = capacity;
+  stream::StreamConfig cfg;
+  cfg.dyn.rc = resolve(kcfg);
+  cfg.dyn.batch_capacity = capacity;
+  cfg.buffer_capacity = UINT32_MAX;
   return cfg;
 }
 
@@ -29,94 +39,141 @@ std::uint64_t horizon_for(const DynamicConfig& cfg, std::uint32_t epochs) {
              (collect + cfg.dissemination_window());
 }
 
+/// Dynamic mode's harness call: `arrivals` through run_stream.
+stream::StreamResult run_arrivals(const graph::Graph& g, stream::StreamConfig cfg,
+                                  std::vector<Arrival> arrivals,
+                                  std::uint64_t horizon, std::uint64_t seed) {
+  cfg.horizon = horizon;
+  cfg.seed = seed;
+  return stream::run_stream(g, cfg, std::move(arrivals));
+}
+
+/// One StreamNode per vertex on one network, seeded as run_stream seeds
+/// them, so a test can read every node's state.
+struct Nodes {
+  Nodes(const graph::Graph& g, const stream::StreamConfig& cfg, std::uint64_t seed)
+      : net(g) {
+    Rng master(seed);
+    for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
+      auto node = std::make_unique<stream::StreamNode>(
+          cfg.dyn, v, master.split(), cfg.buffer_capacity, cfg.policy, &log);
+      nodes.push_back(node.get());
+      net.set_protocol(v, std::move(node));
+      net.wake_at_start(v);
+    }
+  }
+
+  /// Steps `rounds` rounds from round 0, offering each arrival in its round.
+  void run(const std::vector<Arrival>& arrivals, std::uint64_t rounds) {
+    std::size_t next = 0;
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+      for (; next < arrivals.size() && arrivals[next].round <= r; ++next) {
+        nodes[arrivals[next].node]->offer(arrivals[next].packet);
+      }
+      net.step();
+      log.held.clear();
+    }
+  }
+
+  stream::HoldLog log;
+  radio::Network net;
+  std::vector<stream::StreamNode*> nodes;
+};
+
 TEST(Dynamic, EmptyStreamRunsQuietly) {
   const graph::Graph g = graph::make_path(8);
-  const DynamicConfig cfg = make_cfg(g);
-  const DynamicRunResult r =
-      run_dynamic_broadcast(g, cfg, {}, horizon_for(cfg, 2), 1);
-  EXPECT_EQ(r.k, 0u);
+  const stream::StreamConfig cfg = make_cfg(g);
+  const stream::StreamResult r = run_arrivals(g, cfg, {}, horizon_for(cfg.dyn, 2), 1);
+  EXPECT_EQ(r.arrivals_scheduled, 0u);
   EXPECT_EQ(r.delivered_everywhere, 0u);
 }
 
 TEST(Dynamic, SingleEarlyPacketDeliversEverywhere) {
   Rng grng(2);
   const graph::Graph g = graph::make_random_geometric(24, 0.4, grng);
-  const DynamicConfig cfg = make_cfg(g);
+  const stream::StreamConfig cfg = make_cfg(g);
   std::vector<Arrival> arrivals(1);
   arrivals[0].round = 0;
   arrivals[0].node = 3;
   arrivals[0].packet.id = radio::make_packet_id(3, 0);
   arrivals[0].packet.payload = {1, 2, 3};
-  const DynamicRunResult r =
-      run_dynamic_broadcast(g, cfg, arrivals, horizon_for(cfg, 3), 3);
+  const stream::StreamResult r =
+      run_arrivals(g, cfg, arrivals, horizon_for(cfg.dyn, 3), 3);
   EXPECT_EQ(r.delivered_everywhere, 1u);
-  EXPECT_GT(r.latency_max, 0.0);
+  EXPECT_GT(r.latency.max(), 0u);
 }
 
 TEST(Dynamic, StreamOfArrivalsAllDelivered) {
   Rng grng(4);
   const graph::Graph g = graph::make_random_geometric(24, 0.4, grng);
-  const DynamicConfig cfg = make_cfg(g);
+  const stream::StreamConfig cfg = make_cfg(g);
   Rng arng(5);
   // Spread arrivals over roughly two epochs after setup.
-  const std::uint64_t spread = horizon_for(cfg, 2);
+  const std::uint64_t spread = horizon_for(cfg.dyn, 2);
   std::vector<Arrival> arrivals = make_arrivals(24, 30, spread, 8, arng);
-  const std::uint64_t horizon = spread + horizon_for(cfg, 3);
-  const DynamicRunResult r = run_dynamic_broadcast(g, cfg, arrivals, horizon, 6);
+  const std::uint64_t horizon = spread + horizon_for(cfg.dyn, 3);
+  const stream::StreamResult r = run_arrivals(g, cfg, arrivals, horizon, 6);
   EXPECT_EQ(r.delivered_everywhere, 30u);
-  EXPECT_GT(r.latency_mean, 0.0);
-  EXPECT_LE(r.latency_mean, r.latency_max);
+  EXPECT_GT(r.latency.mean(), 0.0);
+  EXPECT_LE(r.latency.mean(), static_cast<double>(r.latency.max()));
 }
 
 TEST(Dynamic, LateArrivalsWaitForNextEpoch) {
   Rng grng(7);
   const graph::Graph g = graph::make_gnp_connected(20, 0.25, grng);
-  const DynamicConfig cfg = make_cfg(g);
+  const stream::StreamConfig cfg = make_cfg(g);
   // Packet arrives well after setup, mid-first-epoch.
   std::vector<Arrival> arrivals(1);
-  arrivals[0].round = cfg.rc.stage3_start() + 10;
+  arrivals[0].round = cfg.dyn.rc.stage3_start() + 10;
   arrivals[0].node = 5;
   arrivals[0].packet.id = radio::make_packet_id(5, 0);
   arrivals[0].packet.payload = {9};
-  const DynamicRunResult r =
-      run_dynamic_broadcast(g, cfg, arrivals, horizon_for(cfg, 4), 8);
+  const stream::StreamResult r =
+      run_arrivals(g, cfg, arrivals, horizon_for(cfg.dyn, 4), 8);
   EXPECT_EQ(r.delivered_everywhere, 1u);
+  // It sat out the rest of the first epoch, window included.
+  EXPECT_GT(r.latency.min(), cfg.dyn.dissemination_window());
 }
 
 TEST(Dynamic, CapacityOverflowCarriesToNextEpoch) {
   Rng grng(9);
   const graph::Graph g = graph::make_gnp_connected(20, 0.25, grng);
   // Tiny capacity: one group per epoch.
-  DynamicConfig cfg = make_cfg(g, /*capacity=*/4);
+  const stream::StreamConfig cfg = make_cfg(g, /*capacity=*/4);
   Rng arng(10);
   // 12 packets arriving immediately: needs ~3 dissemination epochs.
   std::vector<Arrival> arrivals = make_arrivals(20, 12, 1, 8, arng);
-  const DynamicRunResult r =
-      run_dynamic_broadcast(g, cfg, arrivals, horizon_for(cfg, 8), 11);
+  const std::uint64_t horizon = horizon_for(cfg.dyn, 8);
+  const stream::StreamResult r = run_arrivals(g, cfg, arrivals, horizon, 11);
   EXPECT_EQ(r.delivered_everywhere, 12u);
+  EXPECT_GE(r.epochs_completed, 3u);
+
+  // Every node holds every packet with the bytes it arrived with, the
+  // ones the root carried over to later windows included.
+  Nodes mirror(g, cfg, 11);
+  mirror.run(arrivals, horizon);
+  for (const Arrival& a : arrivals) {
+    for (const stream::StreamNode* node : mirror.nodes) {
+      const auto it = node->delivered().find(a.packet.id);
+      ASSERT_NE(it, node->delivered().end()) << "packet " << a.packet.id;
+      EXPECT_EQ(it->second.payload, a.packet.payload) << "packet " << a.packet.id;
+    }
+  }
 }
 
 TEST(Dynamic, NodesAgreeOnLeader) {
   Rng grng(12);
   const graph::Graph g = graph::make_random_geometric(16, 0.5, grng);
-  const DynamicConfig cfg = make_cfg(g);
-  radio::Network net(g);
-  Rng master(13);
-  std::vector<DynamicBroadcastNode*> nodes;
-  for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
-    auto node = std::make_unique<DynamicBroadcastNode>(cfg, v, master.split());
-    nodes.push_back(node.get());
-    net.set_protocol(v, std::move(node));
-    net.wake_at_start(v);
-  }
-  for (std::uint64_t r = 0; r <= cfg.rc.stage1_rounds; ++r) net.step();
+  const stream::StreamConfig cfg = make_cfg(g);
+  Nodes n(g, cfg, 13);
+  n.run({}, cfg.dyn.rc.stage1_rounds + 1);
   int leaders = 0;
-  for (auto* node : nodes) {
+  for (auto* node : n.nodes) {
     if (node->is_leader()) ++leaders;
   }
   EXPECT_EQ(leaders, 1);
   // All nodes participate, so the max id must win.
-  EXPECT_TRUE(nodes.back()->is_leader());
+  EXPECT_TRUE(n.nodes.back()->is_leader());
 }
 
 TEST(Dynamic, PayloadArenaIsDrawnFromAndStaysBounded) {
@@ -125,27 +182,12 @@ TEST(Dynamic, PayloadArenaIsDrawnFromAndStaysBounded) {
   // pool grows by one buffer per payload transmission for the whole run.
   Rng grng(16);
   const graph::Graph g = graph::make_random_geometric(24, 0.4, grng);
-  const DynamicConfig cfg = make_cfg(g);
-  radio::Network net(g);
-  Rng master(17);
-  std::vector<DynamicBroadcastNode*> nodes;
-  for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
-    auto node = std::make_unique<DynamicBroadcastNode>(cfg, v, master.split());
-    nodes.push_back(node.get());
-    net.set_protocol(v, std::move(node));
-    net.wake_at_start(v);
-  }
+  const stream::StreamConfig cfg = make_cfg(g);
+  Nodes n(g, cfg, 17);
   Rng arng(18);
-  const std::uint64_t horizon = horizon_for(cfg, 3);
-  std::vector<Arrival> arrivals = make_arrivals(24, 30, horizon / 2, 8, arng);
-  std::size_t next = 0;
-  for (std::uint64_t r = 0; r < horizon; ++r) {
-    for (; next < arrivals.size() && arrivals[next].round <= r; ++next) {
-      nodes[arrivals[next].node]->inject(std::move(arrivals[next].packet));
-    }
-    net.step();
-  }
-  const radio::PayloadArena& arena = net.payload_arena();
+  const std::uint64_t horizon = horizon_for(cfg.dyn, 3);
+  n.run(make_arrivals(24, 30, horizon / 2, 8, arng), horizon);
+  const radio::PayloadArena& arena = n.net.payload_arena();
   EXPECT_GT(arena.hits(), 0u);
   EXPECT_LE(arena.pooled(), 4u * g.num_nodes());
 }
@@ -153,22 +195,13 @@ TEST(Dynamic, PayloadArenaIsDrawnFromAndStaysBounded) {
 TEST(Dynamic, EpochsAdvance) {
   Rng grng(14);
   const graph::Graph g = graph::make_gnp_connected(16, 0.3, grng);
-  const DynamicConfig cfg = make_cfg(g);
-  radio::Network net(g);
-  Rng master(15);
-  std::vector<DynamicBroadcastNode*> nodes;
-  for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
-    auto node = std::make_unique<DynamicBroadcastNode>(cfg, v, master.split());
-    nodes.push_back(node.get());
-    net.set_protocol(v, std::move(node));
-    net.wake_at_start(v);
-  }
-  const std::uint64_t horizon = horizon_for(cfg, 3);
-  for (std::uint64_t r = 0; r < horizon; ++r) net.step();
+  const stream::StreamConfig cfg = make_cfg(g);
+  Nodes n(g, cfg, 15);
+  n.run({}, horizon_for(cfg.dyn, 3));
   // Every node moved past at least one full epoch, and epoch counters
   // stay tightly synchronized across nodes.
   std::uint32_t min_epochs = 1000, max_epochs = 0;
-  for (auto* node : nodes) {
+  for (auto* node : n.nodes) {
     min_epochs = std::min(min_epochs, node->epochs_completed());
     max_epochs = std::max(max_epochs, node->epochs_completed());
   }

@@ -16,6 +16,7 @@
 #include "protocols/bfs_construction.hpp"
 #include "protocols/bgi_broadcast.hpp"
 #include "radio/network.hpp"
+#include "stream/stream_node.hpp"
 
 namespace radiocast::core {
 namespace {
@@ -113,31 +114,41 @@ TEST(FaultMatrix, DynamicVariantSurvivesLoss) {
       cfg.dissemination_window();
   Rng arng(9);
   std::vector<Arrival> arrivals = make_arrivals(24, 16, 2 * epoch, 8, arng);
-  // The dynamic runner has no fault hook; drive the network directly.
-  radio::Network net(g);
-  net.set_fault_model({0.03, 17});
-  Rng master(10);
-  std::vector<DynamicBroadcastNode*> nodes(24);
-  for (radio::NodeId v = 0; v < 24; ++v) {
-    auto node = std::make_unique<DynamicBroadcastNode>(cfg, v, master.split());
-    nodes[v] = node.get();
-    net.set_protocol(v, std::move(node));
-    net.wake_at_start(v);
-  }
-  std::size_t next = 0;
-  const std::uint64_t horizon = cfg.rc.stage3_start() + 8 * epoch;
-  for (std::uint64_t round = 0; round < horizon; ++round) {
-    while (next < arrivals.size() && arrivals[next].round <= round) {
-      nodes[arrivals[next].node]->inject(arrivals[next].packet);
-      ++next;
-    }
-    net.step();
-  }
-  // Every injected packet must have reached every node.
-  for (const Arrival& a : arrivals) {
+  for (const double loss : {0.03, 0.05}) {
+    SCOPED_TRACE(loss);
+    // run_stream has no fault hook; drive the stream nodes directly, with
+    // dynamic mode's unbounded source buffer.
+    radio::Network net(g);
+    net.set_fault_model({loss, 17});
+    stream::HoldLog log;
+    Rng master(10);
+    std::vector<stream::StreamNode*> nodes(24);
     for (radio::NodeId v = 0; v < 24; ++v) {
-      EXPECT_EQ(nodes[v]->delivered().count(a.packet.id), 1u)
-          << "packet " << a.packet.id << " missing at node " << v;
+      auto node = std::make_unique<stream::StreamNode>(
+          cfg, v, master.split(), UINT32_MAX, stream::BufferPolicy::kDropNew, &log);
+      nodes[v] = node.get();
+      net.set_protocol(v, std::move(node));
+      net.wake_at_start(v);
+    }
+    std::size_t next = 0;
+    const std::uint64_t horizon = cfg.rc.stage3_start() + 8 * epoch;
+    for (std::uint64_t round = 0; round < horizon; ++round) {
+      while (next < arrivals.size() && arrivals[next].round <= round) {
+        nodes[arrivals[next].node]->offer(arrivals[next].packet);
+        ++next;
+      }
+      net.step();
+      log.held.clear();
+    }
+    // Every offered packet must have reached every node, bytes intact.
+    for (const Arrival& a : arrivals) {
+      for (radio::NodeId v = 0; v < 24; ++v) {
+        const auto it = nodes[v]->delivered().find(a.packet.id);
+        ASSERT_NE(it, nodes[v]->delivered().end())
+            << "packet " << a.packet.id << " missing at node " << v;
+        EXPECT_EQ(it->second.payload, a.packet.payload)
+            << "packet " << a.packet.id << " corrupted at node " << v;
+      }
     }
   }
 }

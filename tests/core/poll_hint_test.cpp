@@ -4,8 +4,9 @@
 // own hints. The twin must be polled at every round the first copy
 // transmits, agree with it there, and end on the same RNG position — so a
 // skipped round never hid a transmission or a random draw. Last, the
-// open-system node (core::DynamicBroadcastNode) driven alone on its hints
-// must be polled at each boundary where it switches phase or epoch.
+// open-system node (stream::StreamNode over core::DynamicBroadcastNode)
+// driven alone on its hints must be polled at each boundary where it
+// switches phase or epoch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "core/schedule.hpp"
 #include "protocols/bfs_construction.hpp"
 #include "protocols/leader_election.hpp"
+#include "stream/stream_node.hpp"
 
 namespace radiocast {
 namespace {
@@ -311,7 +313,7 @@ TEST(PollHint, DisseminationLockStepOverAForwardersSchedule) {
   EXPECT_LT(expect_hints_hide_nothing(a, ra, b, rb, rounds), rounds);
 }
 
-/// Rounds a lone DynamicBroadcastNode is polled at, and transmits at, when
+/// Rounds a lone open-system node is polled at, and transmits at, when
 /// driven from `from` to `to` (exclusive) on its own hints, receptions
 /// aside.
 struct HintedDrive {
@@ -347,6 +349,7 @@ struct DynamicFixture {
   std::uint64_t collect_end =
       setup_end + core::collection_phase_rounds(rc.initial_estimate, rc);
   std::uint64_t window_end = collect_end + cfg.dissemination_window();
+  stream::HoldLog log;
 };
 
 TEST(PollHint, DynamicRootIsDueAtEveryPhaseAndEpochBoundary) {
@@ -354,18 +357,22 @@ TEST(PollHint, DynamicRootIsDueAtEveryPhaseAndEpochBoundary) {
   // One group: 3 + D̂ + 4 = 10 phases of 80 rounds.
   ASSERT_EQ(f.cfg.dissemination_window(), 10 * f.rc.dissem_phase_rounds);
   // A lone node elects itself, so it is the root throughout.
-  core::DynamicBroadcastNode node(f.cfg, 3, Rng(13));
+  stream::StreamNode node(f.cfg, 3, Rng(13), /*buffer_capacity=*/1,
+                          stream::BufferPolicy::kDropNew, &f.log);
   node.on_transmit(0);
   ASSERT_GT(node.quiet_until(), 1u);
-  // Injected inside a quiet spell: held at once, collected at setup end.
+  // Offered inside a quiet spell: buffered, and held only once the first
+  // collection takes it at setup end.
   radio::Packet p;
   p.id = radio::make_packet_id(3, 0);
   p.payload = {4, 2};
-  node.inject(p);
-  EXPECT_EQ(node.delivered().count(p.id), 1u);
+  node.offer(p);
+  EXPECT_EQ(node.delivered().count(p.id), 0u);
 
   const HintedDrive d = drive_on_hints(node, node.quiet_until(), f.window_end + 1);
   EXPECT_TRUE(node.is_leader());
+  ASSERT_EQ(node.delivered().count(p.id), 1u);
+  EXPECT_EQ(node.delivered().at(p.id).payload, p.payload);
   for (const std::uint64_t boundary : {f.bfs_start, f.setup_end, f.collect_end, f.window_end}) {
     EXPECT_TRUE(contains(d.polled, boundary)) << "boundary " << boundary;
   }
@@ -381,7 +388,8 @@ TEST(PollHint, DynamicRootIsDueAtEveryPhaseAndEpochBoundary) {
 
 TEST(PollHint, DynamicNodeWithoutLayerSleepsToSetupEnd) {
   DynamicFixture f;
-  core::DynamicBroadcastNode node(f.cfg, 3, Rng(14));
+  stream::StreamNode node(f.cfg, 3, Rng(14), /*buffer_capacity=*/1,
+                          stream::BufferPolicy::kDropNew, &f.log);
   node.on_transmit(0);
   // A probe-0 alarm means some id >= 8 exists: id 3 neither leads nor,
   // hearing no construction message, joins a BFS layer.

@@ -98,6 +98,12 @@ TEST(StreamScenario, ValidationCatchesBadValues) {
   EXPECT_THROW(
       parse_scenario(R"({"id":"x","mode":"stream","collision_detection":[true]})"),
       JsonError);
+  // Dynamic mode runs through the same driver, so it rejects them too.
+  EXPECT_THROW(parse_scenario(R"({"id":"x","mode":"dynamic","loss":[0.5]})"),
+               JsonError);
+  EXPECT_THROW(
+      parse_scenario(R"({"id":"x","mode":"dynamic","collision_detection":[true]})"),
+      JsonError);
   EXPECT_THROW(
       parse_scenario(
           R"({"id":"x","mode":"stream","telemetry":{"enabled":true,"flight_paths":true}})"),
