@@ -14,11 +14,11 @@
 //   dense / sparse      generic PlainPacketMsg protocols on a gnp graph
 //                       (p=1/4 resp. 1/64 transmit probability) — the
 //                       virtual on_transmit path in both engines.
-//   alarm               one-bit AlarmMsg schedule on the same graph, with
-//                       a PackedTransmitSource registered so the bitset
-//                       engine takes its bulk Phase-1 path.
+//   alarm               one-bit AlarmMsg schedule on the same graph (p=1/4):
+//                       no payload, so reception dominates the message
+//                       cost; both engines poll on_transmit in Phase 1.
 //   alarm_dense_100k    full mode only: n=10^5, degree~16 locality-window
-//                       graph — the ISSUE 7 5x acceptance row.
+//                       graph at p=3/8 — the collision-dominated row.
 //   alarm_sparse_1m     full mode only: n=10^6 sparse window graph — the
 //                       million-node completion row.
 //
@@ -89,8 +89,7 @@ class ScheduledNode final : public radio::NodeProtocol {
 };
 
 /// One-bit variant of ScheduledNode: same schedule semantics, AlarmMsg on
-/// the air. This is the scalar-side twin of ScheduledAlarmSource — the two
-/// must agree bit for bit so scalar and bitset rows stay comparable.
+/// the air.
 class ScheduledAlarmNode final : public radio::NodeProtocol {
  public:
   explicit ScheduledAlarmNode(std::uint64_t pattern) : pattern_(pattern) {}
@@ -107,40 +106,6 @@ class ScheduledAlarmNode final : public radio::NodeProtocol {
  private:
   std::uint64_t pattern_ = 0;
   std::uint64_t receptions_ = 0;
-};
-
-/// Bulk transmit source for the alarm schedule: the per-node patterns are
-/// pre-transposed into 64 phase rows (phase p row = one bit per node, set
-/// iff bit p of that node's pattern is set), so fill_transmit_words is a
-/// single row copy — the engine-side cost of the schedule is O(n/64) words
-/// instead of n virtual calls.
-class ScheduledAlarmSource final : public radio::PackedTransmitSource {
- public:
-  ScheduledAlarmSource(const std::vector<std::uint64_t>& patterns) {
-    const std::size_t words = (patterns.size() + 63) / 64;
-    phase_rows_.assign(64, std::vector<std::uint64_t>(words, 0));
-    for (std::size_t v = 0; v < patterns.size(); ++v) {
-      for (std::uint32_t p = 0; p < 64; ++p) {
-        if ((patterns[v] >> p) & 1)
-          phase_rows_[p][v >> 6] |= 1ULL << (v & 63);
-      }
-    }
-  }
-
-  void fill_transmit_words(radio::Round round, std::uint64_t* words,
-                           std::size_t num_words) override {
-    const std::vector<std::uint64_t>& row = phase_rows_[round & 63];
-    const std::size_t n = std::min(num_words, row.size());
-    std::memcpy(words, row.data(), n * sizeof(std::uint64_t));
-    if (n < num_words) std::memset(words + n, 0, (num_words - n) * sizeof(std::uint64_t));
-  }
-
-  radio::MessageBody packed_body(radio::Round /*round*/, radio::NodeId /*from*/) override {
-    return radio::AlarmMsg{};
-  }
-
- private:
-  std::vector<std::vector<std::uint64_t>> phase_rows_;
 };
 
 /// A pattern word with exactly `ones` bits set, placed by the rng — the
@@ -175,7 +140,7 @@ graph::Graph make_window_graph(graph::NodeId n, std::uint32_t window, std::uint3
 struct Workload {
   std::string name;
   std::uint32_t pattern_ones;  // transmit probability = ones/64
-  bool alarm = false;          // AlarmMsg schedule + packed source on bitset
+  bool alarm = false;          // AlarmMsg schedule instead of plain packets
 };
 
 struct RowResult {
@@ -238,14 +203,10 @@ RowResult run_workload(const graph::Graph& g, const Workload& w, std::uint64_t r
   }
   for (std::uint64_t r = 0; r < rounds; ++r) row.sum_tx_degree += phase_deg[r & 63];
 
-  std::optional<ScheduledAlarmSource> source;
-  if (w.alarm && engine == radio::EngineMode::kBitset) source.emplace(patterns);
-
   row.best_seconds = 1e100;
   for (int rep = 0; rep < reps; ++rep) {
     radio::Network net(g);
     net.set_engine(engine);
-    if (source) net.set_packed_source(&*source);
     for (radio::NodeId v = 0; v < n; ++v) {
       if (w.alarm) {
         net.set_protocol(v, std::make_unique<ScheduledAlarmNode>(patterns[v]));
@@ -349,10 +310,10 @@ int main(int argc, char** argv) {
   }
 
   if (!smoke) {
-    // The ISSUE 7 acceptance rows: a 10^5-node dense alarm schedule (the
-    // bitset engine must clear >= 5x the scalar rounds/sec here) and a
-    // 10^6-node sparse sweep that must simply complete. Window topologies
-    // keep graph construction O(n * deg) and CSR rows word-compact.
+    // Scale rows: a 10^5-node dense alarm schedule, where the bitset
+    // engine's popcounted collisions pay most, and a 10^6-node sparse
+    // sweep that must simply complete. Window topologies keep graph
+    // construction O(n * deg) and CSR rows word-compact.
     Rng big_rng(0xb16b00b5ull);
     const graph::Graph g100k = make_window_graph(100000, 64, 16, big_rng);
     print_meta(std::cout, "graph_100k", "window " + g100k.summary());

@@ -13,9 +13,9 @@
 //
 // Grid: op in {encode_random, decode_group} x w in {4..64} x payload in
 // {24 B .. 4 KiB}. encode_random times the protocol transmit path
-// (encode_random_word_into for w <= 64, the BitVec route above); the
-// decode rows time the packed protocol receive flow — add_row_packed with
-// arena-style buffer recycling, then take_packets.
+// (encode_random_word_into); the decode rows time the packed protocol
+// receive flow — add_row_packed with arena-style buffer recycling, then
+// take_packets.
 //
 // Determinism: the `checksum` column is an FNV-1a digest over coefficient
 // words and payload bytes from fixed-seed validation sweeps, independent
@@ -92,13 +92,7 @@ std::uint64_t encode_checksum(const gf2::GroupEncoder& enc) {
   Rng rng(7);
   gf2::Payload out;
   for (int i = 0; i < 64; ++i) {
-    if (enc.width() <= 64) {
-      fnv_word(h, enc.encode_random_word_into(rng, out));
-    } else {
-      const gf2::CodedRow row = enc.encode_random(rng);
-      fnv_word(h, row.coeffs.to_word());
-      out = row.payload;
-    }
+    fnv_word(h, enc.encode_random_word_into(rng, out));
     fnv_bytes(h, out.data(), out.size());
   }
   return h;
@@ -180,14 +174,8 @@ int main(int argc, char** argv) {
         gf2::Payload out;
         const double t0 = cpu_seconds();
         for (std::size_t i = 0; i < enc_iters; ++i) {
-          if (w <= 64) {
-            const std::uint64_t coeffs = enc.encode_random_word_into(rng, out);
-            asm volatile("" : : "r"(coeffs), "r"(out.data()) : "memory");
-          } else {
-            const gf2::BitVec coeffs = gf2::BitVec::random(w, rng);
-            enc.encode_into(coeffs, out);
-            asm volatile("" : : "r"(out.data()) : "memory");
-          }
+          const std::uint64_t coeffs = enc.encode_random_word_into(rng, out);
+          asm volatile("" : : "r"(coeffs), "r"(out.data()) : "memory");
         }
         best = std::min(best, cpu_seconds() - t0);
       }

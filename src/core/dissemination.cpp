@@ -49,18 +49,19 @@ radio::Packet packet_from_wire_image(const gf2::Payload& wire) {
 DisseminationState::DisseminationState(const Config& cfg, radio::NodeId self,
                                        bool is_root, std::optional<std::uint32_t> dist,
                                        Rng* rng)
-    : cfg_(cfg), self_(self), is_root_(is_root), dist_(dist), rng_(rng) {
+    : cfg_(cfg),
+      self_(self),
+      is_root_(is_root),
+      dist_(dist),
+      rng_(rng),
+      decay_(cfg.rc.know.log_delta()) {
   RC_ASSERT(rng != nullptr);
   if (is_root_) {
     RC_ASSERT(!dist.has_value() || *dist == 0);
     dist_ = 0;
   }
-  epoch_len_ = cfg_.rc.know.log_delta();
-  forward_rounds_ = static_cast<std::uint64_t>(cfg_.rc.forward_epochs) * epoch_len_;
-  decay_prob_.reserve(epoch_len_);
-  for (std::uint32_t s = 0; s < epoch_len_; ++s) {
-    decay_prob_.push_back(1.0 / static_cast<double>(1ULL << (s + 1)));
-  }
+  forward_rounds_ =
+      static_cast<std::uint64_t>(cfg_.rc.forward_epochs) * decay_.epoch_length();
   slot_base_ = is_root_ ? 0 : (dist_.has_value() ? *dist_ : 0);
 }
 
@@ -150,16 +151,16 @@ std::optional<radio::MessageBody> DisseminationState::on_transmit(
   if (clock_valid_ && rel_round == clock_round_ + 1) {
     if (++off_ == phase_len) {
       off_ = 0;
-      epoch_off_ = 0;  // phase_len need not be a multiple of epoch_len_
+      epoch_off_ = 0;  // phase_len need not be a multiple of the epoch
       ++phase_;
       phase_dirty_ = true;
-    } else if (++epoch_off_ == epoch_len_) {
+    } else if (++epoch_off_ == decay_.epoch_length()) {
       epoch_off_ = 0;
     }
   } else if (!clock_valid_ || rel_round != clock_round_) {
     phase_ = rel_round / phase_len;
     off_ = rel_round % phase_len;
-    epoch_off_ = static_cast<std::uint32_t>(off_ % epoch_len_);
+    epoch_off_ = static_cast<std::uint32_t>(off_ % decay_.epoch_length());
     phase_dirty_ = true;
     clock_valid_ = true;
   }
@@ -195,7 +196,7 @@ std::optional<radio::MessageBody> DisseminationState::on_transmit(
 
   // FORWARD: Decay-paced coded (or plain) transmission.
   if (off_ >= forward_rounds_) return std::nullopt;
-  if (!rng_->next_bool(decay_prob_[epoch_off_])) return std::nullopt;
+  if (!rng_->next_bool(decay_.slot_probability(epoch_off_))) return std::nullopt;
 
   if (cfg_.rc.coded) {
     if (!encoder_.has_value() || encoder_group_ != j) {
@@ -210,15 +211,7 @@ std::optional<radio::MessageBody> DisseminationState::on_transmit(
     msg.group_count = group_count_;
     msg.group_size = gs.size;
     msg.payload = arena_ != nullptr ? arena_->acquire() : gf2::Payload();
-    if (gs.size <= 64) {
-      // Packed fast path: the subset draw and encoded bytes are identical
-      // to the BitVec route below, without materializing the BitVec.
-      msg.coeffs = encoder_->encode_random_word_into(*rng_, msg.payload);
-    } else {
-      const gf2::BitVec coeffs = gf2::BitVec::random(gs.size, *rng_);
-      msg.coeffs = coeffs.to_word();
-      encoder_->encode_into(coeffs, msg.payload);
-    }
+    msg.coeffs = encoder_->encode_random_word_into(*rng_, msg.payload);
     return msg;
   }
 
@@ -266,18 +259,11 @@ void DisseminationState::on_receive(std::uint64_t /*rel_round*/,
     GroupState& gs = group(plain->group_id, plain->group_size);
     if (gs.complete) return;
     ++rows_received_;
-    if (gs.size <= 64) {
-      gf2::Payload wire = arena_ != nullptr ? arena_->acquire() : gf2::Payload();
-      packet_wire_image_into(plain->packet, wire);
-      if (!gs.decoder->add_row_packed(1ULL << plain->index_in_group, wire)) {
-        ++redundant_rows_;
-        if (arena_ != nullptr) arena_->recycle(std::move(wire));
-      }
-    } else {
-      gf2::CodedRow row;
-      row.coeffs = gf2::BitVec::unit(gs.size, plain->index_in_group);
-      row.payload = packet_wire_image(plain->packet);
-      if (!gs.decoder->add_row(std::move(row))) ++redundant_rows_;
+    gf2::Payload wire = arena_ != nullptr ? arena_->acquire() : gf2::Payload();
+    packet_wire_image_into(plain->packet, wire);
+    if (!gs.decoder->add_row_packed(1ULL << plain->index_in_group, wire)) {
+      ++redundant_rows_;
+      if (arena_ != nullptr) arena_->recycle(std::move(wire));
     }
     maybe_finish_group(gs);
     return;
@@ -289,21 +275,13 @@ void DisseminationState::on_receive(std::uint64_t /*rel_round*/,
     GroupState& gs = group(coded->group_id, coded->group_size);
     if (gs.complete) return;
     ++rows_received_;
-    if (gs.size <= 64) {
-      // Same low-`size`-bits view BitVec::from_word takes of the header.
-      const std::uint64_t mask =
-          gs.size == 64 ? ~0ULL : (1ULL << gs.size) - 1;
-      gf2::Payload buf = arena_ != nullptr ? arena_->acquire_copy(coded->payload)
-                                           : coded->payload;
-      if (!gs.decoder->add_row_packed(coded->coeffs & mask, buf)) {
-        ++redundant_rows_;
-        if (arena_ != nullptr) arena_->recycle(std::move(buf));
-      }
-    } else {
-      gf2::CodedRow row;
-      row.coeffs = gf2::BitVec::from_word(gs.size, coded->coeffs);
-      row.payload = coded->payload;
-      if (!gs.decoder->add_row(std::move(row))) ++redundant_rows_;
+    // Same low-`size`-bits view BitVec::from_word takes of the header.
+    const std::uint64_t mask = gs.size == 64 ? ~0ULL : (1ULL << gs.size) - 1;
+    gf2::Payload buf =
+        arena_ != nullptr ? arena_->acquire_copy(coded->payload) : coded->payload;
+    if (!gs.decoder->add_row_packed(coded->coeffs & mask, buf)) {
+      ++redundant_rows_;
+      if (arena_ != nullptr) arena_->recycle(std::move(buf));
     }
     maybe_finish_group(gs);
     return;

@@ -35,6 +35,7 @@
 #include "core/params.hpp"
 #include "gf2/coding.hpp"
 #include "gf2/solver.hpp"
+#include "protocols/decay.hpp"
 #include "radio/knowledge.hpp"
 #include "radio/node.hpp"
 
@@ -134,15 +135,14 @@ class DisseminationState {
   std::uint64_t rows_received_ = 0;
   std::uint64_t redundant_rows_ = 0;
 
-  // Constants hoisted out of on_transmit, which runs on every polled
-  // node-round of the Stage 4 window (every round for a node driven
-  // without poll hints) and dominated the profile: the Decay
-  // epoch length, the FORWARD window length, the per-epoch-slot transmit
-  // probabilities (1/2^(s+1), exact in binary FP so precomputing cannot
-  // perturb a draw), and this node's layer offset into the phase schedule.
-  std::uint32_t epoch_len_ = 1;
+  // FORWARD's pacer, read per epoch slot through the incremental clock's
+  // epoch_off_ below. The other constants are hoisted out of on_transmit,
+  // which runs on every polled node-round of the Stage 4 window (every
+  // round for a node driven without poll hints) and dominated the
+  // profile: the FORWARD window length and this node's layer offset into
+  // the phase schedule.
+  protocols::Decay decay_;
   std::uint64_t forward_rounds_ = 0;
-  std::vector<double> decay_prob_;
   std::uint64_t slot_base_ = 0;
 
   // Incremental round clock. Consecutive on_transmit calls advance
@@ -155,7 +155,7 @@ class DisseminationState {
   std::uint64_t clock_round_ = 0;
   std::uint64_t phase_ = 0;
   std::uint64_t off_ = 0;          ///< rel_round % phase_len
-  std::uint32_t epoch_off_ = 0;    ///< off_ % epoch_len_
+  std::uint32_t epoch_off_ = 0;    ///< off_ % decay_.epoch_length()
   bool phase_dirty_ = true;
   std::uint64_t phase_slot_ = 0;   ///< (phase_ - slot_base_) % spacing
   std::uint64_t phase_group_ = 0;  ///< (phase_ - slot_base_) / spacing

@@ -1,5 +1,6 @@
 #include "core/params.hpp"
 
+#include "common/assert.hpp"
 #include "common/math_util.hpp"
 #include "protocols/bgi_broadcast.hpp"
 
@@ -39,6 +40,10 @@ ResolvedConfig resolve(const KBroadcastConfig& cfg) {
 
   // Stage 4.
   rc.group_size = cfg.group_size != 0 ? cfg.group_size : rc.log_n;
+  // Both pipelines address a packet by its bit in one uint64 word (the
+  // CodedMsg coefficient header, the decoder's unit rows).
+  RC_ASSERT_MSG(rc.group_size <= 64,
+                "group_size exceeds 64: the coefficient header is one 64-bit word");
   rc.forward_epochs = cfg.forward_epochs != 0 ? cfg.forward_epochs : 10 * rc.log_n;
   rc.group_spacing = cfg.group_spacing;
   rc.coded = cfg.coded;

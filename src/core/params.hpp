@@ -37,7 +37,8 @@ struct KBroadcastConfig {
   std::uint32_t alarm_epochs = 0;
 
   // --- Stage 4: dissemination ---
-  /// Packets per coded group. 0 => ⌈log n̂⌉ (the paper's choice).
+  /// Packets per coded group, at most 64 (the ⌈log n⌉-bit coefficient
+  /// header is one uint64 word). 0 => ⌈log n̂⌉ (the paper's choice).
   std::uint32_t group_size = 0;
   /// Decay epochs per FORWARD phase. 0 => 10·log n̂ (enough receptions for
   /// Lemma 3's full-rank threshold w.h.p.).

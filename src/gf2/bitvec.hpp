@@ -60,14 +60,6 @@ class BitVec {
     words_[i >> 6] ^= 1ULL << (i & 63);
   }
 
-  /// The 4-bit window [4i, 4i+4) as a value in [0, 16) — the table
-  /// encoder's chunk selector (4 divides 64, so a nibble never straddles
-  /// words; bits past size() read as 0 thanks to trim()).
-  std::uint32_t nibble(std::size_t i) const {
-    RC_DCHECK(i * 4 < size_);
-    return static_cast<std::uint32_t>((words_[(i * 4) >> 6] >> ((i * 4) & 63)) & 0xfu);
-  }
-
   /// In-place XOR (addition in GF(2)^size). Sizes must match.
   BitVec& operator^=(const BitVec& other);
   friend BitVec operator^(BitVec lhs, const BitVec& rhs) {

@@ -9,7 +9,8 @@ namespace radiocast::gf2 {
 
 GroupEncoder::GroupEncoder(std::vector<Payload> packets)
     : packets_(std::move(packets)) {
-  RC_ASSERT(!packets_.empty());
+  RC_ASSERT_MSG(!packets_.empty() && packets_.size() <= 64,
+                "a group's coefficient header is one 64-bit word");
   build_table();
 }
 
@@ -45,28 +46,10 @@ CodedRow GroupEncoder::encode(const BitVec& coeffs) const {
 
 void GroupEncoder::encode_into(const BitVec& coeffs, Payload& out) const {
   RC_ASSERT(coeffs.size() == packets_.size());
-  if (packets_.size() <= 64) {
-    encode_word_into(coeffs.to_word(), out);
-    return;
-  }
-  out.clear();
-  const std::size_t nibbles = (packets_.size() + 3) / 4;
-  bool first = true;
-  for (std::size_t c = 0; c < nibbles; ++c) {
-    const std::uint32_t nib = coeffs.nibble(c);
-    if (nib == 0) continue;
-    const Payload& e = entry(c, nib);
-    if (first) {
-      out.assign(e.begin(), e.end());
-      first = false;
-    } else {
-      xor_into(out, e);
-    }
-  }
+  encode_word_into(coeffs.to_word(), out);
 }
 
 void GroupEncoder::encode_word_into(std::uint64_t coeffs, Payload& out) const {
-  RC_ASSERT(packets_.size() <= 64);
   RC_ASSERT(packets_.size() == 64 || (coeffs >> packets_.size()) == 0);
   out.clear();
   bool first = true;
@@ -91,7 +74,6 @@ CodedRow GroupEncoder::encode_random(Rng& rng) const {
 
 std::uint64_t GroupEncoder::encode_random_word_into(Rng& rng, Payload& out) const {
   const std::size_t w = packets_.size();
-  RC_ASSERT(w <= 64);
   // One rng() draw masked to w bits — exactly what BitVec::random(w, rng)
   // does for a one-word vector (draw, then trim), so the stream position
   // and the drawn subset are identical to the encode_random path.

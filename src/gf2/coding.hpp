@@ -32,6 +32,7 @@ namespace radiocast::gf2 {
 /// relay layers obtain it from their IncrementalDecoder.
 class GroupEncoder {
  public:
+  /// 1 <= packets.size() <= 64: the coefficient header is one uint64 word.
   explicit GroupEncoder(std::vector<Payload> packets);
 
   std::size_t width() const { return packets_.size(); }
@@ -45,9 +46,9 @@ class GroupEncoder {
   /// Byte-identical to encode(coeffs).payload.
   void encode_into(const BitVec& coeffs, Payload& out) const;
 
-  /// Packed-header variant (width <= 64): bit i of `coeffs` selects packet
-  /// i, exactly the CodedMsg wire format. Byte-identical to encode_into
-  /// with the equivalent BitVec.
+  /// Packed-header variant: bit i of `coeffs` selects packet i, exactly
+  /// the CodedMsg wire format. encode_into forwards here with the
+  /// BitVec's word.
   void encode_word_into(std::uint64_t coeffs, Payload& out) const;
 
   /// Draws a uniform random subset (each packet independently w.p. 1/2) and
@@ -57,8 +58,8 @@ class GroupEncoder {
   /// counts it as redundant).
   CodedRow encode_random(Rng& rng) const;
 
-  /// Allocation-free encode_random for width <= 64: draws the same single
-  /// rng() word BitVec::random(width) would draw, encodes into `out` (an
+  /// Allocation-free encode_random: draws the same single rng() word
+  /// BitVec::random(width) would draw, encodes into `out` (an
   /// arena-recycled buffer), and returns the coefficient word for the
   /// CodedMsg header. Stream- and byte-identical to encode_random.
   std::uint64_t encode_random_word_into(Rng& rng, Payload& out) const;

@@ -25,42 +25,18 @@ void xor_payloads(Payload& dst, const Payload& a, const Payload& b) {
 }
 
 IncrementalDecoder::IncrementalDecoder(std::size_t width) : width_(width) {
-  RC_ASSERT(width > 0);
-  if (packed()) {
-    mask_basis_.assign(width, 0);
-    mask_payload_.resize(width);
-  } else {
-    basis_.resize(width);
-    has_pivot_.assign(width, false);
-  }
+  RC_ASSERT_MSG(width >= 1 && width <= 64,
+                "a group's coefficient header is one 64-bit word");
+  mask_basis_.assign(width, 0);
+  mask_payload_.resize(width);
 }
 
 bool IncrementalDecoder::add_row(CodedRow row) {
   RC_ASSERT(row.coeffs.size() == width_);
-  if (packed()) return add_row_packed(row.coeffs.to_word(), row.payload);
-  ++rows_seen_;
-  // Reduce against existing pivots until the row is zero or introduces a
-  // new pivot.
-  while (true) {
-    const std::size_t lead = row.coeffs.lowest_set_bit();
-    if (lead == width_) {
-      ++redundant_rows_;
-      return false;  // linearly dependent
-    }
-    if (!has_pivot_[lead]) {
-      basis_[lead] = std::move(row);
-      has_pivot_[lead] = true;
-      ++rank_;
-      solved_ = false;
-      return true;
-    }
-    row.coeffs ^= basis_[lead].coeffs;
-    xor_into(row.payload, basis_[lead].payload);
-  }
+  return add_row_packed(row.coeffs.to_word(), row.payload);
 }
 
 bool IncrementalDecoder::add_row_packed(std::uint64_t coeffs, Payload& payload) {
-  RC_ASSERT(packed());
   RC_ASSERT(width_ == 64 || (coeffs >> width_) == 0);
   ++rows_seen_;
   // Mask-only reduction first: record which pivots get absorbed instead of
@@ -129,33 +105,18 @@ void IncrementalDecoder::back_substitute() {
   // redundant add_row still reduces to zero against them.
   decoded_.clear();
   decoded_.reserve(width_);
-  if (packed()) {
-    // Row-major descending order: when row r is processed every row above
-    // its pivot (c > r) is already a unit vector, so the whole chain
-    // mask_basis_[r] & ~e_r can be absorbed at once, pairwise. Same XOR
-    // multiset as the classic column-major sweep (a unit row's absorption
-    // only clears its own bit), hence byte-identical packets.
-    for (std::size_t r = width_; r-- > 0;) {
-      const std::uint64_t absorbed = mask_basis_[r] & ~(1ULL << r);
-      if (absorbed != 0) absorb_payloads(mask_payload_[r], absorbed);
-      mask_basis_[r] = 1ULL << r;
-    }
-    for (std::size_t c = 0; c < width_; ++c) {
-      decoded_.push_back(std::move(mask_payload_[c]));
-    }
-  } else {
-    for (std::size_t c = width_; c-- > 0;) {
-      for (std::size_t r = 0; r < c; ++r) {
-        if (basis_[r].coeffs.get(c)) {
-          basis_[r].coeffs ^= basis_[c].coeffs;
-          xor_into(basis_[r].payload, basis_[c].payload);
-        }
-      }
-    }
-    for (std::size_t c = 0; c < width_; ++c) {
-      RC_ASSERT(basis_[c].coeffs.popcount() == 1 && basis_[c].coeffs.get(c));
-      decoded_.push_back(std::move(basis_[c].payload));
-    }
+  // Row-major descending order: when row r is processed every row above
+  // its pivot (c > r) is already a unit vector, so the whole chain
+  // mask_basis_[r] & ~e_r can be absorbed at once, pairwise. Same XOR
+  // multiset as the classic column-major sweep (a unit row's absorption
+  // only clears its own bit), hence byte-identical packets.
+  for (std::size_t r = width_; r-- > 0;) {
+    const std::uint64_t absorbed = mask_basis_[r] & ~(1ULL << r);
+    if (absorbed != 0) absorb_payloads(mask_payload_[r], absorbed);
+    mask_basis_[r] = 1ULL << r;
+  }
+  for (std::size_t c = 0; c < width_; ++c) {
+    decoded_.push_back(std::move(mask_payload_[c]));
   }
   solved_ = true;
 }

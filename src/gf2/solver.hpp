@@ -12,22 +12,19 @@
 // both their coefficients and their payload bytes, which is exactly the
 // field addition the paper uses (packets as elements of GF(2^b)).
 //
-// Two basis representations, one elimination order:
+// The basis is packed: a group has at most 64 packets (the protocol's
+// coefficient header is one uint64 word, the paper's ⌈log n⌉-bit header),
+// so every coefficient vector is a single uint64 mask. The basis is a flat
+// mask array plus a flat payload array, and rows enter through
+// `add_row_packed` without ever materializing a BitVec. Payload buffers
+// move, never copy, and a redundant row hands its buffer back to the
+// caller for arena recycling. `add_row` takes a BitVec row and forwards
+// to the packed path.
 //
-//   * width <= 64 (every group the protocol's uint64 wire header can
-//     express) — the PACKED fast path: coefficient vectors are single
-//     uint64 masks, the basis is a flat mask array plus a flat payload
-//     array, and rows enter through `add_row_packed` without ever
-//     materializing a BitVec. Payload buffers move, never copy, and a
-//     redundant row hands its (reduced) buffer back to the caller for
-//     arena recycling.
-//   * width > 64 — the BitVec fallback: the historical CodedRow basis.
-//
-// Both run the same lowest-set-bit pivot elimination; the packed path and
-// the payload-free MaskRank tracker literally share it (`reduce_pivot_mask`
-// below), so the two can never drift apart. `add_row` on a packed-width
-// decoder forwards to the packed path and is byte-identical to the
-// historical BitVec elimination (pinned by tests/gf2/coding_oracle_test).
+// The elimination is lowest-set-bit pivoting; the decoder and the
+// payload-free MaskRank tracker literally share it (`reduce_pivot_mask`
+// below), so the two can never drift apart. tests/gf2/coding_oracle_test
+// pins the decoder against an independent offline elimination.
 #pragma once
 
 #include <array>
@@ -92,7 +89,7 @@ inline std::size_t reduce_pivot_mask(std::uint64_t mask, const std::uint64_t* ba
 
 class IncrementalDecoder {
  public:
-  /// Decoder for a group of `width` packets.
+  /// Decoder for a group of `width` packets; 1 <= width <= 64.
   explicit IncrementalDecoder(std::size_t width);
 
   std::size_t width() const { return width_; }
@@ -110,17 +107,17 @@ class IncrementalDecoder {
   std::size_t redundant_rows() const { return redundant_rows_; }
 
   /// Feeds one coded message into the decoder. Returns true if the row
-  /// increased the rank (was innovative).
+  /// increased the rank (was innovative). Same as add_row_packed with the
+  /// row's coefficient word.
   bool add_row(CodedRow row);
 
-  /// Packed fast path (width <= 64 only): feeds one row whose coefficients
-  /// are the low `width` bits of `coeffs` (higher bits must be 0 — the
-  /// CodedMsg wire format). On an innovative row the payload is reduced in
-  /// place, then the buffer is MOVED into the basis and `payload` is left
-  /// moved-from. On a redundant row — decided by a mask-only reduction, so
-  /// no payload byte is ever touched — the buffer stays with the caller,
-  /// untouched and capacity intact, for recycling into a PayloadArena.
-  /// Counter accounting is identical to add_row.
+  /// Feeds one row whose coefficients are the low `width` bits of
+  /// `coeffs` (higher bits must be 0 — the CodedMsg wire format). On an
+  /// innovative row the payload is reduced in place, then the buffer is
+  /// MOVED into the basis and `payload` is left moved-from. On a redundant
+  /// row — decided by a mask-only reduction, so no payload byte is ever
+  /// touched — the buffer stays with the caller, untouched and capacity
+  /// intact, for recycling into a PayloadArena.
   bool add_row_packed(std::uint64_t coeffs, Payload& payload);
 
   /// Recovers packet `index` of the group. Must only be called when
@@ -139,7 +136,6 @@ class IncrementalDecoder {
   std::vector<Payload> take_packets();
 
  private:
-  bool packed() const { return width_ <= 64; }
   void back_substitute();
   /// Applies one reduction chain to `payload`: XORs in mask_payload_[p]
   /// for every set bit p of `absorbed`, pairwise via gf2::xor_accum2.
@@ -150,20 +146,16 @@ class IncrementalDecoder {
   std::size_t rows_seen_ = 0;
   std::size_t redundant_rows_ = 0;
   bool solved_ = false;
-  /// Packed basis (width <= 64): mask_basis_[c] is the reduced
-  /// coefficient mask whose lowest set bit is c (0 = empty slot, valid
-  /// because a stored row always contains its own pivot bit), and
-  /// mask_payload_[c] the matching payload. Back-substitution recycles
-  /// these buffers into decoded_ by move; the masks stay behind so
-  /// late redundant rows still reduce correctly (their payload bytes are
-  /// then meaningless, but redundancy is a mask-only fact and the buffer
-  /// is discarded or recycled either way).
+  /// Packed basis: mask_basis_[c] is the reduced coefficient mask whose
+  /// lowest set bit is c (0 = empty slot, valid because a stored row
+  /// always contains its own pivot bit), and mask_payload_[c] the
+  /// matching payload. Back-substitution recycles these buffers into
+  /// decoded_ by move; the masks stay behind so late redundant rows still
+  /// reduce correctly (their payload bytes are then meaningless, but
+  /// redundancy is a mask-only fact and the buffer is discarded or
+  /// recycled either way).
   std::vector<std::uint64_t> mask_basis_;
   std::vector<Payload> mask_payload_;
-  /// BitVec fallback basis (width > 64): basis_[c] holds the row whose
-  /// lowest set coefficient is column c.
-  std::vector<CodedRow> basis_;
-  std::vector<bool> has_pivot_;
   std::vector<Payload> decoded_;
 };
 

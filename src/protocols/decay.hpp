@@ -11,6 +11,7 @@
 // implements verbatim).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "common/assert.hpp"
@@ -29,10 +30,18 @@ class Decay {
   std::uint32_t epoch_length() const { return epoch_length_; }
 
   /// Transmission probability for the round at offset `rel_round` from the
-  /// start of the epoch grid: 2^-(s+1) where s = rel_round mod epoch_length.
+  /// start of the epoch grid: slot_probability(rel_round mod epoch_length).
   double probability(std::uint64_t rel_round) const {
-    const auto s = static_cast<std::uint32_t>(rel_round % epoch_length_);
-    return 1.0 / static_cast<double>(1ULL << (s + 1));
+    return slot_probability(static_cast<std::uint32_t>(rel_round % epoch_length_));
+  }
+
+  /// Transmission probability of epoch slot `s` (0-based, s <
+  /// epoch_length): 2^-(s+1), exact in binary floating point. It is built
+  /// from the IEEE-754 exponent field (biased exponent 1023 - (s+1)), so a
+  /// caller that tracks its slot incrementally pays no division per round.
+  double slot_probability(std::uint32_t s) const {
+    RC_DCHECK(s < epoch_length_);
+    return std::bit_cast<double>(static_cast<std::uint64_t>(1022 - s) << 52);
   }
 
   /// Draws the transmit decision for `rel_round` (relative to the epoch

@@ -108,16 +108,9 @@ void Network::set_engine(EngineMode mode) {
   engine_ = mode;
 }
 
-void Network::set_packed_source(PackedTransmitSource* source) {
-  RC_ASSERT_MSG(!started_ || source == nullptr,
-                "set_packed_source after the simulation started");
-  packed_source_ = source;
-}
-
 void Network::wake(NodeId id) {
   if (!awake_[id]) {
     awake_[id] = 1;
-    if (bitset_ready_) awake_bits_.words()[id >> 6] |= 1ULL << (id & 63);
     awake_list_.push_back(id);
     awake_list_dirty_ = true;
     ++trace_.counters().wakeups;
@@ -140,7 +133,14 @@ void Network::step() {
       RC_ASSERT_MSG(protocols_[id] != nullptr, "every node needs a protocol");
     }
 #endif
-    if (engine_ == EngineMode::kBitset) ensure_bitset_buffers();
+    if (engine_ == EngineMode::kBitset) {
+      const std::size_t n = num_nodes();
+      tx_bits_.resize(n);
+      once_bits_.resize(n);
+      twice_bits_.resize(n);
+      tx_index_of_.resize(n);
+      packed_rows_ = graph::PackedRows::build(graph_);
+    }
   }
 
   // Last round's payload buffers go back to the arena first, so this
@@ -154,9 +154,14 @@ void Network::step() {
     awake_list_dirty_ = false;
   }
 
-  // Fault erasures (the shared Rng draws once per successful slot, in
-  // receiver-touch order), an audit hook and the test mutations all
-  // observe the scalar kernel's order, so any round with one of them
+  // Phase 1: collect transmission decisions from awake nodes that are due
+  // a poll. Both kernels start from this transmit set.
+  poll_transmitters();
+  if (auditor_ != nullptr) auditor_->on_transmissions(round_, transmissions_);
+
+  // Phases 2-3. Fault erasures (the shared Rng draws once per successful
+  // slot, in receiver-touch order), an audit hook and the test mutations
+  // all observe the scalar kernel's order, so any round with one of them
   // attached runs there under either engine. Without them per-node
   // outcomes are order-independent (protocols only interact through the
   // channel, which the round's transmit set already fixes), and the bitset
@@ -166,9 +171,9 @@ void Network::step() {
       mutations_.deliver_on_collision || mutations_.deliver_while_transmitting ||
       mutations_.skip_wake_on_receive;
   if (engine_ == EngineMode::kBitset && !order_sensitive) {
-    round_bitset();
+    sweep_bitset();
   } else {
-    round_scalar();
+    sweep_scalar();
   }
 
   if (auditor_ != nullptr) auditor_->on_round_end(round_);
@@ -226,12 +231,7 @@ void Network::poll_transmitters() {
   }
 }
 
-void Network::round_scalar() {
-  // Phase 1: collect transmission decisions from awake nodes that are due
-  // a poll.
-  poll_transmitters();
-  if (auditor_ != nullptr) auditor_->on_transmissions(round_, transmissions_);
-
+void Network::sweep_scalar() {
   // Phase 2: compute, per node, how many transmissions reached it. The
   // loop is branchless: whether a neighbor is newly touched is a random,
   // unpredictable bit, so the classical `if (first touch) append` form
@@ -355,34 +355,7 @@ void Network::round_scalar() {
   for (const NodeId from : tx_from_) transmitting_[from] = 0;
 }
 
-void Network::ensure_bitset_buffers() {
-  if (bitset_ready_) return;
-  const std::size_t n = num_nodes();
-  tx_bits_.resize(n);
-  once_bits_.resize(n);
-  twice_bits_.resize(n);
-  awake_bits_.resize(n);
-  tx_index_of_.assign(n, kInvalidTx);
-  for (const NodeId id : awake_list_) {
-    awake_bits_.words()[id >> 6] |= 1ULL << (id & 63);
-  }
-  packed_rows_ = graph::PackedRows::build(graph_);
-  bitset_ready_ = true;
-}
-
-std::uint32_t Network::materialize_packed_tx(NodeId from) {
-  const auto idx = static_cast<std::uint32_t>(transmissions_.size());
-  Message& slot = transmissions_.emplace_back();
-  slot.from = from;
-  slot.body = packed_source_->packed_body(round_, from);
-  tx_meta_.push_back({static_cast<std::uint32_t>(message_size_bits(slot.body)),
-                      static_cast<std::uint32_t>(message_kind_index(slot.body))});
-  tx_from_.push_back(from);
-  tx_index_of_[from] = idx;
-  return idx;
-}
-
-void Network::round_bitset() {
+void Network::sweep_bitset() {
   const std::size_t nw = tx_bits_.num_words();
   std::uint64_t* const tx = tx_bits_.words().data();
   std::uint64_t* const once = once_bits_.words().data();
@@ -390,40 +363,13 @@ void Network::round_bitset() {
   std::fill_n(once, nw, 0);
   std::fill_n(twice, nw, 0);
 
-  // Phase 1: this round's transmit set, as bits. With a packed source the
-  // whole round is one bulk fill + awake mask; otherwise the shared poll
-  // loop runs and its transmitters are set as bits.
-  if (packed_source_ != nullptr) {
-    packed_source_->fill_transmit_words(round_, tx, nw);
-    const std::uint64_t* const aw = awake_bits_.words().data();
-    for (std::size_t w = 0; w < nw; ++w) tx[w] &= aw[w];
-    tx_bits_.clear_excess_bits();
-    std::size_t tx_count = 0;
-    for (std::size_t w = 0; w < nw; ++w) {
-      tx_count += static_cast<std::size_t>(std::popcount(tx[w]));
-    }
-    if (tx_count > 0) {
-      // One representative body yields the round's uniform kind/size (the
-      // PackedTransmitSource contract); nobody-heard transmitters are
-      // never materialised.
-      std::size_t w = 0;
-      while (tx[w] == 0) ++w;
-      const auto from = static_cast<NodeId>((w << 6) + std::countr_zero(tx[w]));
-      const std::uint32_t idx = materialize_packed_tx(from);
-      TraceCounters& c = trace_.counters();
-      c.transmissions += tx_count;
-      c.bits_transmitted +=
-          static_cast<std::uint64_t>(tx_meta_[idx].size_bits) * tx_count;
-      c.transmissions_by_kind[tx_meta_[idx].kind] += tx_count;
-    }
-  } else {
-    poll_transmitters();
-    std::fill_n(tx, nw, 0);
-    for (std::uint32_t t = 0; t < tx_from_.size(); ++t) {
-      const NodeId id = tx_from_[t];
-      tx[id >> 6] |= 1ULL << (id & 63);
-      tx_index_of_[id] = t;
-    }
+  // Phase 1's transmitters as bits, plus the id -> transmission index map
+  // the delivery walk resolves senders through.
+  std::fill_n(tx, nw, 0);
+  for (std::uint32_t t = 0; t < tx_from_.size(); ++t) {
+    const NodeId id = tx_from_[t];
+    tx[id >> 6] |= 1ULL << (id & 63);
+    tx_index_of_[id] = t;
   }
 
   // Row access for the scatter/resolve sweeps: the word-grouped index when
@@ -517,8 +463,7 @@ void Network::round_bitset() {
           }
         }
       }
-      std::uint32_t idx = tx_index_of_[from];
-      if (idx == kInvalidTx) idx = materialize_packed_tx(from);
+      const std::uint32_t idx = tx_index_of_[from];
       const Message& txm = transmissions_[idx];
       const TxMeta meta = tx_meta_[idx];
       ++deliveries_acc;
@@ -538,7 +483,6 @@ void Network::round_bitset() {
       c.deliveries_by_kind[k] += rx_kind_acc[k];
     }
   }
-  for (const NodeId from : tx_from_) tx_index_of_[from] = kInvalidTx;
 }
 
 bool Network::advance_done_count() {

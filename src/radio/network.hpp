@@ -27,15 +27,18 @@
 
 namespace radiocast::radio {
 
-/// Which round-kernel implementation executes step().
+/// Which reception kernel executes Phases 2-3 of step().
 ///
-/// kScalar is the node-at-a-time engine (the reference semantics; every
-/// historical digest was produced by it). kBitset keeps the transmit and
-/// awake sets as packed uint64_t bit vectors and computes reception with
-/// word-wise AND/popcount sweeps over CSR rows — same model, same results,
-/// ~word-parallel speed on large graphs. A round whose order is observable
-/// (an audit hook, a fault model with loss > 0, or any EngineMutations
-/// flag) runs on the scalar kernel under either mode. See
+/// Both kernels share Phase 1: every awake node that is due a poll (see
+/// NodeProtocol::quiet_until) decides from its own coins whether to
+/// transmit, through the virtual NodeProtocol::on_transmit. kScalar then
+/// resolves reception node at a time (the reference semantics; every
+/// historical digest was produced by it). kBitset sets the round's
+/// transmitters as a packed uint64_t bit vector and computes reception
+/// with word-wise AND/popcount sweeps over CSR rows — same model, same
+/// results, ~word-parallel speed on large graphs. A round whose order is
+/// observable (an audit hook, a fault model with loss > 0, or any
+/// EngineMutations flag) runs on the scalar kernel under either mode. See
 /// docs/performance.md.
 enum class EngineMode : std::uint8_t { kScalar, kBitset };
 
@@ -44,42 +47,6 @@ const char* engine_mode_name(EngineMode mode);
 
 /// Inverse of engine_mode_name; nullopt for unknown names.
 std::optional<EngineMode> parse_engine_mode(std::string_view name);
-
-/// Optional bulk transmit-decision provider for the bitset engine.
-///
-/// The scalar engine asks every awake node that is due a poll (see
-/// NodeProtocol::quiet_until) for a decision via the virtual
-/// NodeProtocol::on_transmit; at n = 10^6 with every node due each round,
-/// those virtual calls dominate the round. A protocol family whose per-round decision is a
-/// simple predicate (the paper's one-bit Decay/alarm regimes) can instead
-/// register a PackedTransmitSource: the engine requests the whole round's
-/// decisions as one bit vector and only materialises a Message for
-/// transmitters somebody actually hears.
-///
-/// Contract: fill_transmit_words writes one bit per node id (bit i of
-/// words[i / 64]) — set iff node i would transmit this round if awake. The
-/// engine ANDs the result with the awake set and ignores bits at or beyond
-/// num_nodes, so the source does not need to know who is awake. Within one
-/// round every packed_body() must have the same message kind and wire size
-/// (the engine computes round totals from one representative body). The
-/// source must agree with the protocols' own on_transmit: the scalar
-/// engine, and every order-sensitive round of the bitset engine (see
-/// EngineMode), call on_transmit instead of the source. The differential
-/// oracle tests pin this for the in-tree sources.
-class PackedTransmitSource {
- public:
-  virtual ~PackedTransmitSource() = default;
-
-  /// Writes the round's would-transmit set (one bit per node).
-  /// `num_words` = ceil(num_nodes / 64); words beyond the node count are
-  /// masked off by the engine.
-  virtual void fill_transmit_words(Round round, std::uint64_t* words,
-                                   std::size_t num_words) = 0;
-
-  /// The message node `from` transmits this round (same kind and wire
-  /// size for every `from` within one round).
-  virtual MessageBody packed_body(Round round, NodeId from) = 0;
-};
 
 /// Optional fault injection, beyond the paper's model: models external
 /// interference (jamming, thermal noise) as independent per-reception
@@ -205,13 +172,6 @@ class Network {
   void set_engine(EngineMode mode);
   EngineMode engine() const { return engine_; }
 
-  /// Registers a bulk transmit-decision source (nullptr detaches). Only
-  /// honored by the bitset engine's word-parallel rounds — see
-  /// PackedTransmitSource. Must be set before the first step; must outlive
-  /// the network (or be detached).
-  void set_packed_source(PackedTransmitSource* source);
-  PackedTransmitSource* packed_source() const { return packed_source_; }
-
  private:
   void wake(NodeId id);
   /// The target of an on_wake / on_receive / on_collision upcall: re-arms
@@ -222,23 +182,18 @@ class Network {
     poll_at_[id] = 0;
     return *protocols_[id];
   }
-  /// Phase 1 of both kernels: asks every awake node that is due a poll
-  /// for its decision, in ascending id order, appending to transmissions_,
-  /// tx_meta_ and tx_from_ and to the transmission counters.
+  /// Phase 1, shared by both kernels: asks every awake node that is due a
+  /// poll for its decision, in ascending id order, appending to
+  /// transmissions_, tx_meta_ and tx_from_ and to the transmission
+  /// counters.
   void poll_transmitters();
-  /// One round of the node-at-a-time reference kernel; it defines the
+  /// Phases 2-3 of the node-at-a-time reference kernel; it defines the
   /// observable order (fault-RNG draws, audit-hook callbacks).
-  void round_scalar();
-  /// One round of the bit-parallel kernel (see docs/performance.md), run
+  void sweep_scalar();
+  /// Phases 2-3 of the bit-parallel kernel (see docs/performance.md), run
   /// only when nothing order-sensitive is attached: it promises the scalar
   /// kernel's end-of-round state and counters, not its callback order.
-  void round_bitset();
-  /// Allocates the packed per-round sets on the first bitset step.
-  void ensure_bitset_buffers();
-  /// Materialises (lazily, once per round per transmitter) the Message a
-  /// packed-source transmitter put on the air; returns its index in
-  /// transmissions_.
-  std::uint32_t materialize_packed_tx(NodeId from);
+  void sweep_bitset();
   /// Advances the completion counter past newly-done protocols; returns
   /// true iff all protocols are done (see done_count_ below).
   bool advance_done_count();
@@ -327,8 +282,6 @@ class Network {
 
   // --- bitset engine state (allocated on the first bitset step) --------
   EngineMode engine_ = EngineMode::kScalar;
-  PackedTransmitSource* packed_source_ = nullptr;
-  bool bitset_ready_ = false;
   /// This round's transmit set, one bit per node.
   gf2::BitVec tx_bits_;
   /// Reached-by-at-least-one / at-least-two carry-save pair: a
@@ -337,12 +290,8 @@ class Network {
   /// once & ~twice & ~tx is exactly the successful-reception set.
   gf2::BitVec once_bits_;
   gf2::BitVec twice_bits_;
-  /// Awake set as bits (mirrors awake_; maintained by wake() once the
-  /// bitset buffers exist) — the packed-source AND mask.
-  gf2::BitVec awake_bits_;
-  /// node id -> index into transmissions_ this round (kInvalidTx when not
-  /// materialised); reset via tx_from_ at round end.
-  static constexpr std::uint32_t kInvalidTx = 0xffffffffu;
+  /// node id -> index into transmissions_, written for every transmitter
+  /// each round; only this round's transmitters are ever looked up.
   std::vector<std::uint32_t> tx_index_of_;
   /// Optional word-grouped adjacency (built iff the topology compresses;
   /// rows group on the fly from CSR otherwise — see graph/packed.hpp).

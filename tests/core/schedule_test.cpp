@@ -157,5 +157,22 @@ TEST(Params, ExplicitOverridesRespected) {
   EXPECT_EQ(rc.alarm_rounds, 9ull * rc.log_delta);
 }
 
+// A packet is addressed by its bit in one uint64 word (the coded
+// coefficient header, the decoder's unit rows), so a group wider than 64
+// must be refused up front for both pipelines instead of sending truncated
+// headers that abort the run at the first reception.
+TEST(ParamsDeathTest, GroupWiderThanOneHeaderWordAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  KBroadcastConfig cfg;
+  cfg.know = small_know();
+  cfg.group_size = 64;
+  EXPECT_EQ(resolve(cfg).group_size, 64u);
+  cfg.group_size = 65;
+  for (const bool coded : {true, false}) {
+    cfg.coded = coded;
+    EXPECT_DEATH((void)resolve(cfg), "coefficient header is one 64-bit word");
+  }
+}
+
 }  // namespace
 }  // namespace radiocast::core

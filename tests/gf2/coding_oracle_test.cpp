@@ -6,10 +6,10 @@
 // encode is the plain XOR of the selected packets, a decode recovers
 // exactly the original group. This file pins those promises against
 // independent reference implementations that share no kernel code with
-// src/gf2 — plain byte loops only — across the width spectrum the packed
-// path branches on (1, partial chunk, full chunk, word boundary, BitVec
-// fallback), ragged payload lengths, the all-zero subset, and redundant
-// row streams.
+// src/gf2 — plain byte loops only — across the width spectrum the table
+// encoder and the packed decoder branch on (1, partial chunk, full chunk,
+// the 64-bit word boundary), ragged payload lengths, the all-zero subset,
+// and redundant row streams.
 #include <algorithm>
 #include <cstdint>
 #include <tuple>
@@ -126,11 +126,9 @@ TEST_P(CodingOracle, TableEncoderMatchesNaiveXor) {
     Payload out(37, 0xAA);  // stale recycled contents must be overwritten
     enc.encode_into(coeffs, out);
     EXPECT_EQ(out, want);
-    if (width <= 64) {
-      Payload out2(5, 0x55);
-      enc.encode_word_into(coeffs.to_word(), out2);
-      EXPECT_EQ(out2, want);
-    }
+    Payload out2(5, 0x55);
+    enc.encode_word_into(coeffs.to_word(), out2);
+    EXPECT_EQ(out2, want);
   }
 }
 
@@ -138,7 +136,6 @@ TEST_P(CodingOracle, TableEncoderMatchesNaiveXor) {
 // identical bytes as encode_random from the same stream position.
 TEST_P(CodingOracle, RandomWordPathMatchesRandomBitVecPath) {
   const std::size_t width = GetParam();
-  if (width > 64) GTEST_SKIP() << "word path is width <= 64 only";
   Rng rng(0xF0 + width);
   const std::vector<Payload> packets = make_group(width, rng);
   GroupEncoder enc(packets);
@@ -154,8 +151,8 @@ TEST_P(CodingOracle, RandomWordPathMatchesRandomBitVecPath) {
 }
 
 // A redundant-laden row stream decodes (via add_row, which forwards to the
-// packed path for width <= 64) to exactly what offline Gaussian
-// elimination says, which is the original group.
+// packed path) to exactly what offline Gaussian elimination says, which is
+// the original group.
 TEST_P(CodingOracle, DecoderMatchesOfflineEliminationAndGroup) {
   const std::size_t width = GetParam();
   Rng rng(0xD0 + width);
@@ -191,7 +188,6 @@ TEST_P(CodingOracle, DecoderMatchesOfflineEliminationAndGroup) {
 // never leak into decoded output.
 TEST_P(CodingOracle, PackedRowsWithRecycledBuffersDecodeCleanly) {
   const std::size_t width = GetParam();
-  if (width > 64) GTEST_SKIP() << "packed path is width <= 64 only";
   Rng rng(0xC0 + width);
   const std::vector<Payload> packets = make_group(width, rng);
   GroupEncoder enc(packets);
@@ -225,7 +221,7 @@ TEST_P(CodingOracle, PackedRowsWithRecycledBuffersDecodeCleanly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, CodingOracle,
-                         ::testing::Values<std::size_t>(1, 3, 4, 15, 16, 33, 64, 65));
+                         ::testing::Values<std::size_t>(1, 3, 4, 15, 16, 33, 64));
 
 // take_packets drains the decoder once; the buffers it returns are safe to
 // recycle into later decoders without any byte bleeding through.

@@ -7,15 +7,15 @@
 // reference semantics (every historical digest was produced by it), so any
 // divergence is a bitset-engine bug by definition.
 //
-// The bitset kernel runs only rounds with nothing order-sensitive attached;
-// a fault model, an audit hook or an engine mutation sends every round to
-// the scalar kernel under either engine mode. The plain tests cover the
-// word-sweep kernel, collision detection, wake-on-first-reception from a
-// single seed node and the PackedTransmitSource bulk Phase 1. The fault,
-// audit-hook and mutation tests pin that dispatch: with faults on, a
-// wrongly taken word-parallel round would show fault_drops == 0 (it has no
-// erasure step), and the packed-source case with a fault model must poll
-// on_transmit exactly like the scalar run.
+// Both engines share Phase 1 (every due node's on_transmit); they differ
+// only in the reception sweep. The bitset kernel runs only rounds with
+// nothing order-sensitive attached; a fault model, an audit hook or an
+// engine mutation sends every round to the scalar kernel under either
+// engine mode. The plain tests cover the word-sweep kernel, collision
+// detection and wake-on-first-reception from a single seed node. The
+// fault, audit-hook and mutation tests pin that dispatch: with faults on,
+// a wrongly taken word-parallel round would show fault_drops == 0 (it has
+// no erasure step).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -281,110 +281,6 @@ TEST(BitsetOracle, SeededMutationReplaysIdenticallyOnBothEngines) {
   const std::vector<std::string> scalar_clean = run(EngineMode::kScalar, false);
   ASSERT_NE(scalar_mut, scalar_clean) << "mutation had no observable effect";
   EXPECT_EQ(scalar_mut, bitset_mut);
-}
-
-/// Packed source mirroring FloodNode-free fixed schedules: bit (round % 64)
-/// of each node's pattern word.
-class PatternSource final : public PackedTransmitSource {
- public:
-  explicit PatternSource(const std::vector<std::uint64_t>& patterns) {
-    const std::size_t words = (patterns.size() + 63) / 64;
-    rows_.assign(64, std::vector<std::uint64_t>(words, 0));
-    for (std::size_t v = 0; v < patterns.size(); ++v) {
-      for (std::uint32_t p = 0; p < 64; ++p) {
-        if ((patterns[v] >> p) & 1) rows_[p][v >> 6] |= 1ULL << (v & 63);
-      }
-    }
-  }
-  void fill_transmit_words(Round round, std::uint64_t* words,
-                           std::size_t num_words) override {
-    const auto& row = rows_[round & 63];
-    for (std::size_t w = 0; w < num_words; ++w) {
-      words[w] = w < row.size() ? row[w] : 0;
-    }
-  }
-  MessageBody packed_body(Round /*round*/, NodeId /*from*/) override {
-    return AlarmMsg{};
-  }
-
- private:
-  std::vector<std::vector<std::uint64_t>> rows_;
-};
-
-/// The protocol twin of PatternSource (the scalar engine and the contract's
-/// "must agree with on_transmit" clause both need it).
-class PatternNode final : public NodeProtocol {
- public:
-  explicit PatternNode(std::uint64_t pattern) : pattern_(pattern) {}
-  std::optional<MessageBody> on_transmit(Round round) override {
-    if (((pattern_ >> (round & 63)) & 1) == 0) return std::nullopt;
-    return AlarmMsg{};
-  }
-  void on_receive(Round /*round*/, const Message& msg) override {
-    ++receives;
-    last_from = msg.from;
-  }
-  std::uint64_t receives = 0;
-  NodeId last_from = 0;
-
- private:
-  std::uint64_t pattern_ = 0;
-};
-
-TEST(BitsetOracle, PackedSourceMatchesOnTransmitProtocols) {
-  Rng grng(99);
-  const graph::Graph g = graph::make_gnp_connected(150, 0.1, grng);
-  Rng prng(0xabcdef);
-  std::vector<std::uint64_t> patterns(g.num_nodes());
-  for (auto& p : patterns) p = prng();
-  PatternSource source(patterns);
-
-  // Without faults the bitset engine reads the packed source; with a fault
-  // model every round is order-sensitive, so it polls on_transmit like the
-  // scalar engine and must match it in every counter, polls included.
-  for (const bool faults : {false, true}) {
-    SCOPED_TRACE(faults ? "loss 0.3" : "no faults");
-    Network scalar_net(g);
-    Network bitset_net(g);
-    bitset_net.set_engine(EngineMode::kBitset);
-    bitset_net.set_packed_source(&source);
-    if (faults) {
-      FaultModel fm;
-      fm.reception_loss_probability = 0.3;
-      scalar_net.set_fault_model(fm);
-      bitset_net.set_fault_model(fm);
-    }
-    std::vector<PatternNode*> a_nodes, b_nodes;
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      auto a = std::make_unique<PatternNode>(patterns[v]);
-      auto b = std::make_unique<PatternNode>(patterns[v]);
-      a_nodes.push_back(a.get());
-      b_nodes.push_back(b.get());
-      scalar_net.set_protocol(v, std::move(a));
-      bitset_net.set_protocol(v, std::move(b));
-      scalar_net.wake_at_start(v);
-      bitset_net.wake_at_start(v);
-    }
-    for (int r = 0; r < 192; ++r) {
-      scalar_net.step();
-      bitset_net.step();
-      TraceCounters scalar = scalar_net.trace().counters();
-      if (!faults) {
-        // The packed source decides whole rounds without a single
-        // on_transmit call, so the poll work counter is the one field
-        // allowed to differ.
-        ASSERT_EQ(bitset_net.trace().counters().polls, 0u);
-        scalar.polls = 0;
-      }
-      ASSERT_EQ(scalar, bitset_net.trace().counters()) << "round " << r;
-    }
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(a_nodes[v]->receives, b_nodes[v]->receives) << "node " << v;
-      ASSERT_EQ(a_nodes[v]->last_from, b_nodes[v]->last_from) << "node " << v;
-    }
-    EXPECT_GT(scalar_net.trace().counters().deliveries, 0u);
-    EXPECT_EQ(scalar_net.trace().counters().fault_drops > 0, faults);
-  }
 }
 
 TEST(BitsetOracle, EngineModeNamesRoundTrip) {
