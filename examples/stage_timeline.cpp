@@ -9,8 +9,10 @@
 //       ...
 //   stage4.dissemination   [   5240,   8001)   2761 rounds
 //
-// and writes the same data as <prefix>.jsonl (grep/jq-able) and
-// <prefix>.trace.json (open in chrome://tracing or ui.perfetto.dev).
+// then what each stage, and each Stage-3 epoch kind, spent of the channel
+// (the channel ledger's aggregates), and writes spans and aggregates as
+// <prefix>.jsonl (grep/jq-able) and the spans as <prefix>.trace.json
+// (open in chrome://tracing or ui.perfetto.dev).
 //
 //   $ ./stage_timeline [n] [k] [seed] [out-prefix]
 #include <algorithm>
@@ -74,13 +76,18 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.duration()));
   }
 
-  // --- Per-stage channel metrics (deliveries by kind) ---
-  std::printf("\n%-22s %-8s %12s\n", "stage", "kind", "deliveries");
-  for (const obs::MetricSample& m : r.metrics) {
-    if (m.name != "sim.deliveries" || m.labels.size() != 2) continue;
-    // labels are sorted: [("kind", ...), ("stage", ...)].
-    std::printf("%-22s %-8s %12.0f\n", m.labels[1].second.c_str(),
-                m.labels[0].second.c_str(), m.value);
+  // --- Per-stage channel account (the ledger's (stage, epoch) slices) ---
+  std::printf("\n%-22s %-6s %8s %13s %12s %12s %12s\n", "stage", "epoch", "rounds",
+              "transmissions", "deliveries", "collisions", "silent");
+  for (const obs::ChannelLedger::Aggregate& a : observer.ledger().aggregates()) {
+    std::printf("%-22s %-6s %8llu %13llu %12llu %12llu %12llu\n",
+                obs::ChannelLedger::stage_name(a.stage),
+                obs::ChannelLedger::epoch_name(a.epoch),
+                static_cast<unsigned long long>(a.rounds),
+                static_cast<unsigned long long>(a.transmissions),
+                static_cast<unsigned long long>(a.deliveries),
+                static_cast<unsigned long long>(a.collisions),
+                static_cast<unsigned long long>(a.silent));
   }
 
   // --- Machine-readable dumps ---

@@ -175,7 +175,6 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
     result.final_estimate = coll->estimate();
   }
   if (tap != nullptr) tap->end_run(net, result);
-  if (observer != nullptr) result.metrics = observer->metrics_snapshot();
   return result;
 }
 

@@ -14,7 +14,6 @@
 #include "common/rng.hpp"
 #include "core/params.hpp"
 #include "graph/graph.hpp"
-#include "obs/metrics.hpp"
 #include "radio/message.hpp"
 #include "radio/network.hpp"
 
@@ -68,11 +67,6 @@ struct RunResult {
 
   radio::TraceCounters counters;
 
-  /// Flight-recorder metrics snapshot — filled only when an observer was
-  /// passed to run_kbroadcast (empty otherwise). Span data stays on the
-  /// observer itself (ask it for spans() / feed it to obs::write_*).
-  obs::MetricsSnapshot metrics;
-
   double amortized_rounds_per_packet() const {
     return k == 0 ? 0.0 : static_cast<double>(total_rounds) / static_cast<double>(k);
   }
@@ -91,8 +85,8 @@ struct RunResult {
 /// `auditor` checks the run against the model (audit::ModelAuditor);
 /// `tracer` records per-packet lifecycle telemetry (obs/packet_trace.hpp);
 /// `observer` records the span tree (stages > collection phases >
-/// OSPG/MSPG/ALARM epochs) and labelled metrics, which the runner copies
-/// into the result. `collision_detection` forwards the engine ablation
+/// OSPG/MSPG/ALARM epochs) and the channel ledger; both stay on the
+/// observer. `collision_detection` forwards the engine ablation
 /// flag (see radio::Network::enable_collision_detection).
 /// Note: a run with zero packets returns vacuously without building a
 /// network, so no tap is invoked for it.

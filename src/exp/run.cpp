@@ -378,7 +378,6 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
         topts.max_flight_events =
             static_cast<std::size_t>(spec.telemetry.max_flight_events);
         obs::RunObserver::Options oopts;
-        oopts.channel_ledger = true;
         oopts.ledger_max_rounds =
             static_cast<std::size_t>(spec.telemetry.ledger_rounds);
         tracers.resize(static_cast<std::size_t>(spec.seeds));
@@ -486,9 +485,9 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
       // order (first-seen (stage, epoch) order of the earliest trial).
       std::vector<obs::ChannelLedger::Aggregate> merged;
       for (const auto& ob : observers) {
-        const obs::ChannelLedger* led = ob->ledger();
-        b.dropped_ledger_rows += led->dropped_rows();
-        for (const obs::ChannelLedger::Aggregate& a : led->aggregates()) {
+        const obs::ChannelLedger& led = ob->ledger();
+        b.dropped_ledger_rows += led.dropped_rows();
+        for (const obs::ChannelLedger::Aggregate& a : led.aggregates()) {
           const auto it =
               std::find_if(merged.begin(), merged.end(),
                            [&a](const obs::ChannelLedger::Aggregate& m) {
@@ -511,8 +510,8 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
       for (const obs::ChannelLedger::Aggregate& a : merged) {
         JsonObject lg;
         lg.set("type", "ledger");
-        lg.set("stage", a.stage);
-        lg.set("epoch", a.epoch);
+        lg.set("stage", obs::ChannelLedger::stage_name(a.stage));
+        lg.set("epoch", obs::ChannelLedger::epoch_name(a.epoch));
         lg.set("rounds", a.rounds);
         lg.set("awake", a.awake);
         lg.set("transmissions", a.transmissions);
@@ -526,13 +525,12 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
 
       // Per-round utilization timeline of trial 0 (one representative
       // trial; the whole-grid totals are in the "ledger" lines above).
-      const obs::ChannelLedger* led0 = observers.front()->ledger();
-      for (const obs::ChannelLedger::Row& r : led0->rows()) {
+      for (const obs::ChannelLedger::Row& r : observers.front()->ledger().rows()) {
         JsonObject lr;
         lr.set("type", "ledger_round");
         lr.set("round", r.round);
-        lr.set("stage", led0->stage_names()[r.stage]);
-        lr.set("epoch", led0->epoch_names()[r.epoch]);
+        lr.set("stage", obs::ChannelLedger::stage_name(r.stage));
+        lr.set("epoch", obs::ChannelLedger::epoch_name(r.epoch));
         lr.set("awake", static_cast<std::uint64_t>(r.awake));
         lr.set("transmissions", static_cast<std::uint64_t>(r.transmissions));
         lr.set("deliveries", static_cast<std::uint64_t>(r.deliveries));

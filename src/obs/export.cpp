@@ -1,5 +1,7 @@
 #include "obs/export.hpp"
 
+#include <string>
+
 #include "obs/json.hpp"
 #include "obs/observer.hpp"
 #include "obs/packet_trace.hpp"
@@ -7,12 +9,6 @@
 namespace radiocast::obs {
 
 namespace {
-
-void write_labels(JsonWriter& w, const LabelSet& labels) {
-  w.key("labels").begin_object();
-  for (const auto& [k, v] : labels) w.kv(k, v);
-  w.end_object();
-}
 
 void write_attrs(JsonWriter& w, std::string_view key,
                  const std::vector<SpanAttr>& attrs) {
@@ -42,38 +38,6 @@ void write_spans_jsonl(std::ostream& out, const std::vector<Span>& spans) {
   }
 }
 
-void write_metrics_jsonl(std::ostream& out, const MetricsSnapshot& metrics) {
-  for (const MetricSample& m : metrics) {
-    JsonWriter w(out);
-    w.begin_object();
-    switch (m.type) {
-      case MetricSample::Type::kCounter:
-        w.kv("type", "counter").kv("name", m.name);
-        write_labels(w, m.labels);
-        w.kv("value", static_cast<std::uint64_t>(m.value));
-        break;
-      case MetricSample::Type::kGauge:
-        w.kv("type", "gauge").kv("name", m.name);
-        write_labels(w, m.labels);
-        w.kv("value", m.value);
-        break;
-      case MetricSample::Type::kHistogram: {
-        w.kv("type", "histogram").kv("name", m.name);
-        write_labels(w, m.labels);
-        w.kv("count", m.count).kv("sum", m.value);
-        w.key("bounds").begin_array();
-        for (const double b : m.bounds) w.value(b);
-        w.end_array();
-        w.key("counts").begin_array();
-        for (const std::uint64_t c : m.counts) w.value(c);
-        w.end_array();
-        break;
-      }
-    }
-    w.end_object().newline();
-  }
-}
-
 void write_run_jsonl(std::ostream& out, const RunObserver& observer,
                      std::uint64_t total_rounds) {
   {
@@ -82,12 +46,27 @@ void write_run_jsonl(std::ostream& out, const RunObserver& observer,
         .kv("type", "run")
         .kv("total_rounds", total_rounds)
         .kv("dropped_spans", observer.recorder().dropped_spans())
-        .kv("sampled_out_spans", observer.recorder().sampled_out_spans())
         .end_object()
         .newline();
   }
   write_spans_jsonl(out, observer.spans());
-  write_metrics_jsonl(out, observer.metrics_snapshot());
+  for (const ChannelLedger::Aggregate& a : observer.ledger().aggregates()) {
+    JsonWriter w(out);
+    w.begin_object()
+        .kv("type", "ledger")
+        .kv("stage", ChannelLedger::stage_name(a.stage))
+        .kv("epoch", ChannelLedger::epoch_name(a.epoch))
+        .kv("rounds", a.rounds)
+        .kv("awake", a.awake)
+        .kv("transmissions", a.transmissions)
+        .kv("deliveries", a.deliveries)
+        .kv("collisions", a.collisions)
+        .kv("deaf", a.deaf)
+        .kv("faults", a.faults)
+        .kv("silent", a.silent)
+        .end_object()
+        .newline();
+  }
 }
 
 void write_chrome_trace(std::ostream& out, const std::vector<Span>& spans) {

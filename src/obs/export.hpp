@@ -4,10 +4,8 @@
 #pragma once
 
 #include <ostream>
-#include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 
 namespace radiocast::obs {
@@ -15,14 +13,12 @@ namespace radiocast::obs {
 class PacketTracer;
 class RunObserver;
 
-/// JSONL: one `{"type":"span",...}` line per span (in snapshot order) and
-/// one `{"type":"counter"|"gauge"|"histogram",...}` line per metric.
+/// JSONL: one `{"type":"span",...}` line per span (in snapshot order).
 void write_spans_jsonl(std::ostream& out, const std::vector<Span>& spans);
-/// JSONL: one line per counter/gauge/histogram in the snapshot.
-void write_metrics_jsonl(std::ostream& out, const MetricsSnapshot& metrics);
 
-/// Everything the observer captured, preceded by a `{"type":"run",...}`
-/// header line carrying `total_rounds`.
+/// Everything the observer captured: a `{"type":"run",...}` header line
+/// carrying `total_rounds`, the spans, then one `{"type":"ledger",...}`
+/// line per channel-ledger aggregate (first-seen order).
 void write_run_jsonl(std::ostream& out, const RunObserver& observer,
                      std::uint64_t total_rounds);
 

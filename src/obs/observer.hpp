@@ -6,7 +6,7 @@
 //   * the engine's slot events (radio::NetworkAuditHook): the observer
 //     counts each round's transmissions, deliveries, collision, deaf and
 //     fault slots and wake-ups into a RoundStats and folds it into the
-//     open stage at on_round_end;
+//     channel ledger at on_round_end;
 //   * the protocol's boundary reports (core::ProtocolAuditSink) — stage
 //     transitions, collection-phase boundaries (each doubling of the
 //     estimate x), and OSPG/MSPG/ALARM epoch boundaries. Every node
@@ -16,20 +16,18 @@
 //
 // The observer turns these into (a) a hierarchical span tree
 // stage > phase > epoch whose sibling spans tile their parent exactly —
-// per-epoch round counts sum to the run's total_rounds — and (b) labelled
-// metrics: per-stage round/transmission/delivery/collision counters split
-// by message kind, plus per-round activity histograms.
+// per-epoch round counts sum to the run's total_rounds — and (b) the
+// channel ledger, the run's one per-stage account: what every stage, and
+// every Stage-3 epoch kind, spent of the channel.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/audit.hpp"
-#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 
 namespace radiocast::obs {
@@ -50,7 +48,12 @@ struct RoundStats {
 
 /// Channel-utilization ledger: how every round's slot budget was spent,
 /// attributed to the protocol stage (and collection epoch) open when the
-/// round ran. Fed by RunObserver at every round end when enabled.
+/// round ran. Fed by RunObserver at every round end.
+///
+/// Stages and epoch kinds are fixed indices into one static name table:
+/// stage 0 is "unattributed" (rounds before the first stage report),
+/// 1–4 are the paper's stages; epoch kind 0 is "" (outside collection
+/// epochs), then ospg, mspg, alarm.
 ///
 /// Slot taxonomy per round (counts straight from RoundStats):
 ///   transmissions | deliveries (single-transmit successes) | collisions |
@@ -65,10 +68,20 @@ struct RoundStats {
 ///   aggregates always cover the whole run.
 class ChannelLedger {
  public:
+  static constexpr std::uint32_t kNumStages = 5;
+  static constexpr std::uint32_t kNumEpochKinds = 4;
+
+  /// Name of stage index `stage` ("unattributed", "stage1.leader", ...).
+  static const char* stage_name(std::uint32_t stage);
+  /// Name of epoch kind `epoch` ("", "ospg", "mspg", "alarm").
+  static const char* epoch_name(std::uint32_t epoch);
+  /// Index of an epoch kind as the protocol reports it.
+  static std::uint32_t epoch_index(std::string_view kind);
+
   struct Row {
     std::uint64_t round = 0;
-    std::uint32_t stage = 0;  ///< index into stage_names()
-    std::uint32_t epoch = 0;  ///< index into epoch_names(); 0 = none
+    std::uint32_t stage = 0;  ///< stage index (see stage_name)
+    std::uint32_t epoch = 0;  ///< epoch kind (see epoch_name); 0 = none
     std::uint32_t awake = 0;
     std::uint32_t transmissions = 0;
     std::uint32_t deliveries = 0;
@@ -80,8 +93,8 @@ class ChannelLedger {
   /// Whole-run totals for one (stage, epoch-kind) slice, in first-seen
   /// (i.e. chronological) order.
   struct Aggregate {
-    std::string stage;
-    std::string epoch;  ///< "" outside collection epochs
+    std::uint32_t stage = 0;
+    std::uint32_t epoch = 0;
     std::uint64_t rounds = 0;
     std::uint64_t awake = 0;  ///< sum of per-round awake counts
     std::uint64_t transmissions = 0;
@@ -97,49 +110,33 @@ class ChannelLedger {
   /// The derived silent-slot count (see the class comment).
   static std::uint32_t silent_slots(const RoundStats& stats);
 
-  void on_round(const RoundStats& stats, const std::string& stage,
-                const std::string& epoch);
+  void on_round(const RoundStats& stats, std::uint32_t stage, std::uint32_t epoch);
 
   const std::vector<Row>& rows() const { return rows_; }
   std::uint64_t dropped_rows() const { return dropped_rows_; }
-  const std::vector<std::string>& stage_names() const { return stage_names_; }
-  const std::vector<std::string>& epoch_names() const { return epoch_names_; }
   const std::vector<Aggregate>& aggregates() const { return aggregates_; }
 
  private:
-  std::uint32_t intern(std::vector<std::string>& names, const std::string& name);
-
   std::size_t max_rounds_;
   std::vector<Row> rows_;
   std::uint64_t dropped_rows_ = 0;
-  std::vector<std::string> stage_names_;
-  std::vector<std::string> epoch_names_{""};  ///< index 0 = "no epoch"
   std::vector<Aggregate> aggregates_;
-  /// Cache of the aggregate slot the last round landed in (rounds switch
-  /// stage/epoch rarely, so the linear re-scan is off the common path).
-  std::size_t last_aggregate_ = SIZE_MAX;
+  /// 1 + the position in aggregates_ of each (stage, epoch) slice, by
+  /// stage * kNumEpochKinds + epoch; 0 until the slice is first seen.
+  std::array<std::uint8_t, kNumStages * kNumEpochKinds> slot_{};
 };
 
 /// The flight recorder's sink: slot events + protocol boundaries in, span
-/// tree + labelled metrics out (see the file comment).
+/// tree + channel ledger out (see the file comment).
 class RunObserver final : public core::RunAuditor {
  public:
-  /// Knobs for what gets recorded (all on by default).
   struct Options {
-    SpanRecorder::Options recorder;
-    /// Split per-stage transmission/delivery counters by message kind.
-    bool per_kind_metrics = true;
-    /// Record per-round transmission/delivery histograms per stage.
-    bool round_histograms = true;
-    /// Keep a per-round channel-utilization ledger (off by default: the
-    /// per-round rows are telemetry-sized, not metrics-sized).
-    bool channel_ledger = false;
     /// Per-round row cap for the ledger (aggregates are never capped).
     std::size_t ledger_max_rounds = 1u << 16;
   };
 
   RunObserver() : RunObserver(Options{}) {}
-  explicit RunObserver(Options opts);
+  explicit RunObserver(Options opts) : ledger_(opts.ledger_max_rounds) {}
 
   // --- core::RunAuditor ---
   /// Picks the observed node: the expected leader.
@@ -153,8 +150,10 @@ class RunObserver final : public core::RunAuditor {
   void on_sim_start(const std::vector<radio::NodeId>& initially_awake) override;
   void on_transmissions(radio::Round round,
                         const std::vector<radio::Message>& txs) override;
-  void on_deliver(radio::Round round, radio::NodeId receiver, std::uint32_t tx_index,
-                  const radio::Message& msg) override;
+  void on_deliver(radio::Round, radio::NodeId, std::uint32_t,
+                  const radio::Message&) override {
+    ++round_.deliveries;
+  }
   void on_collision_slot(radio::Round, radio::NodeId, std::uint32_t, bool) override {
     ++round_.collision_slots;
   }
@@ -168,7 +167,7 @@ class RunObserver final : public core::RunAuditor {
     ++awake_;
     ++round_.wakeups;
   }
-  /// Folds the round's channel activity into the current stage's metrics.
+  /// Folds the round's channel activity into the ledger.
   void on_round_end(radio::Round round) override;
 
   // --- core::ProtocolAuditSink (the expected leader's reports only) ---
@@ -190,61 +189,30 @@ class RunObserver final : public core::RunAuditor {
                                bool alarmed) override;
 
   // --- Results ---
-  /// Live access to the underlying registry / recorder.
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
-  SpanRecorder& recorder() { return recorder_; }
   const SpanRecorder& recorder() const { return recorder_; }
-
-  /// Point-in-time copies, safe to keep after the observer is destroyed.
+  /// Point-in-time copy, safe to keep after the observer is destroyed.
   std::vector<Span> spans() const { return recorder_.snapshot(); }
-  MetricsSnapshot metrics_snapshot() const { return metrics_.snapshot(); }
-
-  /// Name of the stage currently open ("" before the first stage report).
-  const std::string& current_stage() const { return stage_name_; }
-
-  /// The channel-utilization ledger (nullptr unless Options enabled it).
-  const ChannelLedger* ledger() const { return ledger_.get(); }
+  const ChannelLedger& ledger() const { return ledger_; }
 
  private:
-  /// Re-resolves the cached per-stage instrument pointers (called on every
-  /// stage transition; lookups are off the per-round hot path).
-  void rebind_stage_instruments();
   void close_epoch(std::uint64_t round);
   void close_phase(std::uint64_t round);
   void close_stage(std::uint64_t round);
 
-  Options opts_;
   /// The node whose protocol reports are recorded (set by begin_run).
   radio::NodeId leader_ = 0;
   /// Nodes awake so far: the initial wake set plus every wake event.
   std::uint32_t awake_ = 0;
   /// The current round's channel activity, reset after each fold.
   RoundStats round_;
-  std::array<std::uint32_t, radio::kNumMessageKinds> round_tx_by_kind_{};
-  std::array<std::uint32_t, radio::kNumMessageKinds> round_rx_by_kind_{};
-  MetricsRegistry metrics_;
   SpanRecorder recorder_;
+  ChannelLedger ledger_;
 
-  std::string stage_name_;
-  std::string epoch_name_;  ///< open collection epoch ("" outside epochs)
-  std::unique_ptr<ChannelLedger> ledger_;
+  std::uint32_t stage_ = 0;  ///< open stage (ChannelLedger stage index)
+  std::uint32_t epoch_ = 0;  ///< open epoch kind (0 outside epochs)
   std::uint64_t stage_span_ = 0;
   std::uint64_t phase_span_ = 0;
   std::uint64_t epoch_span_ = 0;
-
-  // Hot-path instrument cache, rebound per stage.
-  Counter* rounds_ = nullptr;
-  Counter* transmissions_ = nullptr;
-  Counter* deliveries_ = nullptr;
-  Counter* collisions_ = nullptr;
-  Counter* deaf_ = nullptr;
-  Counter* fault_drops_ = nullptr;
-  Counter* wakeups_ = nullptr;
-  Histogram* tx_per_round_ = nullptr;
-  Histogram* rx_per_round_ = nullptr;
-  std::vector<Counter*> tx_by_kind_;
-  std::vector<Counter*> rx_by_kind_;
 };
 
 }  // namespace radiocast::obs

@@ -3,13 +3,6 @@
 namespace radiocast::obs {
 
 void QueueLedger::sample(const Row& row) {
-  const std::uint64_t depth = row.buffered + row.held_back + row.in_flight;
-  ++totals_.samples;
-  totals_.sum_depth += depth;
-  if (depth > totals_.peak_depth) {
-    totals_.peak_depth = depth;
-    totals_.peak_round = row.round;
-  }
   if (rows_.size() < max_rows_) {
     rows_.push_back(row);
   } else {

@@ -1,11 +1,11 @@
 // Queue-depth ledger for the open-system stream driver.
 //
-// Sibling of ChannelLedger: capped per-sample rows for telemetry, plus
-// exact whole-run totals that are never capped. One row is appended per
-// sampled round (the stream driver samples at every epoch boundary and at
-// the horizon), aggregating the source buffers of ALL nodes — the ledger
-// tracks the system backlog, not per-node detail. Rows beyond `max_rows`
-// are dropped with an explicit count, never silently.
+// Sibling of ChannelLedger: capped per-sample rows for telemetry; the
+// exact whole-run totals are the driver's stream::QueueStats. One row is
+// appended per sampled round (the stream driver samples at every epoch
+// boundary and at the horizon), aggregating the source buffers of ALL
+// nodes — the ledger tracks the system backlog, not per-node detail. Rows
+// beyond `max_rows` are dropped with an explicit count, never silently.
 #pragma once
 
 #include <cstddef>
@@ -31,28 +31,17 @@ class QueueLedger {
     std::uint64_t delivered = 0;      ///< cumulative packets known network-wide
   };
 
-  /// Whole-run totals; exact regardless of the row cap. "Depth" here is
-  /// the number in system: buffered + held_back + in_flight.
-  struct Totals {
-    std::uint64_t samples = 0;
-    std::uint64_t peak_depth = 0;  ///< max depth over samples
-    std::uint64_t peak_round = 0;  ///< round of the first peak sample
-    std::uint64_t sum_depth = 0;   ///< sum of depths (mean = /samples)
-  };
-
   explicit QueueLedger(std::size_t max_rows) : max_rows_(max_rows) {}
 
   void sample(const Row& row);
 
   const std::vector<Row>& rows() const { return rows_; }
   std::uint64_t dropped_rows() const { return dropped_rows_; }
-  const Totals& totals() const { return totals_; }
 
  private:
   std::size_t max_rows_;
   std::vector<Row> rows_;
   std::uint64_t dropped_rows_ = 0;
-  Totals totals_;
 };
 
 }  // namespace radiocast::obs

@@ -6,58 +6,43 @@
 
 namespace radiocast::obs {
 
-SpanRecorder::SpanRecorder(Options opts) : opts_(std::move(opts)) {
-  RC_ASSERT(opts_.capacity > 0);
-  for (const auto& [cat, n] : opts_.sample_every) {
-    (void)cat;
-    RC_ASSERT_MSG(n >= 1, "sample_every must be >= 1");
-  }
-}
-
 std::uint64_t SpanRecorder::open(std::string_view name, std::string_view category,
                                  std::uint64_t round, std::vector<SpanAttr> attrs) {
-  OpenSpan os;
-  os.span.id = next_id_++;
-  os.span.name = std::string(name);
-  os.span.category = std::string(category);
-  os.span.begin_round = round;
-  os.span.end_round = round;
-  os.span.attrs = std::move(attrs);
+  Span span;
+  span.id = next_id_++;
+  span.name = std::string(name);
+  span.category = std::string(category);
+  span.begin_round = round;
+  span.end_round = round;
+  span.attrs = std::move(attrs);
   if (!stack_.empty()) {
-    os.span.parent_id = stack_.back().span.id;
-    os.span.depth = stack_.back().span.depth + 1;
+    span.parent_id = stack_.back().id;
+    span.depth = stack_.back().depth + 1;
   }
-  const auto rate = opts_.sample_every.find(os.span.category);
-  if (rate != opts_.sample_every.end() && rate->second > 1) {
-    const std::uint64_t seq = category_count_[os.span.category]++;
-    os.sampled = (seq % rate->second) == 0;
-    if (!os.sampled) ++sampled_out_;
-  }
-  stack_.push_back(std::move(os));
-  return stack_.back().span.id;
+  stack_.push_back(std::move(span));
+  return stack_.back().id;
 }
 
 void SpanRecorder::close(std::uint64_t id, std::uint64_t end_round) {
   RC_ASSERT_MSG(!stack_.empty(), "close with no open span");
-  RC_ASSERT_MSG(stack_.back().span.id == id, "spans must close LIFO");
-  OpenSpan os = std::move(stack_.back());
+  RC_ASSERT_MSG(stack_.back().id == id, "spans must close LIFO");
+  Span span = std::move(stack_.back());
   stack_.pop_back();
-  RC_ASSERT(end_round >= os.span.begin_round);
-  if (!os.sampled) return;
-  os.span.end_round = end_round;
-  os.span.closed = true;
-  if (closed_.size() == opts_.capacity) {
+  RC_ASSERT(end_round >= span.begin_round);
+  span.end_round = end_round;
+  span.closed = true;
+  if (closed_.size() == kCapacity) {
     closed_.pop_front();
     ++dropped_;
   }
-  closed_.push_back(std::move(os.span));
+  closed_.push_back(std::move(span));
 }
 
 void SpanRecorder::add_attr(std::uint64_t id, std::string_view key,
                             std::uint64_t value) {
   for (auto it = stack_.rbegin(); it != stack_.rend(); ++it) {
-    if (it->span.id == id) {
-      if (it->sampled) it->span.attrs.push_back({std::string(key), value});
+    if (it->id == id) {
+      it->attrs.push_back({std::string(key), value});
       return;
     }
   }
@@ -66,9 +51,7 @@ void SpanRecorder::add_attr(std::uint64_t id, std::string_view key,
 
 std::vector<Span> SpanRecorder::snapshot() const {
   std::vector<Span> out(closed_.begin(), closed_.end());
-  for (const OpenSpan& os : stack_) {
-    if (os.sampled) out.push_back(os.span);
-  }
+  out.insert(out.end(), stack_.begin(), stack_.end());
   return out;
 }
 

@@ -1,4 +1,4 @@
-// Hierarchical span recorder — the trace half of the flight recorder
+// Hierarchical span recorder — the span tree of the flight recorder
 // (docs/observability.md).
 //
 // A span is a named interval of simulation rounds with a category
@@ -7,20 +7,14 @@
 // recorder maintains a single stack and every closed span knows its depth
 // and parent id.
 //
-// Million-node-round runs stay cheap through two independent bounds:
-//   * a ring buffer: at most `capacity` closed spans are retained; older
-//     spans are evicted oldest-first and counted in dropped_spans();
-//   * deterministic sampling: for categories listed in `sample_every`,
-//     only every Nth opened span of that category is retained (counted in
-//     sampled_out_spans()). Sampling is counter-based — the same run
-//     produces the same retained set, with no RNG involved.
-// Unsampled spans still occupy a stack slot while open, so nesting depths
-// and parent ids of retained spans are unaffected.
+// Long runs stay cheap through a ring buffer: at most kCapacity closed
+// spans are retained; older spans are evicted oldest-first and counted in
+// dropped_spans().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,53 +45,33 @@ struct Span {
 /// LIFO span stack + bounded retention (see the file comment).
 class SpanRecorder {
  public:
-  /// Retention bounds; defaults keep every span up to the ring capacity.
-  struct Options {
-    /// Max closed spans retained (ring buffer); older spans are evicted.
-    std::size_t capacity = 8192;
-    /// category -> N: retain every Nth span of that category (1 = all).
-    std::map<std::string, std::uint32_t> sample_every;
-  };
+  /// Max closed spans retained (ring buffer); older spans are evicted.
+  static constexpr std::size_t kCapacity = 8192;
 
-  SpanRecorder() : SpanRecorder(Options{}) {}
-  explicit SpanRecorder(Options opts);
-
-  /// Opens a child of the innermost open span. Returns the span id (also
-  /// for unsampled spans — ids are assigned to every span).
+  /// Opens a child of the innermost open span. Returns the span id.
   std::uint64_t open(std::string_view name, std::string_view category,
                      std::uint64_t round, std::vector<SpanAttr> attrs = {});
 
   /// Closes the innermost open span; `id` must match it (LIFO discipline).
   void close(std::uint64_t id, std::uint64_t end_round);
 
-  /// Adds an attribute to a still-open span (no-op if `id` was sampled out).
+  /// Adds an attribute to a still-open span.
   void add_attr(std::uint64_t id, std::string_view key, std::uint64_t value);
 
   /// Currently open (unclosed) spans.
   std::size_t open_depth() const { return stack_.size(); }
   /// Closed spans evicted by the ring buffer.
   std::uint64_t dropped_spans() const { return dropped_; }
-  /// Spans discarded by category sampling.
-  std::uint64_t sampled_out_spans() const { return sampled_out_; }
 
   /// All retained spans — closed ones in close order, then any still-open
   /// ones outermost-first. Open spans report end_round == begin_round.
   std::vector<Span> snapshot() const;
 
  private:
-  struct OpenSpan {
-    Span span;
-    bool sampled = true;
-  };
-
-  Options opts_;
-  std::vector<OpenSpan> stack_;
+  std::vector<Span> stack_;
   std::deque<Span> closed_;
   std::uint64_t next_id_ = 1;
   std::uint64_t dropped_ = 0;
-  std::uint64_t sampled_out_ = 0;
-  /// Per-category open() count, driving deterministic sampling.
-  std::map<std::string, std::uint64_t> category_count_;
 };
 
 }  // namespace radiocast::obs

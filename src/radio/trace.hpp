@@ -28,9 +28,8 @@ struct TraceCounters {
   std::uint64_t bits_delivered = 0;
   std::uint64_t wakeups = 0;
   /// on_transmit calls the engine actually made (awake node-rounds minus
-  /// the rounds skipped on a protocol's poll hint; 0 for rounds a packed
-  /// source decided). A work counter, not a result: it stays out of every
-  /// digest and report.
+  /// the rounds skipped on a protocol's poll hint). A work counter, not a
+  /// result: it stays out of every digest and report.
   std::uint64_t polls = 0;
   /// Per-message-kind breakdowns (indexed by message_kind_index).
   std::array<std::uint64_t, kNumMessageKinds> transmissions_by_kind{};

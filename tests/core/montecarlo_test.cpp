@@ -155,7 +155,7 @@ TEST(MonteCarloFailurePaths, ThrowingTrialDoesNotLeakObserverState) {
       // The poisoned trial died before its run started: its observer must
       // be pristine, not half-written.
       EXPECT_TRUE(poisoned_obs[kPoisoned].spans().empty());
-      EXPECT_EQ(poisoned_obs[kPoisoned].current_stage(), "");
+      EXPECT_TRUE(poisoned_obs[kPoisoned].ledger().aggregates().empty());
       continue;
     }
     // Surviving trials' observers must be byte-identical to an unpoisoned

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/json.hpp"
+#include "obs/observer.hpp"
 
 namespace radiocast::obs {
 namespace {
@@ -45,23 +46,36 @@ TEST(Export, SpanJsonlGolden) {
             "\"end\":10,\"rounds\":10,\"closed\":true,\"attrs\":{\"x\":64}}\n");
 }
 
-TEST(Export, MetricsJsonlGolden) {
-  MetricsRegistry reg;
-  reg.counter("a.rounds", {{"stage", "s1"}}).inc(5);
-  reg.gauge("b.estimate").set(1.5);
-  Histogram& h = reg.histogram("c.hist", {}, {0.0, 2.0});
-  h.observe(1.0);
-  h.observe(5.0);
+TEST(Export, RunJsonlLedgerGolden) {
+  // Node 0 reports: round 0 precedes its first stage report, round 1 runs
+  // in a Stage-3 OSPG epoch. Neither span is closed yet.
+  RunObserver observer;
+  observer.on_sim_start({0, 1, 2});
+  observer.on_transmissions(0, std::vector<radio::Message>(1));
+  observer.on_deliver(0, 1, 0, radio::Message{});
+  observer.on_round_end(0);
+  observer.on_stage_enter(0, 3, 1);
+  observer.on_collection_epoch(0, "ospg", 4, 1, 1);
+  observer.on_transmissions(1, {});
+  observer.on_collision_slot(1, 2, 0, false);
+  observer.on_round_end(1);
 
   std::ostringstream out;
-  write_metrics_jsonl(out, reg.snapshot());
-  EXPECT_EQ(
-      out.str(),
-      "{\"type\":\"counter\",\"name\":\"a.rounds\",\"labels\":{\"stage\":\"s1\"},"
-      "\"value\":5}\n"
-      "{\"type\":\"gauge\",\"name\":\"b.estimate\",\"labels\":{},\"value\":1.5}\n"
-      "{\"type\":\"histogram\",\"name\":\"c.hist\",\"labels\":{},\"count\":2,"
-      "\"sum\":6,\"bounds\":[0,2],\"counts\":[0,1,1]}\n");
+  write_run_jsonl(out, observer, 2);
+  EXPECT_EQ(out.str(),
+            "{\"type\":\"run\",\"total_rounds\":2,\"dropped_spans\":0}\n"
+            "{\"type\":\"span\",\"id\":1,\"parent\":0,\"depth\":0,"
+            "\"cat\":\"stage\",\"name\":\"stage3.collection\",\"begin\":1,"
+            "\"end\":1,\"rounds\":0,\"closed\":false,\"attrs\":{\"stage\":3}}\n"
+            "{\"type\":\"span\",\"id\":2,\"parent\":1,\"depth\":1,"
+            "\"cat\":\"epoch\",\"name\":\"ospg\",\"begin\":1,"
+            "\"end\":1,\"rounds\":0,\"closed\":false,\"attrs\":{\"slots\":4}}\n"
+            "{\"type\":\"ledger\",\"stage\":\"unattributed\",\"epoch\":\"\","
+            "\"rounds\":1,\"awake\":3,\"transmissions\":1,\"deliveries\":1,"
+            "\"collisions\":0,\"deaf\":0,\"faults\":0,\"silent\":2}\n"
+            "{\"type\":\"ledger\",\"stage\":\"stage3.collection\",\"epoch\":\"ospg\","
+            "\"rounds\":1,\"awake\":3,\"transmissions\":0,\"deliveries\":0,"
+            "\"collisions\":1,\"deaf\":0,\"faults\":0,\"silent\":2}\n");
 }
 
 TEST(Export, ChromeTraceShape) {

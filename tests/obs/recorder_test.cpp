@@ -60,80 +60,20 @@ TEST(Recorder, AddAttrOnOpenSpan) {
 }
 
 TEST(Recorder, RingBufferEvictsOldestClosedSpans) {
-  SpanRecorder::Options opts;
-  opts.capacity = 3;
-  SpanRecorder rec(opts);
-  for (std::uint64_t i = 0; i < 10; ++i) {
+  constexpr std::size_t kCap = SpanRecorder::kCapacity;
+  SpanRecorder rec;
+  for (std::uint64_t i = 0; i < kCap + 7; ++i) {
     const std::uint64_t id = rec.open("s" + std::to_string(i), "epoch", i);
     rec.close(id, i + 1);
   }
   EXPECT_EQ(rec.dropped_spans(), 7u);
   const std::vector<Span> spans = rec.snapshot();
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[0].name, "s7");
+  ASSERT_EQ(spans.size(), kCap);
+  EXPECT_EQ(spans.front().name, "s7");
   EXPECT_EQ(spans[1].name, "s8");
-  EXPECT_EQ(spans[2].name, "s9");
-}
-
-TEST(Recorder, DeterministicSamplingKeepsEveryNth) {
-  SpanRecorder::Options opts;
-  opts.sample_every["epoch"] = 3;  // keep spans 1, 4, 7, ... of the category
-  SpanRecorder rec(opts);
-  for (std::uint64_t i = 0; i < 9; ++i) {
-    const std::uint64_t id = rec.open("e" + std::to_string(i), "epoch", i);
-    rec.close(id, i + 1);
-  }
-  EXPECT_EQ(rec.sampled_out_spans(), 6u);
-  EXPECT_EQ(rec.dropped_spans(), 0u);
-  const std::vector<Span> spans = rec.snapshot();
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[0].name, "e0");
-  EXPECT_EQ(spans[1].name, "e3");
-  EXPECT_EQ(spans[2].name, "e6");
-}
-
-TEST(Recorder, SamplingPreservesDepthAndParentOfRetainedChildren) {
-  SpanRecorder::Options opts;
-  opts.sample_every["phase"] = 2;  // drop every other phase span
-  SpanRecorder rec(opts);
-  const std::uint64_t stage = rec.open("stage3", "stage", 0);
-  const std::uint64_t p0 = rec.open("p0", "phase", 0);  // retained
-  const std::uint64_t e0 = rec.open("e0", "epoch", 0);
-  rec.close(e0, 4);
-  rec.close(p0, 5);
-  const std::uint64_t p1 = rec.open("p1", "phase", 5);  // sampled out
-  const std::uint64_t e1 = rec.open("e1", "epoch", 5);  // retained child
-  rec.close(e1, 9);
-  rec.close(p1, 10);
-  rec.close(stage, 10);
-
-  EXPECT_EQ(rec.sampled_out_spans(), 1u);
-  const std::vector<Span> spans = rec.snapshot();
-  ASSERT_EQ(spans.size(), 4u);
-  // e1's parent id still points at the (dropped) p1 span, and its depth is
-  // unchanged — sampling must not re-parent survivors.
-  const Span& e1_span = spans[2];
-  EXPECT_EQ(e1_span.name, "e1");
-  EXPECT_EQ(e1_span.depth, 2u);
-  EXPECT_EQ(e1_span.parent_id, p1);
-}
-
-TEST(Recorder, IdsAreAssignedToSampledOutSpans) {
-  SpanRecorder::Options opts;
-  opts.sample_every["epoch"] = 2;
-  SpanRecorder rec(opts);
-  const std::uint64_t a = rec.open("a", "epoch", 0);  // retained
-  rec.close(a, 1);
-  const std::uint64_t b = rec.open("b", "epoch", 1);  // sampled out
-  rec.close(b, 2);
-  const std::uint64_t c = rec.open("c", "epoch", 2);  // retained
-  rec.close(c, 3);
-  EXPECT_LT(a, b);
-  EXPECT_LT(b, c);
-  // add_attr on a sampled-out id is a safe no-op.
-  const std::uint64_t d = rec.open("d", "epoch", 3);
-  rec.add_attr(d, "k", 1);
-  rec.close(d, 4);
+  EXPECT_EQ(spans.back().name, "s" + std::to_string(kCap + 6));
+  // Ids keep counting across evictions.
+  EXPECT_EQ(spans.back().id, kCap + 7);
 }
 
 }  // namespace

@@ -9,8 +9,8 @@ namespace {
 
 TEST(Trace, KindNamesMatchVariantTags) {
   // message_kind_name(index) must agree with message_kind(body) for every
-  // alternative — obs::RunObserver's per-kind counters depend on this: they
-  // are labelled by index and counted from message bodies.
+  // alternative — TraceCounters' per-kind totals depend on this: they are
+  // counted from message bodies and reported by index.
   const std::vector<MessageBody> bodies = {
       BfsConstructMsg{}, AlarmMsg{}, DataMsg{}, AckMsg{}, PlainPacketMsg{},
       CodedMsg{}};

@@ -127,10 +127,9 @@ TEST(StreamDriver, AccountingInvariantsHold) {
   EXPECT_DOUBLE_EQ(
       r.throughput,
       static_cast<double>(r.delivered_everywhere) / static_cast<double>(cfg.horizon));
-  // Ledger totals are exact even though rows are capped.
-  EXPECT_EQ(r.ledger.totals().samples,
-            r.ledger.rows().size() + r.ledger.dropped_rows());
-  EXPECT_GE(r.ledger.totals().samples, static_cast<std::uint64_t>(r.epochs_completed));
+  // Every epoch boundary is sampled, kept as a row or counted as dropped.
+  EXPECT_GE(r.ledger.rows().size() + r.ledger.dropped_rows(),
+            static_cast<std::uint64_t>(r.epochs_completed));
 }
 
 TEST(StreamDriver, PerNodeRateMatchesOfferedLoadSemantics) {
