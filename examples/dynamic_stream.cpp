@@ -1,6 +1,6 @@
 // Dynamic packet stream — the paper's future-work scenario, served by the
-// library's dynamic extension (core/dynamic.hpp) and the open-system
-// driver (stream/driver.hpp).
+// protocol's epoch loop (core/protocol.hpp) and the open-system driver
+// (stream/driver.hpp).
 //
 // Packets appear at random nodes over time (telemetry events in a sensor
 // field). After a one-time setup (leader election + BFS), the network runs
@@ -13,7 +13,7 @@
 #include <cstdlib>
 
 #include "common/rng.hpp"
-#include "core/dynamic.hpp"
+#include "core/params.hpp"
 #include "graph/generators.hpp"
 #include "stream/driver.hpp"
 
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   Rng arng(seed + 1);
   const stream::StreamResult r = stream::run_stream(
-      g, cfg, core::make_arrivals(g.num_nodes(), k, spread, 16, arng));
+      g, cfg, stream::make_arrivals(g.num_nodes(), k, spread, 16, arng));
 
   std::printf("nodes=%u packets=%llu horizon=%llu rounds\n", r.n,
               static_cast<unsigned long long>(r.arrivals_scheduled),

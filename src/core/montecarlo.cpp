@@ -71,14 +71,11 @@ std::vector<RunResult> run_kbroadcast_sweep(const KBroadcastSweep& sweep,
                            sweep.payload_bytes, prng);
         const radio::FaultModel faults =
             sweep.faults ? sweep.faults(t) : radio::FaultModel{};
-        obs::RunObserver* observer =
-            sweep.observer ? sweep.observer(t) : nullptr;
-        RunAuditor* auditor = sweep.auditor ? sweep.auditor(t) : nullptr;
-        obs::PacketTracer* tracer = sweep.tracer ? sweep.tracer(t) : nullptr;
+        RunAuditor* taps = sweep.taps ? sweep.taps(t) : nullptr;
         return run_kbroadcast(*sweep.graph, sweep.cfg, placement,
                               sweep.run_seed(t), sweep.max_rounds, faults,
-                              observer, auditor, sweep.collision_detection,
-                              tracer, sweep.engine);
+                              /*observer=*/nullptr, taps, sweep.collision_detection,
+                              /*tracer=*/nullptr, sweep.engine);
       },
       opts);
 }

@@ -65,8 +65,8 @@ auto run(int trials, Fn&& fn, const Options& opts = {})
 
 /// Declarative seed sweep over run_kbroadcast: trial t draws its placement
 /// from placement_seed(t), runs with run_seed(t), and optionally gets its
-/// own fault model and RunObserver. The graph must be finalized and
-/// outlive the call.
+/// own fault model and run taps. The graph must be finalized and outlive
+/// the call.
 struct KBroadcastSweep {
   const graph::Graph* graph = nullptr;
   KBroadcastConfig cfg;
@@ -78,17 +78,12 @@ struct KBroadcastSweep {
   std::uint64_t max_rounds = 0;
   /// Optional per-trial fault model (empty = no faults).
   std::function<radio::FaultModel(int)> faults;
-  /// Optional per-trial observer; the pointer must stay valid for the
-  /// duration of the sweep (empty = no observer).
-  std::function<obs::RunObserver*(int)> observer;
-  /// Optional per-trial model-conformance auditor; same lifetime contract
-  /// as `observer`. Distinct trials must get distinct auditors when the
-  /// sweep runs multithreaded (empty = no auditing).
-  std::function<RunAuditor*(int)> auditor;
-  /// Optional per-trial packet-lifecycle tracer (obs/packet_trace.hpp);
-  /// same lifetime and distinct-per-trial contracts as `auditor` (empty =
-  /// no tracing).
-  std::function<obs::PacketTracer*(int)> tracer;
+  /// Optional per-trial run tap (a ModelAuditor, PacketTracer or
+  /// RunObserver, or a TapList of several; null = none for that trial).
+  /// The pointer must stay valid for the duration of the sweep, and
+  /// distinct trials must get distinct taps when the sweep runs
+  /// multithreaded (empty = no taps).
+  std::function<RunAuditor*(int)> taps;
   /// Engine ablation: run every trial with collision detection enabled.
   bool collision_detection = false;
   /// Round kernel for every trial (see radio::EngineMode; both kernels

@@ -1,9 +1,11 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/math_util.hpp"
 #include "core/audit.hpp"
 
 namespace radiocast::core {
@@ -17,32 +19,65 @@ protocols::LeaderElectionState::Config leader_config(const ResolvedConfig& rc) {
 }
 }  // namespace
 
+std::uint64_t DynamicConfig::dissemination_window() const {
+  const std::uint64_t groups = ceil_div(resolved_capacity(), rc.group_size);
+  const std::uint64_t phases = rc.group_spacing * groups + rc.know.d_hat + 4;
+  return phases * rc.dissem_phase_rounds;
+}
+
 KBroadcastNode::KBroadcastNode(const ResolvedConfig& rc, radio::NodeId self,
                                std::vector<radio::Packet> own_packets, Rng rng)
+    : KBroadcastNode(rc, self, std::move(own_packets), rng,
+                     /*participant=*/!own_packets.empty(), kNever,
+                     std::numeric_limits<std::uint32_t>::max()) {}
+
+KBroadcastNode::KBroadcastNode(const DynamicConfig& cfg, radio::NodeId self, Rng rng)
+    : KBroadcastNode(cfg.rc, self, {}, rng, /*participant=*/true,
+                     cfg.dissemination_window(), cfg.resolved_capacity()) {}
+
+KBroadcastNode::KBroadcastNode(const ResolvedConfig& rc, radio::NodeId self,
+                               std::vector<radio::Packet>&& own_packets, Rng rng,
+                               bool participant, std::uint64_t window,
+                               std::uint32_t capacity)
     : rc_(rc),
       self_(self),
+      capacity_(capacity),
       own_packets_(std::move(own_packets)),
       rng_(rng),
-      leader_(leader_config(rc), self, /*participant=*/!own_packets_.empty(), &rng_) {
-  stage2_start_ = rc_.stage1_rounds;
+      window_(window),
+      leader_(leader_config(rc), self, participant, &rng_) {
   stage3_start_ = rc_.stage1_rounds + rc_.stage2_rounds;
   RC_ASSERT(leader_.total_rounds() == rc_.stage1_rounds);
 }
 
+std::vector<radio::Packet> KBroadcastNode::take_epoch_packets() {
+  return epoch_ == 0 ? own_packets_ : std::vector<radio::Packet>{};
+}
+
 KBroadcastNode::Stage KBroadcastNode::stage_for(radio::Round round) const {
-  if (round < stage2_start_) return Stage::kLeader;
+  if (round < rc_.stage1_rounds) return Stage::kLeader;
   if (round < stage3_start_) return Stage::kBfs;
   if (stage3_end_ == 0 || round < stage3_end_) return Stage::kCollection;
   return Stage::kDissemination;
 }
 
 void KBroadcastNode::ensure_stage(radio::Round round) {
-  // Dissemination is the terminal stage and can only engage after every
-  // earlier stage did, so once it exists there is nothing left to build.
-  // This fast-out matters: ensure_stage runs on every callback, and Stage 4
-  // dominates a long run's node-rounds.
-  if (dissemination_.has_value()) return;
-  if (round >= stage2_start_ && !bfs_.has_value()) {
+  if (stage3_end_ != 0) {
+    // Stage 4 runs. Nothing changes inside its window, and a static run's
+    // never closes. This fast-out matters: ensure_stage runs on every
+    // callback, and Stage 4 dominates a long run's node-rounds.
+    if (round - stage3_end_ < window_) return;
+    // The window closed: harvest what decoded and open the next epoch. The
+    // state stays until the next Stage 4 replaces it in place, which
+    // reuses its memory.
+    for (const radio::Packet& p : dissemination_->packets()) on_packet_delivered(p);
+    ++epoch_;
+    stage3_start_ = stage3_end_ + window_;
+    stage3_end_ = 0;
+    report_stage(round);
+    begin_collection();
+  }
+  if (round >= rc_.stage1_rounds && !bfs_.has_value()) {
     leader_.finalize();
     protocols::BfsBuildState::Config cfg;
     cfg.know = rc_.know;
@@ -50,20 +85,10 @@ void KBroadcastNode::ensure_stage(radio::Round round) {
     cfg.extra_phases = rc_.bfs_phases - rc_.know.d_hat;
     bfs_.emplace(cfg, self_, /*is_root=*/leader_.is_leader(), &rng_);
   }
-  if (round >= stage3_start_ && !collection_.has_value()) {
-    CollectionState::Config cfg{rc_};
-    cfg.round_offset = stage3_start_;
-    cfg.audit = audit_;
-    cfg.audit_node = self_;
-    std::optional<radio::NodeId> parent;
-    const bool is_root = leader_.is_leader();
-    if (!is_root && bfs_.has_value() && bfs_->has_distance()) {
-      parent = bfs_->parent();
-    }
-    collection_.emplace(cfg, self_, is_root, parent, own_packets_, &rng_);
-    collection_->set_payload_arena(payload_arena());
-  }
+  if (round >= stage3_start_ && !collection_.has_value()) begin_collection();
   if (collection_.has_value() && stage3_end_ == 0 && collection_->finished()) {
+    // Collection ends at a phase end no later than `round`, so Stage 4
+    // starts in this call.
     stage3_end_ = stage3_start_ + collection_->finished_at();
     if (mutations_.early_stage4_rounds != 0) {
       // Seeded bug: pretend collection ended earlier than its schedule says.
@@ -71,19 +96,57 @@ void KBroadcastNode::ensure_stage(radio::Round round) {
           std::min(mutations_.early_stage4_rounds, collection_->finished_at() - 1);
       stage3_end_ -= cut;
     }
+    begin_dissemination();
   }
-  if (stage3_end_ != 0 && round >= stage3_end_ && !dissemination_.has_value()) {
-    DisseminationState::Config cfg{rc_};
-    const bool is_root = leader_.is_leader();
-    std::optional<std::uint32_t> dist;
-    if (bfs_.has_value() && bfs_->has_distance()) dist = bfs_->distance();
-    dissemination_.emplace(cfg, self_, is_root, dist, &rng_);
-    dissemination_->set_payload_arena(payload_arena());
-    if (is_root) {
-      RC_ASSERT(collection_.has_value());
-      dissemination_->set_root_packets(collection_->collected());
-    }
+}
+
+void KBroadcastNode::begin_collection() {
+  const bool is_root = leader_.is_leader();
+  // The previous epoch's unacknowledged packets first, then the fresh ones.
+  std::vector<radio::Packet> own = take_epoch_packets();
+  if (collection_.has_value() && !is_root) {
+    std::vector<radio::Packet> carry = collection_->unacked_packets();
+    own.insert(own.begin(), std::make_move_iterator(carry.begin()),
+               std::make_move_iterator(carry.end()));
   }
+  CollectionState::Config cfg{rc_};
+  cfg.round_offset = stage3_start_;
+  cfg.audit = audit_;
+  cfg.audit_node = self_;
+  std::optional<radio::NodeId> parent;
+  if (!is_root && bfs_.has_value() && bfs_->has_distance()) parent = bfs_->parent();
+  collection_.emplace(cfg, self_, is_root, parent, std::move(own), &rng_);
+  collection_->set_payload_arena(payload_arena());
+}
+
+void KBroadcastNode::begin_dissemination() {
+  const bool is_root = leader_.is_leader();
+  std::optional<std::uint32_t> dist;
+  if (bfs_.has_value() && bfs_->has_distance()) dist = bfs_->distance();
+  dissemination_.emplace(DisseminationState::Config{rc_}, self_, is_root, dist, &rng_);
+  dissemination_->set_payload_arena(payload_arena());
+  if (!is_root) return;
+  RC_ASSERT(collection_.has_value());
+  const std::vector<radio::Packet>& harvest = collection_->collected();
+  for (const radio::Packet& p : harvest) on_packet_delivered(p);
+  if (window_ == kNever) {
+    // A Stage 4 that never closes is the last: it carries the whole
+    // harvest, and no later window reads a queue.
+    dissemination_->set_root_packets(harvest);
+    return;
+  }
+  // Queue the harvest, then disseminate the oldest window's worth.
+  if (root_queue_ == nullptr) root_queue_ = std::make_unique<RootQueue>();
+  std::deque<radio::Packet>& queue = root_queue_->packets;
+  for (const radio::Packet& p : harvest) {
+    if (root_queue_->queued.insert(p.id).second) queue.push_back(p);
+  }
+  const auto take = static_cast<std::ptrdiff_t>(
+      std::min<std::size_t>(queue.size(), capacity_));
+  std::vector<radio::Packet> batch(std::make_move_iterator(queue.begin()),
+                                   std::make_move_iterator(queue.begin() + take));
+  queue.erase(queue.begin(), queue.begin() + take);
+  dissemination_->set_root_packets(std::move(batch));
 }
 
 void KBroadcastNode::report_stage(radio::Round round) {
@@ -98,7 +161,7 @@ void KBroadcastNode::report_stage(radio::Round round) {
       index = 1, boundary = 0;
       break;
     case Stage::kBfs:
-      index = 2, boundary = stage2_start_;
+      index = 2, boundary = rc_.stage1_rounds;
       break;
     case Stage::kCollection:
       index = 3, boundary = stage3_start_;
@@ -110,15 +173,13 @@ void KBroadcastNode::report_stage(radio::Round round) {
   audit_->on_stage_enter(self_, index, boundary);
 }
 
-std::optional<radio::MessageBody> KBroadcastNode::apply_mutations(
-    std::optional<radio::MessageBody> msg) const {
+void KBroadcastNode::apply_mutations(std::optional<radio::MessageBody>& msg) const {
   if (mutations_.corrupt_coded_payload && msg.has_value()) {
     if (auto* coded = std::get_if<radio::CodedMsg>(&*msg);
         coded != nullptr && !coded->payload.empty()) {
       coded->payload[0] ^= 1;  // seeded bug: transmit an unsound combination
     }
   }
-  return msg;
 }
 
 std::optional<radio::MessageBody> KBroadcastNode::on_transmit(radio::Round round) {
@@ -130,15 +191,17 @@ std::optional<radio::MessageBody> KBroadcastNode::on_transmit(radio::Round round
 radio::Round KBroadcastNode::next_poll(radio::Round round) const {
   switch (stage_for(round)) {
     case Stage::kLeader:
-      return std::min(leader_.next_poll(round), stage2_start_);
+      return std::min(leader_.next_poll(round), rc_.stage1_rounds);
     case Stage::kBfs:
-      return std::min(stage2_start_ + bfs_->next_poll(round - stage2_start_),
+      return std::min(rc_.stage1_rounds + bfs_->next_poll(round - rc_.stage1_rounds),
                       stage3_start_);
     case Stage::kCollection:
       // Capped at the phase end, where the stage may finish.
       return stage3_start_ + collection_->next_poll(round - stage3_start_);
     case Stage::kDissemination:
-      return stage3_end_ + dissemination_->next_poll(round - stage3_end_);
+      // Capped at the window end, where the next epoch opens.
+      return stage3_end_ +
+             std::min(dissemination_->next_poll(round - stage3_end_), window_);
   }
   return round + 1;
 }
@@ -152,7 +215,7 @@ std::optional<radio::MessageBody> KBroadcastNode::transmit(radio::Round round) {
     case Stage::kLeader:
       return leader_.on_transmit(round);
     case Stage::kBfs: {
-      auto msg = bfs_->on_transmit(round - stage2_start_);
+      auto msg = bfs_->on_transmit(round - rc_.stage1_rounds);
       // Seeded bug: drop every scheduled BFS transmission (the state
       // machine still advances, so the node believes it participated).
       if (mutations_.suppress_bfs_transmit) return std::nullopt;
@@ -166,12 +229,16 @@ std::optional<radio::MessageBody> KBroadcastNode::transmit(radio::Round round) {
       if (stage_for(round) == Stage::kDissemination) {
         RC_ASSERT(!msg.has_value());
         report_stage(round);
-        return apply_mutations(dissemination_->on_transmit(round - stage3_end_));
+        msg = dissemination_->on_transmit(round - stage3_end_);
+        apply_mutations(msg);
       }
       return msg;
     }
-    case Stage::kDissemination:
-      return apply_mutations(dissemination_->on_transmit(round - stage3_end_));
+    case Stage::kDissemination: {
+      auto msg = dissemination_->on_transmit(round - stage3_end_);
+      apply_mutations(msg);
+      return msg;
+    }
   }
   return std::nullopt;
 }
@@ -184,7 +251,7 @@ void KBroadcastNode::on_receive(radio::Round round, const radio::Message& msg) {
       leader_.on_receive(round, msg);
       return;
     case Stage::kBfs:
-      bfs_->on_receive(round - stage2_start_, msg);
+      bfs_->on_receive(round - rc_.stage1_rounds, msg);
       return;
     case Stage::kCollection:
       collection_->on_receive(round - stage3_start_, msg);
@@ -203,7 +270,7 @@ void KBroadcastNode::on_receive(radio::Round round, const radio::Message& msg) {
 }
 
 bool KBroadcastNode::done() const {
-  return dissemination_.has_value() && dissemination_->complete();
+  return window_ == kNever && stage3_end_ != 0 && dissemination_->complete();
 }
 
 bool KBroadcastNode::is_leader() const { return leader_.is_leader(); }

@@ -7,7 +7,7 @@
 #include "audit/model_auditor.hpp"
 #include "baselines/uncoded_pipeline.hpp"
 #include "common/stats.hpp"
-#include "core/dynamic.hpp"
+#include "core/audit.hpp"
 #include "core/montecarlo.hpp"
 #include "exp/manifest.hpp"
 #include "gf2/simd.hpp"
@@ -363,34 +363,37 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
           return f;
         };
       }
+      // Each trial's taps (the sweep may run trials concurrently), in the
+      // order auditor, tracer, observer; merged below in trial order.
+      std::vector<core::TapList> taps(static_cast<std::size_t>(spec.seeds));
       if (spec.audit) {
         auditors.resize(static_cast<std::size_t>(spec.seeds));
-        for (auto& a : auditors) a = std::make_unique<audit::ModelAuditor>();
-        sweep.auditor = [&auditors](int t) -> core::RunAuditor* {
-          return auditors[static_cast<std::size_t>(t)].get();
-        };
+        for (std::size_t t = 0; t < auditors.size(); ++t) {
+          auditors[t] = std::make_unique<audit::ModelAuditor>();
+          taps[t].add(auditors[t].get());
+        }
       }
       if (telemetry) {
-        // One tracer + one ledger-bearing observer per trial (the sweep
-        // may run them concurrently); merged below in trial order.
-        obs::PacketTracer::Options topts;
-        topts.flight_paths = spec.telemetry.flight_paths;
-        topts.max_flight_events =
-            static_cast<std::size_t>(spec.telemetry.max_flight_events);
-        obs::RunObserver::Options oopts;
-        oopts.ledger_max_rounds =
-            static_cast<std::size_t>(spec.telemetry.ledger_rounds);
+        // One tracer + one ledger-bearing observer per trial. Only trial
+        // 0's per-round rows and flight log are emitted, so only trial 0
+        // keeps them.
         tracers.resize(static_cast<std::size_t>(spec.seeds));
         observers.resize(static_cast<std::size_t>(spec.seeds));
-        for (auto& tr : tracers) tr = std::make_unique<obs::PacketTracer>(topts);
-        for (auto& ob : observers) ob = std::make_unique<obs::RunObserver>(oopts);
-        sweep.tracer = [&tracers](int t) {
-          return tracers[static_cast<std::size_t>(t)].get();
-        };
-        sweep.observer = [&observers](int t) {
-          return observers[static_cast<std::size_t>(t)].get();
-        };
+        for (std::size_t t = 0; t < tracers.size(); ++t) {
+          obs::PacketTracer::Options topts;
+          topts.flight_paths = t == 0 && spec.telemetry.flight_paths;
+          topts.max_flight_events =
+              static_cast<std::size_t>(spec.telemetry.max_flight_events);
+          obs::RunObserver::Options oopts;
+          oopts.ledger_max_rounds =
+              t == 0 ? static_cast<std::size_t>(spec.telemetry.ledger_rounds) : 0;
+          tracers[t] = std::make_unique<obs::PacketTracer>(topts);
+          observers[t] = std::make_unique<obs::RunObserver>(oopts);
+          taps[t].add(tracers[t].get());
+          taps[t].add(observers[t].get());
+        }
       }
+      sweep.taps = [&taps](int t) { return taps[static_cast<std::size_t>(t)].as_tap(); };
       results = core::montecarlo::run_kbroadcast_sweep(sweep, spec.seeds, opts);
     } else {
       // seq_bgi / gossip go through the uniform baseline entry point
@@ -485,9 +488,7 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
       // order (first-seen (stage, epoch) order of the earliest trial).
       std::vector<obs::ChannelLedger::Aggregate> merged;
       for (const auto& ob : observers) {
-        const obs::ChannelLedger& led = ob->ledger();
-        b.dropped_ledger_rows += led.dropped_rows();
-        for (const obs::ChannelLedger::Aggregate& a : led.aggregates()) {
+        for (const obs::ChannelLedger::Aggregate& a : ob->ledger().aggregates()) {
           const auto it =
               std::find_if(merged.begin(), merged.end(),
                            [&a](const obs::ChannelLedger::Aggregate& m) {
@@ -525,7 +526,9 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
 
       // Per-round utilization timeline of trial 0 (one representative
       // trial; the whole-grid totals are in the "ledger" lines above).
-      for (const obs::ChannelLedger::Row& r : observers.front()->ledger().rows()) {
+      const obs::ChannelLedger& led0 = observers.front()->ledger();
+      b.dropped_ledger_rows += led0.dropped_rows();
+      for (const obs::ChannelLedger::Row& r : led0.rows()) {
         JsonObject lr;
         lr.set("type", "ledger_round");
         lr.set("round", r.round);
@@ -541,11 +544,10 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
         b.telemetry_lines.push_back(telemetry_line(std::move(lr)));
       }
 
-      for (const auto& tr : tracers)
-        b.dropped_flight_events += tr->dropped_flight_events();
+      const obs::PacketTracer& tr0 = *tracers.front();
+      b.dropped_flight_events += tr0.dropped_flight_events();
       if (spec.telemetry.flight_paths) {
         // Flight log of trial 0 (chronological first-hold records).
-        const obs::PacketTracer& tr0 = *tracers.front();
         for (const obs::PacketTracer::FlightEvent& e : tr0.flight_events()) {
           JsonObject fl;
           fl.set("type", "flight");
@@ -647,7 +649,7 @@ void run_dynamic_cells(Builder& b, const graph::Graph& g,
           trial_cfg.seed = run_seed(spec, t);
           return stream::run_stream(
               g, trial_cfg,
-              core::make_arrivals(g.num_nodes(), k, spread, spec.payload_bytes, arng));
+              stream::make_arrivals(g.num_nodes(), k, spread, spec.payload_bytes, arng));
         },
         opts);
 
@@ -751,6 +753,8 @@ void run_stream_cells(Builder& b, const graph::Graph& g,
               stream::StreamConfig trial_cfg = cfg;
               trial_cfg.arrivals.seed = arrival_seed(spec, t);
               trial_cfg.seed = run_seed(spec, t);
+              // Only trial 0's backlog rows are emitted.
+              if (t != 0) trial_cfg.ledger_max_rows = 0;
               return stream::run_stream(g, trial_cfg);
             },
             opts);

@@ -82,7 +82,7 @@ struct TelemetrySpec {
 };
 
 /// Dynamic-arrival scenarios (mode == "dynamic"): the open-problem
-/// extension of core/dynamic.hpp, swept over offered load.
+/// extension (core/protocol.hpp's epoch loop), swept over offered load.
 struct DynamicSpec {
   /// Offered load axis: packets per epoch relative to batch capacity.
   std::vector<double> load{0.5, 1.0, 2.0};

@@ -59,6 +59,8 @@ class LeaderElectionState {
   /// Only meaningful for nodes awake through the whole stage.
   radio::NodeId leader_id() const { return static_cast<radio::NodeId>(lo_); }
 
+  /// True iff this node tracks the search interval (see the file comment).
+  bool participant() const { return participant_; }
   /// True iff this node is a participant and won the election.
   bool is_leader() const { return participant_ && finished_ && leader_id() == self_; }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/rng.hpp"
-
 namespace radiocast::stream {
 
 const char* arrival_kind_name(ArrivalKind kind) {
@@ -29,9 +27,9 @@ bool arrival_kind_from_string(const std::string& s, ArrivalKind& out) {
 
 namespace {
 
-void emit(std::vector<core::Arrival>& out, radio::NodeId node, std::uint64_t round,
+void emit(std::vector<Arrival>& out, radio::NodeId node, std::uint64_t round,
           std::uint32_t seq, std::uint32_t payload_bytes, Rng& rng) {
-  core::Arrival a;
+  Arrival a;
   a.round = round;
   a.node = node;
   a.packet.id = radio::make_packet_id(node, seq);
@@ -42,10 +40,10 @@ void emit(std::vector<core::Arrival>& out, radio::NodeId node, std::uint64_t rou
 
 }  // namespace
 
-std::vector<core::Arrival> make_arrival_schedule(std::uint32_t n,
-                                                 const ArrivalConfig& cfg,
-                                                 std::uint64_t horizon) {
-  std::vector<core::Arrival> out;
+std::vector<Arrival> make_arrival_schedule(std::uint32_t n,
+                                           const ArrivalConfig& cfg,
+                                           std::uint64_t horizon) {
+  std::vector<Arrival> out;
   if (cfg.rate <= 0 || horizon == 0) return out;
 
   Rng master(cfg.seed);
@@ -78,10 +76,30 @@ std::vector<core::Arrival> make_arrival_schedule(std::uint32_t n,
   // Node-order generation + stable sort => ties break in ascending node
   // order, giving one canonical schedule.
   std::stable_sort(out.begin(), out.end(),
-                   [](const core::Arrival& a, const core::Arrival& b) {
+                   [](const Arrival& a, const Arrival& b) {
                      return a.round < b.round;
                    });
   return out;
+}
+
+std::vector<Arrival> make_arrivals(std::uint32_t n, std::uint32_t k,
+                                   std::uint64_t spread_rounds,
+                                   std::uint32_t payload_bytes, Rng& rng) {
+  std::vector<Arrival> arrivals;
+  std::vector<std::uint32_t> seq(n, 0);
+  arrivals.reserve(k);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    Arrival a;
+    a.round = rng.next_below(std::max<std::uint64_t>(1, spread_rounds));
+    a.node = static_cast<radio::NodeId>(rng.next_below(n));
+    a.packet.id = radio::make_packet_id(a.node, seq[a.node]++);
+    a.packet.payload.resize(payload_bytes);
+    for (auto& b : a.packet.payload) b = static_cast<std::uint8_t>(rng() & 0xff);
+    arrivals.push_back(std::move(a));
+  }
+  std::sort(arrivals.begin(), arrivals.end(),
+            [](const Arrival& x, const Arrival& y) { return x.round < y.round; });
+  return arrivals;
 }
 
 }  // namespace radiocast::stream

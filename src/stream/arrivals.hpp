@@ -17,15 +17,27 @@
 //     may land on one node in one round.
 //   * kPeriodic — fixed period 1/rate per node with a random per-node
 //     phase, the smooth constant-bit-rate counterpoint.
+//
+// Dynamic mode instead draws a finite list (make_arrivals): k packets at
+// uniform rounds and nodes, from the caller's RNG.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/dynamic.hpp"
+#include "common/rng.hpp"
+#include "radio/message.hpp"
+#include "radio/node.hpp"
 
 namespace radiocast::stream {
+
+/// One packet arrival event: `packet` reaches `node` at `round`.
+struct Arrival {
+  radio::Round round = 0;
+  radio::NodeId node = 0;
+  radio::Packet packet;
+};
 
 enum class ArrivalKind { kPoisson, kPeriodic };
 
@@ -47,8 +59,14 @@ struct ArrivalConfig {
 /// network, sorted by round (ties in ascending node order). Packet ids are
 /// radio::make_packet_id(node, seq) with per-node sequence numbers;
 /// payloads are filled from the node's child stream.
-std::vector<core::Arrival> make_arrival_schedule(std::uint32_t n,
-                                                 const ArrivalConfig& cfg,
-                                                 std::uint64_t horizon);
+std::vector<Arrival> make_arrival_schedule(std::uint32_t n,
+                                           const ArrivalConfig& cfg,
+                                           std::uint64_t horizon);
+
+/// Dynamic mode's finite arrival list: `k` packets at uniform random rounds
+/// in [0, spread_rounds) and uniform random nodes, sorted by round.
+std::vector<Arrival> make_arrivals(std::uint32_t n, std::uint32_t k,
+                                   std::uint64_t spread_rounds,
+                                   std::uint32_t payload_bytes, Rng& rng);
 
 }  // namespace radiocast::stream

@@ -7,6 +7,7 @@
 #include "audit/channel_auditor.hpp"
 #include "common/assert.hpp"
 #include "core/schedule.hpp"
+#include "radio/network.hpp"
 #include "radio/protocol_slab.hpp"
 #include "stream/stream_node.hpp"
 
@@ -31,7 +32,7 @@ StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg) {
 }
 
 StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg,
-                        std::vector<core::Arrival> schedule) {
+                        std::vector<Arrival> schedule) {
   RC_ASSERT(g.finalized());
   RC_ASSERT(cfg.horizon > 0);
   RC_ASSERT_MSG(cfg.shards == 1, "intra-run sharding was removed; shards must be 1");
@@ -111,7 +112,7 @@ StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg,
   for (std::uint64_t round = 0; round < cfg.horizon; ++round) {
     while (next_arrival < schedule.size() &&
            schedule[next_arrival].round <= round) {
-      core::Arrival& a = schedule[next_arrival++];
+      Arrival& a = schedule[next_arrival++];
       tracking.emplace(a.packet.id, Tracking{round, 0});
       nodes[a.node]->offer(std::move(a.packet));
     }

@@ -1,10 +1,11 @@
 // StreamDriver — the open-system harness: arrivals through bounded source
 // buffers over the pipelined collect→disseminate epochs of
-// core::DynamicBroadcastNode, run to a round budget. It serves both open
-// scenario modes: stream mode materializes an arrival schedule from a
-// dedicated RNG stream (stream/arrivals.hpp), and dynamic mode hands in
-// its finite arrival list (core::make_arrivals) with an unbounded buffer.
-// The driver
+// core::KBroadcastNode (whose static run is epoch 0 of the same loop; see
+// core/protocol.hpp), run to a round budget on stream::StreamNode. It
+// serves both open scenario modes: stream mode materializes an arrival
+// schedule from a dedicated RNG stream, and dynamic mode hands in its
+// finite arrival list (make_arrivals) with an unbounded buffer, both from
+// stream/arrivals.hpp. The driver
 //
 //   * routes every arrival through a per-node SourceQueue with a
 //     configurable full-buffer policy (stream/queue.hpp),
@@ -33,10 +34,11 @@
 #include <vector>
 
 #include "audit/violation.hpp"
-#include "core/dynamic.hpp"
+#include "core/protocol.hpp"
 #include "graph/graph.hpp"
 #include "obs/histogram.hpp"
 #include "obs/queue_ledger.hpp"
+#include "radio/trace.hpp"
 #include "stream/arrivals.hpp"
 #include "stream/queue.hpp"
 
@@ -115,6 +117,6 @@ StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg);
 /// unique; arrivals at or past cfg.horizon never arrive); cfg.arrivals is
 /// not read. A pure function of (g, cfg, schedule).
 StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg,
-                        std::vector<core::Arrival> schedule);
+                        std::vector<Arrival> schedule);
 
 }  // namespace radiocast::stream

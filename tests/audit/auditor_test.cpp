@@ -99,11 +99,11 @@ TEST(ModelAuditor, MonteCarloSweepWiresPerTrialAuditors) {
   sweep.k = 5;
   sweep.placement_seed = [](int t) { return 1000 + t; };
   sweep.run_seed = [](int t) { return 2000 + t; };
-  sweep.auditor = [&auditors](int t) { return &auditors[t]; };
+  sweep.taps = [&auditors](int t) { return &auditors[t]; };
 
   const std::vector<core::RunResult> audited =
       core::montecarlo::run_kbroadcast_sweep(sweep, kTrials);
-  sweep.auditor = nullptr;
+  sweep.taps = nullptr;
   const std::vector<core::RunResult> plain =
       core::montecarlo::run_kbroadcast_sweep(sweep, kTrials);
 

@@ -24,6 +24,15 @@
 //   5. every packet a node holds carries the bytes it arrived with;
 //   6. the bare mirror equals stream::run_stream over the same arrival
 //      list, poll counter included.
+//
+// The EpochZero tests pin that the open system's epoch 0 is the static
+// k-broadcast: with k = n packets placed spread_even, every static node
+// holds one packet, takes part in the election and wakes at round 0, as
+// every open-system node does. Offered its packet before the first step
+// (unbounded buffer, a window that carries all k, the same master seed),
+// the open network transmits the same senders and message kinds, with the
+// same TraceCounters (polls included), in every round until each static
+// node is done, and that happens before the first window closes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,11 +42,15 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/dynamic.hpp"
+#include "baselines/uncoded_pipeline.hpp"
+#include "core/protocol.hpp"
+#include "core/runner.hpp"
+#include "core/schedule.hpp"
 #include "graph/generators.hpp"
 #include "obs/histogram.hpp"
 #include "radio/interceptor.hpp"
 #include "radio/network.hpp"
+#include "stream/arrivals.hpp"
 #include "stream/driver.hpp"
 #include "stream/stream_node.hpp"
 #include "transmit_recorder.hpp"
@@ -53,7 +66,7 @@ enum class Regime { kDynamic, kStream };
 struct Inputs {
   graph::Graph g;
   stream::StreamConfig cfg;
-  std::vector<core::Arrival> arrivals;  ///< sorted by round
+  std::vector<stream::Arrival> arrivals;  ///< sorted by round
 };
 
 Inputs make_inputs(Regime regime) {
@@ -81,7 +94,7 @@ Inputs make_inputs(Regime regime) {
     // collects more than one window carries and holds the rest over.
     s.cfg.buffer_capacity = UINT32_MAX;
     Rng arng(31);
-    s.arrivals = core::make_arrivals(s.g.num_nodes(), 40, s.cfg.horizon / 2,
+    s.arrivals = stream::make_arrivals(s.g.num_nodes(), 40, s.cfg.horizon / 2,
                                      /*payload_bytes=*/8, arng);
   }
   return s;
@@ -161,7 +174,7 @@ TEST_P(OpenSystemLockstep, WrappedRunMatchesBareRoundByRound) {
   for (std::uint64_t round = 0; round < horizon; ++round) {
     for (; next_arrival < s.arrivals.size() && s.arrivals[next_arrival].round <= round;
          ++next_arrival) {
-      const core::Arrival& a = s.arrivals[next_arrival];
+      const stream::Arrival& a = s.arrivals[next_arrival];
       if (wrapped.due[a.node] > round) ++quiet_arrivals;
       tracking.emplace(a.packet.id, Track{round});
       bare.nodes[a.node]->offer(a.packet);
@@ -218,7 +231,7 @@ TEST_P(OpenSystemLockstep, WrappedRunMatchesBareRoundByRound) {
     buffered += node->queue().buffered() + node->queue().held_back();
     queue.merge(node->queue().stats());
   }
-  for (const core::Arrival& a : s.arrivals) {
+  for (const stream::Arrival& a : s.arrivals) {
     std::uint32_t holders = 0;
     for (const stream::StreamNode* node : bare.nodes) {
       const auto it = node->delivered().find(a.packet.id);
@@ -255,6 +268,98 @@ INSTANTIATE_TEST_SUITE_P(
                                                                      : "dynamic") +
              "_" + radio::engine_mode_name(std::get<1>(info.param));
     });
+
+/// Steps the static k-broadcast and the open system side by side (see the
+/// file comment) until every static node is done.
+void expect_epoch_zero_is_the_static_run(std::uint32_t n, double radius,
+                                         std::uint64_t graph_seed, bool coded) {
+  Rng grng(graph_seed);
+  const graph::Graph g = graph::make_random_geometric(n, radius, grng);
+  const radio::Knowledge know = radio::Knowledge::exact(g);
+  const core::KBroadcastConfig kcfg = coded ? baselines::coded_config(know)
+                                            : baselines::uncoded_pipeline_config(know);
+  const core::ResolvedConfig rc = core::resolve(kcfg);
+  Rng prng(graph_seed + 1);
+  const core::Placement placement =
+      core::make_placement(n, n, core::PlacementMode::kSpreadEven, 16, prng);
+  const std::uint64_t seed = graph_seed + 2;
+  const core::DynamicConfig dyn{rc, /*batch_capacity=*/n};
+
+  radio::Network closed(g);
+  radio::Network open(g);
+  TransmitRecorder closed_tx;
+  TransmitRecorder open_tx;
+  closed.set_auditor(&closed_tx);
+  open.set_auditor(&open_tx);
+  stream::HoldLog log;
+  std::vector<const core::KBroadcastNode*> closed_nodes;
+  std::vector<const stream::StreamNode*> open_nodes;
+  Rng closed_master(seed);
+  Rng open_master(seed);
+  for (radio::NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ(placement[v].size(), 1u) << "node " << v;
+    auto c = std::make_unique<core::KBroadcastNode>(rc, v, placement[v],
+                                                    closed_master.split());
+    closed_nodes.push_back(c.get());
+    closed.set_protocol(v, std::move(c));
+    closed.wake_at_start(v);
+    auto o = std::make_unique<stream::StreamNode>(dyn, v, open_master.split(), UINT32_MAX,
+                                                  stream::BufferPolicy::kDropNew, &log);
+    ASSERT_TRUE(o->offer(placement[v].front()));
+    open_nodes.push_back(o.get());
+    open.set_protocol(v, std::move(o));
+    open.wake_at_start(v);
+  }
+
+  const std::uint64_t bound = core::total_rounds_bound(n, rc);
+  const auto all_done = [&closed_nodes] {
+    return std::all_of(closed_nodes.begin(), closed_nodes.end(),
+                       [](const core::KBroadcastNode* node) { return node->done(); });
+  };
+  while (!all_done()) {
+    const radio::Round round = closed.current_round();
+    ASSERT_LT(round, bound);
+    closed.step();
+    open.step();
+    ASSERT_EQ(closed_tx.senders, open_tx.senders) << "round " << round;
+    ASSERT_EQ(closed_tx.kinds, open_tx.kinds) << "round " << round;
+    ASSERT_EQ(closed.trace().counters(), open.trace().counters()) << "round " << round;
+  }
+
+  // The static run ended inside the open system's first window.
+  const auto leader = std::find_if(closed_nodes.begin(), closed_nodes.end(),
+                                   [](const core::KBroadcastNode* node) {
+                                     return node->is_leader();
+                                   });
+  ASSERT_NE(leader, closed_nodes.end());
+  ASSERT_NE((*leader)->stage3_end(), 0u);
+  EXPECT_LT(closed.current_round(), (*leader)->stage3_end() + dyn.dissemination_window());
+  for (const stream::StreamNode* node : open_nodes) {
+    EXPECT_EQ(node->epochs_completed(), 0u);
+  }
+
+  // The static side is run_kbroadcast's run.
+  const core::RunResult r = core::run_kbroadcast(g, kcfg, placement, seed);
+  EXPECT_TRUE(r.delivered_all);
+  EXPECT_EQ(r.total_rounds, closed.current_round());
+  EXPECT_EQ(r.counters, closed.trace().counters());
+}
+
+TEST(OpenSystemLockstep, EpochZeroIsTheStaticRunCodedN24) {
+  expect_epoch_zero_is_the_static_run(24, 0.45, 3, /*coded=*/true);
+}
+
+TEST(OpenSystemLockstep, EpochZeroIsTheStaticRunUncodedN24) {
+  expect_epoch_zero_is_the_static_run(24, 0.45, 3, /*coded=*/false);
+}
+
+TEST(OpenSystemLockstep, EpochZeroIsTheStaticRunCodedN48) {
+  expect_epoch_zero_is_the_static_run(48, 0.3, 91, /*coded=*/true);
+}
+
+TEST(OpenSystemLockstep, EpochZeroIsTheStaticRunUncodedN48) {
+  expect_epoch_zero_is_the_static_run(48, 0.3, 91, /*coded=*/false);
+}
 
 }  // namespace
 }  // namespace radiocast::audit

@@ -83,7 +83,7 @@ audit::TheoremPoint measure_cell(const GridCell& cell, int trials,
   sweep.k = cell.k;
   sweep.placement_seed = [seed_base](int t) { return seed_base * 131 + t; };
   sweep.run_seed = [seed_base](int t) { return seed_base * 977 + t; };
-  sweep.auditor = [&auditors](int t) { return &auditors[t]; };
+  sweep.taps = [&auditors](int t) { return &auditors[t]; };
   const std::vector<core::RunResult> results =
       core::montecarlo::run_kbroadcast_sweep(sweep, trials);
 

@@ -1,8 +1,9 @@
-// Test helper shared by the poll-hint lock-step tests: an audit hook that
-// keeps the transmitter ids of the latest round, so two networks stepped
-// in lock step can be compared round by round.
+// Test helper shared by the lock-step tests: an audit hook that keeps the
+// transmitter ids and message kinds of the latest round, so two networks
+// stepped in lock step can be compared round by round.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "radio/network.hpp"
@@ -15,7 +16,11 @@ class TransmitRecorder final : public radio::NetworkAuditHook {
   void on_transmissions(radio::Round /*round*/,
                         const std::vector<radio::Message>& txs) override {
     senders.clear();
-    for (const radio::Message& m : txs) senders.push_back(m.from);
+    kinds.clear();
+    for (const radio::Message& m : txs) {
+      senders.push_back(m.from);
+      kinds.push_back(radio::message_kind_index(m.body));
+    }
   }
   void on_deliver(radio::Round, radio::NodeId, std::uint32_t,
                   const radio::Message&) override {}
@@ -26,6 +31,7 @@ class TransmitRecorder final : public radio::NetworkAuditHook {
   void on_round_end(radio::Round) override {}
 
   std::vector<radio::NodeId> senders;
+  std::vector<std::size_t> kinds;  ///< message_kind_index, one per sender
 };
 
 }  // namespace radiocast::audit

@@ -3,15 +3,16 @@
 // online packet stream. Dynamic mode runs a finite arrival list through
 // stream::run_stream with an unbounded source buffer; the node tests drive
 // stream::StreamNode, the one concrete open-system node, directly.
-#include "core/dynamic.hpp"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 
 #include "common/rng.hpp"
+#include "core/protocol.hpp"
 #include "graph/generators.hpp"
+#include "radio/network.hpp"
+#include "stream/arrivals.hpp"
 #include "stream/driver.hpp"
 #include "stream/stream_node.hpp"
 
@@ -41,7 +42,7 @@ std::uint64_t horizon_for(const DynamicConfig& cfg, std::uint32_t epochs) {
 
 /// Dynamic mode's harness call: `arrivals` through run_stream.
 stream::StreamResult run_arrivals(const graph::Graph& g, stream::StreamConfig cfg,
-                                  std::vector<Arrival> arrivals,
+                                  std::vector<stream::Arrival> arrivals,
                                   std::uint64_t horizon, std::uint64_t seed) {
   cfg.horizon = horizon;
   cfg.seed = seed;
@@ -64,7 +65,7 @@ struct Nodes {
   }
 
   /// Steps `rounds` rounds from round 0, offering each arrival in its round.
-  void run(const std::vector<Arrival>& arrivals, std::uint64_t rounds) {
+  void run(const std::vector<stream::Arrival>& arrivals, std::uint64_t rounds) {
     std::size_t next = 0;
     for (std::uint64_t r = 0; r < rounds; ++r) {
       for (; next < arrivals.size() && arrivals[next].round <= r; ++next) {
@@ -92,7 +93,7 @@ TEST(Dynamic, SingleEarlyPacketDeliversEverywhere) {
   Rng grng(2);
   const graph::Graph g = graph::make_random_geometric(24, 0.4, grng);
   const stream::StreamConfig cfg = make_cfg(g);
-  std::vector<Arrival> arrivals(1);
+  std::vector<stream::Arrival> arrivals(1);
   arrivals[0].round = 0;
   arrivals[0].node = 3;
   arrivals[0].packet.id = radio::make_packet_id(3, 0);
@@ -110,7 +111,7 @@ TEST(Dynamic, StreamOfArrivalsAllDelivered) {
   Rng arng(5);
   // Spread arrivals over roughly two epochs after setup.
   const std::uint64_t spread = horizon_for(cfg.dyn, 2);
-  std::vector<Arrival> arrivals = make_arrivals(24, 30, spread, 8, arng);
+  std::vector<stream::Arrival> arrivals = stream::make_arrivals(24, 30, spread, 8, arng);
   const std::uint64_t horizon = spread + horizon_for(cfg.dyn, 3);
   const stream::StreamResult r = run_arrivals(g, cfg, arrivals, horizon, 6);
   EXPECT_EQ(r.delivered_everywhere, 30u);
@@ -123,7 +124,7 @@ TEST(Dynamic, LateArrivalsWaitForNextEpoch) {
   const graph::Graph g = graph::make_gnp_connected(20, 0.25, grng);
   const stream::StreamConfig cfg = make_cfg(g);
   // Packet arrives well after setup, mid-first-epoch.
-  std::vector<Arrival> arrivals(1);
+  std::vector<stream::Arrival> arrivals(1);
   arrivals[0].round = cfg.dyn.rc.stage3_start() + 10;
   arrivals[0].node = 5;
   arrivals[0].packet.id = radio::make_packet_id(5, 0);
@@ -142,7 +143,7 @@ TEST(Dynamic, CapacityOverflowCarriesToNextEpoch) {
   const stream::StreamConfig cfg = make_cfg(g, /*capacity=*/4);
   Rng arng(10);
   // 12 packets arriving immediately: needs ~3 dissemination epochs.
-  std::vector<Arrival> arrivals = make_arrivals(20, 12, 1, 8, arng);
+  std::vector<stream::Arrival> arrivals = stream::make_arrivals(20, 12, 1, 8, arng);
   const std::uint64_t horizon = horizon_for(cfg.dyn, 8);
   const stream::StreamResult r = run_arrivals(g, cfg, arrivals, horizon, 11);
   EXPECT_EQ(r.delivered_everywhere, 12u);
@@ -152,13 +153,38 @@ TEST(Dynamic, CapacityOverflowCarriesToNextEpoch) {
   // ones the root carried over to later windows included.
   Nodes mirror(g, cfg, 11);
   mirror.run(arrivals, horizon);
-  for (const Arrival& a : arrivals) {
+  for (const stream::Arrival& a : arrivals) {
     for (const stream::StreamNode* node : mirror.nodes) {
       const auto it = node->delivered().find(a.packet.id);
       ASSERT_NE(it, node->delivered().end()) << "packet " << a.packet.id;
       EXPECT_EQ(it->second.payload, a.packet.payload) << "packet " << a.packet.id;
     }
   }
+}
+
+TEST(Dynamic, RootDisseminatesAtMostCapacityPerWindow) {
+  Rng grng(9);
+  const graph::Graph g = graph::make_gnp_connected(20, 0.25, grng);
+  const stream::StreamConfig cfg = make_cfg(g, /*capacity=*/4);
+  Rng arng(10);
+  // 12 packets at round 0 against a window of 4: the root must hold the
+  // excess back for later windows.
+  const std::vector<stream::Arrival> arrivals = stream::make_arrivals(20, 12, 1, 8, arng);
+  Nodes n(g, cfg, 11);
+  std::size_t next = 0;
+  std::size_t largest_batch = 0;
+  for (std::uint64_t r = 0; r < horizon_for(cfg.dyn, 8); ++r) {
+    for (; next < arrivals.size() && arrivals[next].round <= r; ++next) {
+      n.nodes[arrivals[next].node]->offer(arrivals[next].packet);
+    }
+    n.net.step();
+    n.log.held.clear();
+    for (const stream::StreamNode* node : n.nodes) {
+      if (!node->is_leader() || node->dissemination() == nullptr) continue;
+      largest_batch = std::max(largest_batch, node->dissemination()->packets().size());
+    }
+  }
+  EXPECT_EQ(largest_batch, 4u);
 }
 
 TEST(Dynamic, NodesAgreeOnLeader) {
@@ -186,7 +212,7 @@ TEST(Dynamic, PayloadArenaIsDrawnFromAndStaysBounded) {
   Nodes n(g, cfg, 17);
   Rng arng(18);
   const std::uint64_t horizon = horizon_for(cfg.dyn, 3);
-  n.run(make_arrivals(24, 30, horizon / 2, 8, arng), horizon);
+  n.run(stream::make_arrivals(24, 30, horizon / 2, 8, arng), horizon);
   const radio::PayloadArena& arena = n.net.payload_arena();
   EXPECT_GT(arena.hits(), 0u);
   EXPECT_LE(arena.pooled(), 4u * g.num_nodes());

@@ -8,7 +8,6 @@
 
 #include "baselines/uncoded_pipeline.hpp"
 #include "common/rng.hpp"
-#include "core/dynamic.hpp"
 #include "core/protocol.hpp"
 #include "core/runner.hpp"
 #include "core/schedule.hpp"
@@ -16,6 +15,7 @@
 #include "protocols/bfs_construction.hpp"
 #include "protocols/bgi_broadcast.hpp"
 #include "radio/network.hpp"
+#include "stream/arrivals.hpp"
 #include "stream/stream_node.hpp"
 
 namespace radiocast::core {
@@ -113,7 +113,7 @@ TEST(FaultMatrix, DynamicVariantSurvivesLoss) {
       collection_phase_rounds(cfg.rc.initial_estimate, cfg.rc) +
       cfg.dissemination_window();
   Rng arng(9);
-  std::vector<Arrival> arrivals = make_arrivals(24, 16, 2 * epoch, 8, arng);
+  std::vector<stream::Arrival> arrivals = stream::make_arrivals(24, 16, 2 * epoch, 8, arng);
   for (const double loss : {0.03, 0.05}) {
     SCOPED_TRACE(loss);
     // run_stream has no fault hook; drive the stream nodes directly, with
@@ -141,7 +141,7 @@ TEST(FaultMatrix, DynamicVariantSurvivesLoss) {
       log.held.clear();
     }
     // Every offered packet must have reached every node, bytes intact.
-    for (const Arrival& a : arrivals) {
+    for (const stream::Arrival& a : arrivals) {
       for (radio::NodeId v = 0; v < 24; ++v) {
         const auto it = nodes[v]->delivered().find(a.packet.id);
         ASSERT_NE(it, nodes[v]->delivered().end())

@@ -134,7 +134,7 @@ TEST(MonteCarloFailurePaths, ThrowingTrialDoesNotLeakObserverState) {
       if (poisoned && t == kPoisoned) throw std::runtime_error("poisoned trial");
       return 170 + static_cast<std::uint64_t>(t);
     };
-    sweep.observer = [&observers](int t) { return &observers[static_cast<std::size_t>(t)]; };
+    sweep.taps = [&observers](int t) { return &observers[static_cast<std::size_t>(t)]; };
     return sweep;
   };
 

@@ -4,9 +4,9 @@
 // own hints. The twin must be polled at every round the first copy
 // transmits, agree with it there, and end on the same RNG position — so a
 // skipped round never hid a transmission or a random draw. Last, the
-// open-system node (stream::StreamNode over core::DynamicBroadcastNode)
+// open-system node (stream::StreamNode, core::KBroadcastNode's epoch loop)
 // driven alone on its hints must be polled at each boundary where it
-// switches phase or epoch.
+// switches stage or epoch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,7 @@
 #include "common/rng.hpp"
 #include "core/collection.hpp"
 #include "core/dissemination.hpp"
-#include "core/dynamic.hpp"
+#include "core/protocol.hpp"
 #include "core/params.hpp"
 #include "core/schedule.hpp"
 #include "protocols/bfs_construction.hpp"
@@ -321,7 +321,7 @@ struct HintedDrive {
   std::vector<std::uint64_t> sent;
 };
 
-HintedDrive drive_on_hints(core::DynamicBroadcastNode& node, std::uint64_t from,
+HintedDrive drive_on_hints(core::KBroadcastNode& node, std::uint64_t from,
                            std::uint64_t to) {
   HintedDrive out;
   for (std::uint64_t r = from; r < to; r = node.quiet_until()) {

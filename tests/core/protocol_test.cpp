@@ -159,5 +159,32 @@ TEST(KBroadcastNode, LeaderHoldsCollectedSetAsDelivered) {
   }
 }
 
+TEST(DynamicConfig, WindowScalesWithCapacity) {
+  KBroadcastConfig kcfg;
+  kcfg.know.n_hat = 64;
+  kcfg.know.delta_hat = 8;
+  kcfg.know.d_hat = 6;
+  DynamicConfig small;
+  small.rc = resolve(kcfg);
+  small.batch_capacity = 6;  // one group
+  DynamicConfig big = small;
+  big.batch_capacity = 60;  // ten groups
+  EXPECT_LT(small.dissemination_window(), big.dissemination_window());
+  EXPECT_EQ(big.dissemination_window() - small.dissemination_window(),
+            9ull * small.rc.group_spacing * small.rc.dissem_phase_rounds);
+}
+
+TEST(DynamicConfig, DefaultCapacityIsInitialEstimate) {
+  KBroadcastConfig kcfg;
+  kcfg.know.n_hat = 64;
+  kcfg.know.delta_hat = 8;
+  kcfg.know.d_hat = 6;
+  DynamicConfig cfg;
+  cfg.rc = resolve(kcfg);
+  EXPECT_EQ(cfg.resolved_capacity(), cfg.rc.initial_estimate);
+  cfg.batch_capacity = 7;
+  EXPECT_EQ(cfg.resolved_capacity(), 7u);
+}
+
 }  // namespace
 }  // namespace radiocast::core

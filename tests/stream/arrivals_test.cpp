@@ -1,7 +1,8 @@
 // Arrival-schedule determinism and process statistics. The key discipline
 // under test: schedules are a pure function of (n, config, horizon), and
 // each node's schedule comes from its own child stream, so a node's
-// arrivals do not move when the network around it changes size.
+// arrivals do not move when the network around it changes size. Dynamic
+// mode's finite list (make_arrivals) is tested at the end.
 #include "stream/arrivals.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <set>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "radio/message.hpp"
 
 namespace radiocast::stream {
@@ -24,10 +26,10 @@ ArrivalConfig poisson_cfg(double rate, std::uint64_t seed) {
   return cfg;
 }
 
-std::map<radio::NodeId, std::vector<core::Arrival>> by_node(
-    const std::vector<core::Arrival>& schedule) {
-  std::map<radio::NodeId, std::vector<core::Arrival>> out;
-  for (const core::Arrival& a : schedule) out[a.node].push_back(a);
+std::map<radio::NodeId, std::vector<Arrival>> by_node(
+    const std::vector<Arrival>& schedule) {
+  std::map<radio::NodeId, std::vector<Arrival>> out;
+  for (const Arrival& a : schedule) out[a.node].push_back(a);
   return out;
 }
 
@@ -66,7 +68,7 @@ TEST(Arrivals, SortedByRoundWithStableNodeOrderTies) {
 TEST(Arrivals, IdsUniqueAndEncodeOrigin) {
   const auto schedule = make_arrival_schedule(6, poisson_cfg(0.1, 11), 400);
   std::set<radio::PacketId> ids;
-  for (const core::Arrival& a : schedule) {
+  for (const Arrival& a : schedule) {
     EXPECT_TRUE(ids.insert(a.packet.id).second) << "duplicate id";
     EXPECT_EQ(radio::packet_origin(a.packet.id), a.node);
     EXPECT_LT(a.round, 400u);
@@ -130,6 +132,54 @@ TEST(Arrivals, KindNamesRoundTrip) {
   ArrivalKind unused{};
   EXPECT_FALSE(arrival_kind_from_string("uniform", unused));
   EXPECT_FALSE(arrival_kind_from_string("", unused));
+}
+
+TEST(MakeArrivals, CountAndRange) {
+  Rng rng(1);
+  const auto arrivals = make_arrivals(10, 50, 1000, 8, rng);
+  EXPECT_EQ(arrivals.size(), 50u);
+  for (const Arrival& a : arrivals) {
+    EXPECT_LT(a.round, 1000u);
+    EXPECT_LT(a.node, 10u);
+    EXPECT_EQ(a.packet.payload.size(), 8u);
+  }
+}
+
+TEST(MakeArrivals, SortedByRound) {
+  Rng rng(2);
+  const auto arrivals = make_arrivals(6, 80, 5000, 4, rng);
+  for (std::size_t i = 1; i < arrivals.size(); ++i) {
+    EXPECT_LE(arrivals[i - 1].round, arrivals[i].round);
+  }
+}
+
+TEST(MakeArrivals, PacketIdsUniqueAndMatchNode) {
+  Rng rng(3);
+  const auto arrivals = make_arrivals(5, 60, 200, 4, rng);
+  std::set<radio::PacketId> ids;
+  for (const Arrival& a : arrivals) {
+    EXPECT_TRUE(ids.insert(a.packet.id).second) << "duplicate id";
+    EXPECT_EQ(radio::packet_origin(a.packet.id), a.node);
+  }
+}
+
+TEST(MakeArrivals, ZeroSpreadAllAtRoundZero) {
+  Rng rng(4);
+  const auto arrivals = make_arrivals(4, 10, 0, 4, rng);
+  for (const Arrival& a : arrivals) EXPECT_EQ(a.round, 0u);
+}
+
+TEST(MakeArrivals, DeterministicGivenRng) {
+  Rng a(5), b(5);
+  const auto x = make_arrivals(8, 30, 100, 4, a);
+  const auto y = make_arrivals(8, 30, 100, 4, b);
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(x[i].round, y[i].round);
+    EXPECT_EQ(x[i].node, y[i].node);
+    EXPECT_EQ(x[i].packet.id, y[i].packet.id);
+    EXPECT_EQ(x[i].packet.payload, y[i].packet.payload);
+  }
 }
 
 }  // namespace
