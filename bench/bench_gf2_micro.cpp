@@ -1,15 +1,15 @@
 // E13 — engineering microbenchmarks of the GF(2) coding kernels.
 //
 // These are not paper claims; they qualify the cost of Stage 4's encode /
-// decode arithmetic after the table-driven fast path landed. Requalified
-// numbers (single-core container, AVX2 kernel): a w=32, 24-byte-payload
-// encode_random runs at ~5 Mops/s and a full-group packed decode at
-// ~300 Kgroups/s — roughly 2–8x the pre-table/pre-packed kernels. At
-// protocol payload sizes the decoder is still far from the simulation
-// bottleneck (microseconds per group against simulated radio rounds), but
-// at the 4 KiB end of the payload axis the XOR sweeps are memory-bound
-// and DO dominate a dissemination-heavy profile, which is exactly what
-// the batched-absorption kernels (gf2::xor_accum2/4) exist for.
+// decode arithmetic: the table-driven encoder and the packed decoder, both
+// over the one portable XOR loop (gf2::xor_bytes). Smoke-grid medians on a
+// 4-core container: at 24-byte payloads a w=16 encode_random runs at
+// ~26 Mops/s and a full-group packed decode at ~0.7 Mgroups/s (w=64: ~7
+// Mops/s and ~49 Kgroups/s). At protocol payload sizes the decoder is far
+// from the simulation bottleneck (microseconds per group against
+// simulated radio rounds). At the 4 KiB end of the payload axis the XOR
+// sweeps are memory-bound and dominate; no scenario or benchmark workload
+// sends payloads that long (scenarios use 16 B, coded_bulk 128 B).
 //
 // Grid: op in {encode_random, decode_group} x w in {4..64} x payload in
 // {24 B .. 4 KiB}. encode_random times the protocol transmit path

@@ -87,7 +87,7 @@ int main() {
         std::optional<radio::NodeId> parent;
         if (v != 0 && tree.dist[v] != graph::kUnreachable) parent = tree.parent[v];
         net.set_protocol(v, std::make_unique<CollectionOnlyNode>(
-                                core::CollectionState::Config{rc}, v, v == 0, parent,
+                                core::CollectionState::Config{&rc}, v, v == 0, parent,
                                 placement[v], master.split()));
         net.wake_at_start(v);
       }

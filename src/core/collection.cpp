@@ -15,7 +15,7 @@ CollectionState::CollectionState(const Config& cfg, radio::NodeId self, bool is_
       is_root_(is_root),
       parent_(parent),
       rng_(rng),
-      alarm_(cfg.rc.know.log_delta(), rng) {
+      alarm_(cfg.rc->know.log_delta(), rng) {
   RC_ASSERT(rng != nullptr);
   for (radio::Packet& p : own_packets) {
     own_packets_.push_back(OwnPacket{std::move(p), false});
@@ -30,7 +30,7 @@ CollectionState::CollectionState(const Config& cfg, radio::NodeId self, bool is_
       collected_.push_back(op.packet);
     }
   }
-  estimate_ = cfg_.rc.initial_estimate;
+  estimate_ = cfg_.rc->initial_estimate;
   begin_phase(0);
 }
 
@@ -44,9 +44,9 @@ std::vector<radio::Packet> CollectionState::unacked_packets() const {
 
 void CollectionState::begin_phase(std::uint64_t phase_start) {
   phase_start_ = phase_start;
-  windows_ = grab_windows(estimate_, cfg_.rc);
+  windows_ = grab_windows(estimate_, *cfg_.rc);
   grab_end_ = phase_start_ + windows_.back().end();
-  phase_end_ = grab_end_ + cfg_.rc.alarm_rounds;
+  phase_end_ = grab_end_ + cfg_.rc->alarm_rounds;
   window_index_ = 0;
   alarm_started_ = false;
   if (cfg_.audit != nullptr) {

@@ -37,7 +37,8 @@ class ProtocolAuditSink;
 class CollectionState {
  public:
   struct Config {
-    ResolvedConfig rc;
+    /// The node's configuration; must outlive the state.
+    const ResolvedConfig* rc = nullptr;
     /// Absolute round of this stage's start — converts the relative rounds
     /// this state machine runs on into run-global rounds for the audit
     /// sink.

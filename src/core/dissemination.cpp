@@ -54,14 +54,14 @@ DisseminationState::DisseminationState(const Config& cfg, radio::NodeId self,
       is_root_(is_root),
       dist_(dist),
       rng_(rng),
-      decay_(cfg.rc.know.log_delta()) {
+      decay_(cfg.rc->know.log_delta()) {
   RC_ASSERT(rng != nullptr);
   if (is_root_) {
     RC_ASSERT(!dist.has_value() || *dist == 0);
     dist_ = 0;
   }
   forward_rounds_ =
-      static_cast<std::uint64_t>(cfg_.rc.forward_epochs) * decay_.epoch_length();
+      static_cast<std::uint64_t>(cfg_.rc->forward_epochs) * decay_.epoch_length();
   slot_base_ = is_root_ ? 0 : (dist_.has_value() ? *dist_ : 0);
 }
 
@@ -69,7 +69,7 @@ void DisseminationState::set_root_packets(std::vector<radio::Packet> packets) {
   RC_ASSERT(is_root_);
   std::sort(packets.begin(), packets.end(),
             [](const radio::Packet& a, const radio::Packet& b) { return a.id < b.id; });
-  const std::uint32_t s = cfg_.rc.group_size;
+  const std::uint32_t s = cfg_.rc->group_size;
   group_count_ = packets.empty()
                      ? 0
                      : static_cast<std::uint32_t>(ceil_div(packets.size(), s));
@@ -136,7 +136,7 @@ void DisseminationState::refresh_complete() {
 }
 
 void DisseminationState::refresh_phase_slot() {
-  const std::uint32_t spacing = cfg_.rc.group_spacing;
+  const std::uint32_t spacing = cfg_.rc->group_spacing;
   const std::uint64_t rel_phase = phase_ - slot_base_;
   phase_slot_ = rel_phase % spacing;
   phase_group_ = rel_phase / spacing;
@@ -147,7 +147,7 @@ std::optional<radio::MessageBody> DisseminationState::on_transmit(
     std::uint64_t rel_round) {
   // Advance the incremental round clock (see the header): divisions only
   // happen on a non-consecutive rel_round and once per phase change.
-  const std::uint64_t phase_len = cfg_.rc.dissem_phase_rounds;
+  const std::uint64_t phase_len = cfg_.rc->dissem_phase_rounds;
   if (clock_valid_ && rel_round == clock_round_ + 1) {
     if (++off_ == phase_len) {
       off_ = 0;
@@ -198,7 +198,7 @@ std::optional<radio::MessageBody> DisseminationState::on_transmit(
   if (off_ >= forward_rounds_) return std::nullopt;
   if (!rng_->next_bool(decay_.slot_probability(epoch_off_))) return std::nullopt;
 
-  if (cfg_.rc.coded) {
+  if (cfg_.rc->coded) {
     if (!encoder_.has_value() || encoder_group_ != j) {
       std::vector<gf2::Payload> wires;
       wires.reserve(gs.packets.size());
@@ -227,8 +227,8 @@ std::optional<radio::MessageBody> DisseminationState::on_transmit(
 }
 
 std::uint64_t DisseminationState::next_poll(std::uint64_t rel_round) const {
-  const std::uint64_t phase_len = cfg_.rc.dissem_phase_rounds;
-  const std::uint32_t spacing = cfg_.rc.group_spacing;
+  const std::uint64_t phase_len = cfg_.rc->dissem_phase_rounds;
+  const std::uint32_t spacing = cfg_.rc->group_spacing;
   const std::uint64_t phase = rel_round / phase_len;
   if (phase >= slot_base_ && (phase - slot_base_) % spacing == 0) {
     // Rounds of this slot-0 phase in which on_transmit may still speak.

@@ -52,7 +52,8 @@ radio::Packet packet_from_wire_image(const gf2::Payload& wire);
 class DisseminationState {
  public:
   struct Config {
-    ResolvedConfig rc;
+    /// The node's configuration; must outlive the state.
+    const ResolvedConfig* rc = nullptr;
   };
 
   /// `dist` is the node's BFS distance (nullopt => never joined the tree:

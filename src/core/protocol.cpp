@@ -109,7 +109,7 @@ void KBroadcastNode::begin_collection() {
     own.insert(own.begin(), std::make_move_iterator(carry.begin()),
                std::make_move_iterator(carry.end()));
   }
-  CollectionState::Config cfg{rc_};
+  CollectionState::Config cfg{&rc_};
   cfg.round_offset = stage3_start_;
   cfg.audit = audit_;
   cfg.audit_node = self_;
@@ -123,7 +123,7 @@ void KBroadcastNode::begin_dissemination() {
   const bool is_root = leader_.is_leader();
   std::optional<std::uint32_t> dist;
   if (bfs_.has_value() && bfs_->has_distance()) dist = bfs_->distance();
-  dissemination_.emplace(DisseminationState::Config{rc_}, self_, is_root, dist, &rng_);
+  dissemination_.emplace(DisseminationState::Config{&rc_}, self_, is_root, dist, &rng_);
   dissemination_->set_payload_arena(payload_arena());
   if (!is_root) return;
   RC_ASSERT(collection_.has_value());

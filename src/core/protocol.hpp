@@ -100,6 +100,10 @@ class KBroadcastNode : public radio::NodeProtocol {
   KBroadcastNode(const ResolvedConfig& rc, radio::NodeId self,
                  std::vector<radio::Packet> own_packets, Rng rng);
 
+  // The stage states point at rc_, so a node never copies or moves.
+  KBroadcastNode(const KBroadcastNode&) = delete;
+  KBroadcastNode& operator=(const KBroadcastNode&) = delete;
+
   std::optional<radio::MessageBody> on_transmit(radio::Round round) override;
   void on_receive(radio::Round round, const radio::Message& msg) override;
   void on_collision(radio::Round /*round*/) override { ++collisions_observed_; }

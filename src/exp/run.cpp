@@ -116,12 +116,6 @@ struct Cell {
   bool cd = false;
 };
 
-/// One compact JSONL line (the telemetry document is line-oriented so the
-/// schema checker and jq can stream it).
-std::string telemetry_line(JsonObject o) {
-  return json_serialize(JsonValue(std::move(o)), 0);
-}
-
 /// Shared latency-summary fields of "latency" and "packet" lines.
 void set_latency_stats(JsonObject& o, const obs::LogHistogram& h) {
   o.set("count", h.count());
@@ -148,8 +142,28 @@ JsonValue buckets_json(const obs::LogHistogram& h) {
 
 /// Shared scaffolding both modes fill in.
 struct Builder {
+  /// Digests the spec and, with telemetry on, opens the document with its
+  /// header line.
+  Builder(const ScenarioSpec& s, int threads)
+      : spec(s),
+        resolved_threads(threads),
+        spec_json(scenario_to_json(s)),
+        spec_digest(digest_json(spec_json)) {
+    if (!spec.telemetry.enabled) return;
+    JsonObject header;
+    header.set("type", "header");
+    header.set("format", "radiocast-telemetry-v1");
+    header.set("scenario", spec.id);
+    header.set("spec_digest", spec_digest);
+    header.set("trials", static_cast<std::int64_t>(spec.seeds));
+    header.set("flight_paths", spec.telemetry.flight_paths);
+    add_telemetry(std::move(header));
+  }
+
   const ScenarioSpec& spec;
   int resolved_threads;
+  const JsonValue spec_json;
+  const std::string spec_digest;
 
   std::vector<std::string> columns = {};
   std::vector<JsonValue> rows = {};            // results rows
@@ -159,13 +173,21 @@ struct Builder {
   bool audit_clean = true;
   std::vector<std::string> audit_violations = {};
 
-  // Telemetry accumulation (cells append lines; finish() wraps them in
-  // header/summary lines and digests the document).
-  std::vector<std::string> telemetry_lines = {};
+  // The telemetry JSONL document, built in place: the constructor writes
+  // the header, cells append their lines as they make them, and finish()
+  // appends the summary and digests it.
+  std::string telemetry = {};
   std::string flight_trace = {};
   std::uint64_t packets_tracked = 0;
   std::uint64_t dropped_flight_events = 0;
   std::uint64_t dropped_ledger_rows = 0;
+
+  /// Appends one compact JSONL line (the telemetry document is
+  /// line-oriented so the schema checker and jq can stream it).
+  void add_telemetry(JsonObject line) {
+    telemetry += json_serialize(JsonValue(std::move(line)), 0);
+    telemetry += '\n';
+  }
 
   JsonValue meta_common(const graph::Graph& g, const radio::Knowledge& know) const {
     JsonObject meta;
@@ -191,9 +213,6 @@ struct Builder {
 
   ScenarioOutcome finish(const graph::Graph& g, const radio::Knowledge& know,
                          double elapsed_seconds) {
-    const JsonValue spec_json = scenario_to_json(spec);
-    const std::string spec_digest = digest_json(spec_json);
-
     JsonObject results;
     results.set("format", "radiocast-results-v1");
     results.set("scenario", spec.id);
@@ -251,26 +270,16 @@ struct Builder {
     det.set("results_digest", digest_json(results_doc));
     det.set("audit_clean", audit_clean);
 
-    // Assemble the telemetry document (header + cell lines + summary).
+    // Close the telemetry document with its summary line.
     // "telemetry_digest" is always present — the empty string when
     // telemetry is disabled — so the manifest shape is schema-stable.
-    std::string telemetry;
     if (spec.telemetry.enabled) {
-      JsonObject header;
-      header.set("type", "header");
-      header.set("format", "radiocast-telemetry-v1");
-      header.set("scenario", spec.id);
-      header.set("spec_digest", spec_digest);
-      header.set("trials", static_cast<std::int64_t>(spec.seeds));
-      header.set("flight_paths", spec.telemetry.flight_paths);
-      telemetry += telemetry_line(std::move(header)) + "\n";
-      for (const std::string& line : telemetry_lines) telemetry += line + "\n";
       JsonObject summary;
       summary.set("type", "summary");
       summary.set("packets", packets_tracked);
       summary.set("dropped_flight_events", dropped_flight_events);
       summary.set("dropped_ledger_rows", dropped_ledger_rows);
-      telemetry += telemetry_line(std::move(summary)) + "\n";
+      add_telemetry(std::move(summary));
     }
     det.set("telemetry_digest",
             spec.telemetry.enabled ? digest_string(telemetry) : std::string());
@@ -448,7 +457,7 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
       cl.set("k", static_cast<std::uint64_t>(cell.k));
       cl.set("loss", cell.loss);
       cl.set("cd", cell.cd);
-      b.telemetry_lines.push_back(telemetry_line(std::move(cl)));
+      b.add_telemetry(std::move(cl));
 
       for (const auto& tr : tracers) cell_latency.merge(tr->all_latencies());
       {
@@ -456,7 +465,7 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
         l.set("type", "latency");
         set_latency_stats(l, cell_latency);
         l.set("buckets", buckets_json(cell_latency));
-        b.telemetry_lines.push_back(telemetry_line(std::move(l)));
+        b.add_telemetry(std::move(l));
       }
 
       // Per-packet lines: index = position in truth order, which is the
@@ -480,7 +489,7 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
         set_latency_stats(pl, h);
         pl.set("undelivered", undelivered);
         pl.set("max_depth", max_depth);
-        b.telemetry_lines.push_back(telemetry_line(std::move(pl)));
+        b.add_telemetry(std::move(pl));
       }
       b.packets_tracked += cell.k;
 
@@ -521,7 +530,7 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
         lg.set("deaf", a.deaf);
         lg.set("faults", a.faults);
         lg.set("silent", a.silent);
-        b.telemetry_lines.push_back(telemetry_line(std::move(lg)));
+        b.add_telemetry(std::move(lg));
       }
 
       // Per-round utilization timeline of trial 0 (one representative
@@ -541,7 +550,7 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
         lr.set("deaf", static_cast<std::uint64_t>(r.deaf));
         lr.set("faults", static_cast<std::uint64_t>(r.faults));
         lr.set("silent", static_cast<std::uint64_t>(r.silent));
-        b.telemetry_lines.push_back(telemetry_line(std::move(lr)));
+        b.add_telemetry(std::move(lr));
       }
 
       const obs::PacketTracer& tr0 = *tracers.front();
@@ -557,7 +566,7 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
           fl.set("latency", e.latency);
           fl.set("depth", static_cast<std::uint64_t>(e.depth));
           fl.set("via", obs::PacketTracer::via_name(e.via));
-          b.telemetry_lines.push_back(telemetry_line(std::move(fl)));
+          b.add_telemetry(std::move(fl));
         }
         if (b.flight_trace.empty()) {
           std::ostringstream os;
@@ -794,13 +803,13 @@ void run_stream_cells(Builder& b, const graph::Graph& g,
           cl.set("rate", rate);
           cl.set("buffer", static_cast<std::uint64_t>(buffer));
           cl.set("policy", policy_name);
-          b.telemetry_lines.push_back(telemetry_line(std::move(cl)));
+          b.add_telemetry(std::move(cl));
           {
             JsonObject l;
             l.set("type", "latency");
             set_latency_stats(l, latency);
             l.set("buckets", buckets_json(latency));
-            b.telemetry_lines.push_back(telemetry_line(std::move(l)));
+            b.add_telemetry(std::move(l));
           }
           {
             // Whole-cell backlog totals (exact regardless of the row cap).
@@ -813,7 +822,7 @@ void run_stream_cells(Builder& b, const graph::Graph& g,
             q.set("peak_depth", peak_depth);
             q.set("saturated_trials",
                   static_cast<std::uint64_t>(saturated_trials));
-            b.telemetry_lines.push_back(telemetry_line(std::move(q)));
+            b.add_telemetry(std::move(q));
           }
           // Backlog timeline of trial 0 (one representative trial, one row
           // per epoch boundary), mirroring the kbroadcast "ledger_round"
@@ -832,7 +841,7 @@ void run_stream_cells(Builder& b, const graph::Graph& g,
             qr.set("dropped", r.dropped);
             qr.set("backpressured", r.backpressured);
             qr.set("delivered", r.delivered);
-            b.telemetry_lines.push_back(telemetry_line(std::move(qr)));
+            b.add_telemetry(std::move(qr));
           }
           b.packets_tracked += delivered;
         }
@@ -883,10 +892,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec) {
   const graph::Graph g = build_topology(spec.topology);
   const radio::Knowledge know = build_knowledge(spec.knowledge, g);
 
-  Builder b{.spec = spec,
-            .resolved_threads = spec.threads > 0
-                                    ? spec.threads
-                                    : core::montecarlo::threads_from_env()};
+  Builder b(spec, spec.threads > 0 ? spec.threads : core::montecarlo::threads_from_env());
   if (spec.mode == "dynamic") {
     run_dynamic_cells(b, g, know);
   } else if (spec.mode == "stream") {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "gf2/simd.hpp"
+
 namespace radiocast::gf2 {
 
 BitVec BitVec::from_bits(std::size_t size, const std::vector<std::size_t>& ones) {

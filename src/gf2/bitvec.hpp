@@ -15,7 +15,6 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "gf2/simd.hpp"
 
 namespace radiocast::gf2 {
 
@@ -146,7 +145,7 @@ class BitVec {
   void trim();
 
   std::size_t size_ = 0;
-  std::vector<std::uint64_t, AlignedAlloc<std::uint64_t>> words_;
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace radiocast::gf2

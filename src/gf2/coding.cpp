@@ -26,13 +26,10 @@ void GroupEncoder::build_table() {
       const auto bit = static_cast<std::size_t>(std::countr_zero(m));
       const Payload& add = packets_[base + bit];
       const std::uint32_t rest = m & (m - 1);  // m without its lowest bit
-      if (rest == 0) {
-        dst = add;
-      } else {
-        // dst = entry(rest) ^ add in one fused pass (already built:
-        // popcount(rest) < popcount(m) and masks fill in mask order).
-        xor_payloads(dst, entry(c, rest), add);
-      }
+      // dst = entry(rest) ^ add; entry(rest) is already built, since
+      // popcount(rest) < popcount(m) and masks fill in mask order.
+      if (rest != 0) dst = entry(c, rest);
+      xor_into(dst, add);
     }
   }
 }

@@ -2,25 +2,12 @@
 
 #include <cstring>
 
-// The AVX2 path is compiled only when the build opts in
-// (RADIOCAST_ENABLE_AVX2, set by CMake on x86-64) AND the compiler supports
-// per-function target attributes. It is selected at runtime with
-// __builtin_cpu_supports, so one binary runs correctly on any x86-64 CPU.
-#if defined(RADIOCAST_ENABLE_AVX2) && defined(__x86_64__) && defined(__GNUC__)
-#define RADIOCAST_HAVE_AVX2_KERNEL 1
-#include <immintrin.h>
-#else
-#define RADIOCAST_HAVE_AVX2_KERNEL 0
-#endif
-
 namespace radiocast::gf2 {
-namespace {
 
-// Portable kernel: 4x8-byte unrolled, memcpy word access (alignment-safe,
-// no strict-aliasing traps). Compilers auto-vectorise this loop with the
-// baseline ISA; the explicit unroll keeps the scalar fallback respectable
-// even at -O1.
-void xor_bytes_portable(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
+// 4x8-byte unrolled, memcpy word access (alignment-safe, no
+// strict-aliasing traps). Compilers auto-vectorise this loop with the
+// baseline ISA; the explicit unroll keeps it respectable even at -O1.
+void xor_bytes(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
     std::uint64_t a0, a1, a2, a3;
@@ -52,235 +39,6 @@ void xor_bytes_portable(std::uint8_t* dst, const std::uint8_t* src, std::size_t 
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
-void xor_bytes_to_portable(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-                           std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    std::uint64_t a0, a1, a2, a3;
-    std::uint64_t b0, b1, b2, b3;
-    std::memcpy(&a0, a + i, 8);
-    std::memcpy(&a1, a + i + 8, 8);
-    std::memcpy(&a2, a + i + 16, 8);
-    std::memcpy(&a3, a + i + 24, 8);
-    std::memcpy(&b0, b + i, 8);
-    std::memcpy(&b1, b + i + 8, 8);
-    std::memcpy(&b2, b + i + 16, 8);
-    std::memcpy(&b3, b + i + 24, 8);
-    a0 ^= b0;
-    a1 ^= b1;
-    a2 ^= b2;
-    a3 ^= b3;
-    std::memcpy(dst + i, &a0, 8);
-    std::memcpy(dst + i + 8, &a1, 8);
-    std::memcpy(dst + i + 16, &a2, 8);
-    std::memcpy(dst + i + 24, &a3, 8);
-  }
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t x, y;
-    std::memcpy(&x, a + i, 8);
-    std::memcpy(&y, b + i, 8);
-    x ^= y;
-    std::memcpy(dst + i, &x, 8);
-  }
-  for (; i < n; ++i) dst[i] = static_cast<std::uint8_t>(a[i] ^ b[i]);
-}
-
-void xor_accum2_portable(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-                         std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    std::uint64_t d0, d1, d2, d3;
-    std::uint64_t a0, a1, a2, a3;
-    std::uint64_t b0, b1, b2, b3;
-    std::memcpy(&d0, dst + i, 8);
-    std::memcpy(&d1, dst + i + 8, 8);
-    std::memcpy(&d2, dst + i + 16, 8);
-    std::memcpy(&d3, dst + i + 24, 8);
-    std::memcpy(&a0, a + i, 8);
-    std::memcpy(&a1, a + i + 8, 8);
-    std::memcpy(&a2, a + i + 16, 8);
-    std::memcpy(&a3, a + i + 24, 8);
-    std::memcpy(&b0, b + i, 8);
-    std::memcpy(&b1, b + i + 8, 8);
-    std::memcpy(&b2, b + i + 16, 8);
-    std::memcpy(&b3, b + i + 24, 8);
-    d0 ^= a0 ^ b0;
-    d1 ^= a1 ^ b1;
-    d2 ^= a2 ^ b2;
-    d3 ^= a3 ^ b3;
-    std::memcpy(dst + i, &d0, 8);
-    std::memcpy(dst + i + 8, &d1, 8);
-    std::memcpy(dst + i + 16, &d2, 8);
-    std::memcpy(dst + i + 24, &d3, 8);
-  }
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t d, x, y;
-    std::memcpy(&d, dst + i, 8);
-    std::memcpy(&x, a + i, 8);
-    std::memcpy(&y, b + i, 8);
-    d ^= x ^ y;
-    std::memcpy(dst + i, &d, 8);
-  }
-  for (; i < n; ++i) dst[i] = static_cast<std::uint8_t>(dst[i] ^ a[i] ^ b[i]);
-}
-
-void xor_accum4_portable(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-                         const std::uint8_t* c, const std::uint8_t* d, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    std::uint64_t d0, d1, a0, a1, b0, b1, c0, c1, e0, e1;
-    std::memcpy(&d0, dst + i, 8);
-    std::memcpy(&d1, dst + i + 8, 8);
-    std::memcpy(&a0, a + i, 8);
-    std::memcpy(&a1, a + i + 8, 8);
-    std::memcpy(&b0, b + i, 8);
-    std::memcpy(&b1, b + i + 8, 8);
-    std::memcpy(&c0, c + i, 8);
-    std::memcpy(&c1, c + i + 8, 8);
-    std::memcpy(&e0, d + i, 8);
-    std::memcpy(&e1, d + i + 8, 8);
-    d0 ^= (a0 ^ b0) ^ (c0 ^ e0);
-    d1 ^= (a1 ^ b1) ^ (c1 ^ e1);
-    std::memcpy(dst + i, &d0, 8);
-    std::memcpy(dst + i + 8, &d1, 8);
-  }
-  for (; i < n; ++i) {
-    dst[i] = static_cast<std::uint8_t>(dst[i] ^ a[i] ^ b[i] ^ c[i] ^ d[i]);
-  }
-}
-
-#if RADIOCAST_HAVE_AVX2_KERNEL
-__attribute__((target("avx2"))) void xor_bytes_to_avx2(std::uint8_t* dst, const std::uint8_t* a,
-                                                       const std::uint8_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i + 32));
-    __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    __m256i b1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i + 32));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_xor_si256(a0, b0));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), _mm256_xor_si256(a1, b1));
-  }
-  for (; i + 32 <= n; i += 32) {
-    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i y = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_xor_si256(x, y));
-  }
-  xor_bytes_to_portable(dst + i, a + i, b + i, n - i);
-}
-
-__attribute__((target("avx2"))) void xor_bytes_avx2(std::uint8_t* dst, const std::uint8_t* src,
-                                                    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i + 32));
-    __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    __m256i b1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 32));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_xor_si256(a0, b0));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), _mm256_xor_si256(a1, b1));
-  }
-  for (; i + 32 <= n; i += 32) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_xor_si256(a, b));
-  }
-  xor_bytes_portable(dst + i, src + i, n - i);
-}
-
-__attribute__((target("avx2"))) void xor_accum2_avx2(std::uint8_t* dst, const std::uint8_t* a,
-                                                     const std::uint8_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    __m256i d0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i d1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i + 32));
-    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i a1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i + 32));
-    __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    __m256i b1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i + 32));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(d0, _mm256_xor_si256(a0, b0)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32),
-                        _mm256_xor_si256(d1, _mm256_xor_si256(a1, b1)));
-  }
-  for (; i + 32 <= n; i += 32) {
-    __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i y = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(d, _mm256_xor_si256(x, y)));
-  }
-  xor_accum2_portable(dst + i, a + i, b + i, n - i);
-}
-
-__attribute__((target("avx2"))) void xor_accum4_avx2(std::uint8_t* dst, const std::uint8_t* a,
-                                                     const std::uint8_t* b,
-                                                     const std::uint8_t* c,
-                                                     const std::uint8_t* d, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    __m256i vc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + i));
-    __m256i vd = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-    acc = _mm256_xor_si256(acc, _mm256_xor_si256(_mm256_xor_si256(va, vb),
-                                                 _mm256_xor_si256(vc, vd)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), acc);
-  }
-  xor_accum4_portable(dst + i, a + i, b + i, c + i, d + i, n - i);
-}
-#endif
-
-using XorFn = void (*)(std::uint8_t*, const std::uint8_t*, std::size_t);
-using XorToFn = void (*)(std::uint8_t*, const std::uint8_t*, const std::uint8_t*, std::size_t);
-using XorAccum4Fn = void (*)(std::uint8_t*, const std::uint8_t*, const std::uint8_t*,
-                             const std::uint8_t*, const std::uint8_t*, std::size_t);
-
-struct Dispatch {
-  XorFn fn;
-  XorToFn to_fn;
-  XorToFn accum2_fn;
-  XorAccum4Fn accum4_fn;
-  const char* name;
-};
-
-Dispatch resolve() {
-#if RADIOCAST_HAVE_AVX2_KERNEL
-  if (__builtin_cpu_supports("avx2")) {
-    return {&xor_bytes_avx2, &xor_bytes_to_avx2, &xor_accum2_avx2, &xor_accum4_avx2, "avx2"};
-  }
-#endif
-  return {&xor_bytes_portable, &xor_bytes_to_portable, &xor_accum2_portable,
-          &xor_accum4_portable, "portable"};
-}
-
-const Dispatch& dispatch() {
-  static const Dispatch d = resolve();
-  return d;
-}
-
-}  // namespace
-
-void xor_bytes(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  dispatch().fn(dst, src, n);
-}
-
-void xor_bytes_to(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-                  std::size_t n) {
-  dispatch().to_fn(dst, a, b, n);
-}
-
-void xor_accum2(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-                std::size_t n) {
-  dispatch().accum2_fn(dst, a, b, n);
-}
-
-void xor_accum4(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-                const std::uint8_t* c, const std::uint8_t* d, std::size_t n) {
-  dispatch().accum4_fn(dst, a, b, c, d, n);
-}
-
-const char* simd_kernel_name() { return dispatch().name; }
+const char* simd_kernel_name() { return "portable"; }
 
 }  // namespace radiocast::gf2

@@ -1,47 +1,20 @@
-// Runtime-dispatched bulk XOR kernels and aligned storage for bit-packed
-// data.
+// The bulk XOR kernel of the GF(2) coding layer.
 //
-// The bit-parallel round engine and the network-coding layer both reduce to
-// long XOR/AND sweeps over word arrays. This header centralises the one
-// primitive worth tuning — `dst ^= src` over a byte range — behind a single
-// function pointer resolved once at startup: an AVX2 path (compiled with a
-// target attribute, so the baseline ISA of the rest of the build is
-// unchanged) when the CPU and build flags allow it, and a portable 4-way
-// unrolled word loop otherwise. Callers never branch on the ISA.
+// Stage 4's encoder and decoder reduce to `dst ^= src` sweeps over payload
+// bytes, and BitVec's XOR to the same sweep over words. This header holds
+// that one primitive: a portable 4-way unrolled word loop, which compilers
+// auto-vectorise with the build's baseline ISA.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 namespace radiocast::gf2 {
 
-/// dst[0..n) ^= src[0..n). Alignment-free (memcpy-based word access on the
-/// portable path, unaligned loads on the AVX2 path); endian-agnostic
-/// because XOR is bytewise. Regions must not partially overlap.
+/// dst[0..n) ^= src[0..n). Alignment-free (memcpy-based word access) and
+/// endian-agnostic, because XOR is bytewise. Regions must not partially
+/// overlap.
 void xor_bytes(std::uint8_t* dst, const std::uint8_t* src, std::size_t n);
-
-/// dst[0..n) = a[0..n) ^ b[0..n): the out-of-place variant, one fused pass
-/// instead of copy-then-xor_bytes. Used by the table encoder's chunk-table
-/// construction (entry = parent entry ^ packet). `dst` must not partially
-/// overlap either source; dst == a or dst == b is allowed (degenerates to
-/// the in-place kernel's access pattern).
-void xor_bytes_to(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-                  std::size_t n);
-
-/// dst[0..n) ^= a[0..n) ^ b[0..n): dual-source accumulate, one pass over
-/// `dst` per two sources. The packed decoder uses it to halve the memory
-/// traffic of a row's pivot-absorption chain (XOR is commutative and
-/// associative, so pairing absorptions is byte-exact). `dst` must not
-/// partially overlap either source.
-void xor_accum2(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-                std::size_t n);
-
-/// dst[0..n) ^= a ^ b ^ c ^ d: quad-source accumulate, one pass over `dst`
-/// per four sources. Same contract as xor_accum2.
-void xor_accum4(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-                const std::uint8_t* c, const std::uint8_t* d, std::size_t n);
 
 /// Word-array convenience wrapper over xor_bytes.
 inline void xor_words(std::uint64_t* dst, const std::uint64_t* src, std::size_t n_words) {
@@ -49,41 +22,8 @@ inline void xor_words(std::uint64_t* dst, const std::uint64_t* src, std::size_t 
             reinterpret_cast<const std::uint8_t*>(src), n_words * sizeof(std::uint64_t));
 }
 
-/// Name of the kernel the dispatcher resolved to ("avx2" or "portable") —
-/// surfaced in `radiocast version` and the manifest environment block so
-/// benchmark provenance records which kernel produced the numbers.
+/// Name of the XOR kernel ("portable"), surfaced in `radiocast version`
+/// and the manifest environment block as benchmark provenance.
 const char* simd_kernel_name();
-
-/// Minimal aligned allocator so BitVec word storage starts on a cache-line
-/// boundary (vector-width-friendly for the dispatched kernels).
-template <typename T, std::size_t Align = 64>
-struct AlignedAlloc {
-  using value_type = T;
-  // Required explicitly: allocator_traits cannot auto-rebind through the
-  // non-type Align parameter.
-  template <typename U>
-  struct rebind {
-    using other = AlignedAlloc<U, Align>;
-  };
-  static_assert(Align >= alignof(T) && (Align & (Align - 1)) == 0);
-
-  AlignedAlloc() = default;
-  template <typename U>
-  AlignedAlloc(const AlignedAlloc<U, Align>&) noexcept {}
-
-  T* allocate(std::size_t n) {
-    if (n == 0) return nullptr;
-    void* p = ::operator new(n * sizeof(T), std::align_val_t(Align));
-    return static_cast<T*>(p);
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t(Align));
-  }
-
-  template <typename U>
-  bool operator==(const AlignedAlloc<U, Align>&) const noexcept {
-    return true;
-  }
-};
 
 }  // namespace radiocast::gf2

@@ -1,8 +1,6 @@
 #include "gf2/solver.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <cstring>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -13,15 +11,6 @@ namespace radiocast::gf2 {
 void xor_into(Payload& dst, const Payload& src) {
   if (src.size() > dst.size()) dst.resize(src.size(), 0);
   xor_bytes(dst.data(), src.data(), src.size());
-}
-
-void xor_payloads(Payload& dst, const Payload& a, const Payload& b) {
-  const Payload& longer = a.size() >= b.size() ? a : b;
-  const Payload& shorter = a.size() >= b.size() ? b : a;
-  dst.resize(longer.size());
-  xor_bytes_to(dst.data(), longer.data(), shorter.data(), shorter.size());
-  std::copy(longer.begin() + static_cast<std::ptrdiff_t>(shorter.size()), longer.end(),
-            dst.begin() + static_cast<std::ptrdiff_t>(shorter.size()));
 }
 
 IncrementalDecoder::IncrementalDecoder(std::size_t width) : width_(width) {
@@ -41,9 +30,8 @@ bool IncrementalDecoder::add_row_packed(std::uint64_t coeffs, Payload& payload) 
   ++rows_seen_;
   // Mask-only reduction first: record which pivots get absorbed instead of
   // XORing payload bytes inside the loop. Redundancy is then decided
-  // without touching the payload at all, and an innovative row applies its
-  // absorptions pairwise with the dual-source kernel (XOR commutes, so the
-  // regrouping is byte-exact). Each pivot is absorbed at most once — the
+  // without touching the payload at all, and only an innovative row
+  // applies its absorptions. Each pivot is absorbed at most once — the
   // mask's lowest set bit strictly increases through the reduction — so a
   // bitmask captures the chain losslessly.
   std::uint64_t absorbed = 0;
@@ -64,37 +52,9 @@ bool IncrementalDecoder::add_row_packed(std::uint64_t coeffs, Payload& payload) 
 }
 
 void IncrementalDecoder::absorb_payloads(Payload& payload, std::uint64_t absorbed) {
-  // Grow once to the longest operand (the same zero-extension xor_into
-  // applies progressively), then sweep the sources four / two at a time —
-  // one pass over `payload` per batch instead of one per source.
-  const Payload* srcs[64];
-  std::size_t k = 0;
-  std::size_t maxlen = payload.size();
   for (std::uint64_t m = absorbed; m != 0; m &= m - 1) {
-    const Payload& p = mask_payload_[std::countr_zero(m)];
-    srcs[k++] = &p;
-    maxlen = std::max(maxlen, p.size());
+    xor_into(payload, mask_payload_[std::countr_zero(m)]);
   }
-  payload.resize(maxlen, 0);
-  std::size_t i = 0;
-  // Quad sweeps while the next four sources share one length — the common
-  // case, since payloads in a group converge to the group's max size.
-  while (i + 4 <= k && srcs[i]->size() == srcs[i + 1]->size() &&
-         srcs[i]->size() == srcs[i + 2]->size() &&
-         srcs[i]->size() == srcs[i + 3]->size()) {
-    xor_accum4(payload.data(), srcs[i]->data(), srcs[i + 1]->data(),
-               srcs[i + 2]->data(), srcs[i + 3]->data(), srcs[i]->size());
-    i += 4;
-  }
-  for (; i + 2 <= k; i += 2) {
-    const Payload& a = *srcs[i];
-    const Payload& b = *srcs[i + 1];
-    const std::size_t common = std::min(a.size(), b.size());
-    xor_accum2(payload.data(), a.data(), b.data(), common);
-    const Payload& longer = a.size() >= b.size() ? a : b;
-    xor_bytes(payload.data() + common, longer.data() + common, longer.size() - common);
-  }
-  if (i < k) xor_bytes(payload.data(), srcs[i]->data(), srcs[i]->size());
 }
 
 void IncrementalDecoder::back_substitute() {
@@ -107,9 +67,9 @@ void IncrementalDecoder::back_substitute() {
   decoded_.reserve(width_);
   // Row-major descending order: when row r is processed every row above
   // its pivot (c > r) is already a unit vector, so the whole chain
-  // mask_basis_[r] & ~e_r can be absorbed at once, pairwise. Same XOR
-  // multiset as the classic column-major sweep (a unit row's absorption
-  // only clears its own bit), hence byte-identical packets.
+  // mask_basis_[r] & ~e_r can be absorbed at once. Same XOR multiset as
+  // the classic column-major sweep (a unit row's absorption only clears
+  // its own bit), hence byte-identical packets.
   for (std::size_t r = width_; r-- > 0;) {
     const std::uint64_t absorbed = mask_basis_[r] & ~(1ULL << r);
     if (absorbed != 0) absorb_payloads(mask_payload_[r], absorbed);

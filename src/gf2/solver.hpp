@@ -45,11 +45,6 @@ using Payload = std::vector<std::uint8_t>;
 /// GF(2^b) pads with zeros).
 void xor_into(Payload& dst, const Payload& src);
 
-/// dst = a ^ b with the same zero-extension rule (dst sized to the longer
-/// operand, shorter operand padded with zeros). Single fused pass over the
-/// common prefix via gf2::xor_bytes_to.
-void xor_payloads(Payload& dst, const Payload& a, const Payload& b);
-
 /// One received coded message: payload = XOR of the group's packets
 /// selected by `coeffs`.
 struct CodedRow {
@@ -137,8 +132,8 @@ class IncrementalDecoder {
 
  private:
   void back_substitute();
-  /// Applies one reduction chain to `payload`: XORs in mask_payload_[p]
-  /// for every set bit p of `absorbed`, pairwise via gf2::xor_accum2.
+  /// Applies one reduction chain to `payload`: xor_into of
+  /// mask_payload_[p] for every set bit p of `absorbed`.
   void absorb_payloads(Payload& payload, std::uint64_t absorbed);
 
   std::size_t width_;

@@ -57,11 +57,34 @@ std::size_t num_components(const Graph& g) {
 }
 
 std::uint32_t diameter(const Graph& g) {
-  if (g.num_nodes() < 2) return 0;
+  const NodeId n = g.num_nodes();
+  if (n < 2) return 0;
   RC_ASSERT_MSG(is_connected(g), "diameter requires a connected graph");
+  // BFS from 64 sources at once: bit i of reached[v] says source base+i has
+  // reached v, so one sweep over the adjacency advances 64 searches by a
+  // level. The last level that reaches a new node is the batch's largest
+  // eccentricity.
+  std::vector<std::uint64_t> reached(n), frontier(n), next(n);
   std::uint32_t best = 0;
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    best = std::max(best, bfs(g, s).eccentricity);
+  for (NodeId base = 0; base < n; base += 64) {
+    std::fill(reached.begin(), reached.end(), 0);
+    std::fill(frontier.begin(), frontier.end(), 0);
+    for (NodeId s = base; s < std::min<NodeId>(n, base + 64); ++s) {
+      reached[s] = frontier[s] = 1ULL << (s - base);
+    }
+    for (std::uint32_t level = 1;; ++level) {
+      bool grew = false;
+      for (NodeId v = 0; v < n; ++v) {
+        std::uint64_t heard = 0;
+        for (const NodeId u : g.neighbors(v)) heard |= frontier[u];
+        next[v] = heard & ~reached[v];
+        grew = grew || next[v] != 0;
+      }
+      if (!grew) break;
+      best = std::max(best, level);
+      for (NodeId v = 0; v < n; ++v) reached[v] |= next[v];
+      frontier.swap(next);
+    }
   }
   return best;
 }

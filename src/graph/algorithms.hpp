@@ -36,9 +36,9 @@ bool is_connected(const Graph& g);
 /// Number of connected components.
 std::size_t num_components(const Graph& g);
 
-/// Exact diameter via BFS from every vertex — O(n·m), fine for simulation
-/// sizes. Returns 0 for graphs with fewer than two vertices; the graph must
-/// be connected.
+/// Exact diameter via BFS from every vertex, 64 sources per word-parallel
+/// sweep — O(⌈n/64⌉·D·m). Returns 0 for graphs with fewer than two
+/// vertices; the graph must be connected.
 std::uint32_t diameter(const Graph& g);
 
 /// All-pairs shortest-path distances via repeated BFS (n x n matrix).

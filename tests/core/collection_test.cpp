@@ -52,7 +52,7 @@ CollectionOutcome run_collection(const graph::Graph& g, const Placement& placeme
   KBroadcastConfig kcfg;
   kcfg.know = radio::Knowledge::exact(g);
   const ResolvedConfig rc = resolve(kcfg);
-  CollectionState::Config cfg{rc};
+  CollectionState::Config cfg{&rc};
 
   const graph::BfsResult tree = graph::bfs(g, root);
   radio::Network net(g);
@@ -175,15 +175,16 @@ TEST(Collection, DeepPathManyPackets) {
 
 // --- Unit-level state machine checks ---
 
-CollectionState::Config unit_cfg(const graph::Graph& g) {
+ResolvedConfig unit_rc(const graph::Graph& g) {
   KBroadcastConfig kcfg;
   kcfg.know = radio::Knowledge::exact(g);
-  return CollectionState::Config{resolve(kcfg)};
+  return resolve(kcfg);
 }
 
 TEST(CollectionState, RootCollectsAndAcksDataMessage) {
   const graph::Graph g = graph::make_path(3);
-  const CollectionState::Config cfg = unit_cfg(g);
+  const ResolvedConfig rc = unit_rc(g);
+  const CollectionState::Config cfg{&rc};
   Rng rng(10);
   CollectionState root(cfg, 0, true, std::nullopt, {}, &rng);
 
@@ -196,7 +197,7 @@ TEST(CollectionState, RootCollectsAndAcksDataMessage) {
   EXPECT_EQ(root.collected()[0].id, pkt.id);
 
   // During the ack window the root emits an AckMsg addressed to the child.
-  const GatherWindow w0 = grab_windows(cfg.rc.initial_estimate, cfg.rc)[0];
+  const GatherWindow w0 = grab_windows(rc.initial_estimate, rc)[0];
   bool acked = false;
   for (std::uint64_t r = w0.up_rounds; r < w0.total_rounds(); ++r) {
     const auto out = root.on_transmit(r);
@@ -214,7 +215,8 @@ TEST(CollectionState, RootCollectsAndAcksDataMessage) {
 
 TEST(CollectionState, RelayForwardsOneRoundLater) {
   const graph::Graph g = graph::make_path(4);
-  const CollectionState::Config cfg = unit_cfg(g);
+  const ResolvedConfig rc = unit_rc(g);
+  const CollectionState::Config cfg{&rc};
   Rng rng(11);
   CollectionState relay(cfg, 1, false, radio::NodeId{0}, {}, &rng);
 
@@ -232,7 +234,8 @@ TEST(CollectionState, RelayForwardsOneRoundLater) {
 
 TEST(CollectionState, RelayIgnoresDataAddressedElsewhere) {
   const graph::Graph g = graph::make_path(4);
-  const CollectionState::Config cfg = unit_cfg(g);
+  const ResolvedConfig rc = unit_rc(g);
+  const CollectionState::Config cfg{&rc};
   Rng rng(12);
   CollectionState relay(cfg, 1, false, radio::NodeId{0}, {}, &rng);
   radio::Packet pkt;
@@ -244,7 +247,8 @@ TEST(CollectionState, RelayIgnoresDataAddressedElsewhere) {
 
 TEST(CollectionState, SourceMarksAckedAndStopsAlarming) {
   const graph::Graph g = graph::make_path(3);
-  const CollectionState::Config cfg = unit_cfg(g);
+  const ResolvedConfig rc = unit_rc(g);
+  const CollectionState::Config cfg{&rc};
   Rng rng(13);
   radio::Packet pkt;
   pkt.id = radio::make_packet_id(2, 0);
@@ -254,7 +258,7 @@ TEST(CollectionState, SourceMarksAckedAndStopsAlarming) {
 
   radio::Message ack{1, radio::AckMsg{pkt.id, 2}};
   // Deliver the ack inside the first window's ack segment.
-  const GatherWindow w0 = grab_windows(cfg.rc.initial_estimate, cfg.rc)[0];
+  const GatherWindow w0 = grab_windows(rc.initial_estimate, rc)[0];
   source.on_receive(w0.up_rounds + 1, ack);
   EXPECT_TRUE(source.all_acked());
   EXPECT_EQ(source.unacked_count(), 0u);
@@ -262,10 +266,11 @@ TEST(CollectionState, SourceMarksAckedAndStopsAlarming) {
 
 TEST(CollectionState, FinishesAfterQuietPhaseAndReportsLength) {
   const graph::Graph g = graph::make_path(3);
-  const CollectionState::Config cfg = unit_cfg(g);
+  const ResolvedConfig rc = unit_rc(g);
+  const CollectionState::Config cfg{&rc};
   Rng rng(14);
   CollectionState idle(cfg, 1, false, radio::NodeId{0}, {}, &rng);
-  const std::uint64_t phase = collection_phase_rounds(cfg.rc.initial_estimate, cfg.rc);
+  const std::uint64_t phase = collection_phase_rounds(rc.initial_estimate, rc);
   idle.on_transmit(phase);  // first post-phase poll
   EXPECT_TRUE(idle.finished());
   EXPECT_EQ(idle.finished_at(), phase);
@@ -273,32 +278,34 @@ TEST(CollectionState, FinishesAfterQuietPhaseAndReportsLength) {
 
 TEST(CollectionState, AlarmHeardExtendsToSecondPhase) {
   const graph::Graph g = graph::make_path(3);
-  const CollectionState::Config cfg = unit_cfg(g);
+  const ResolvedConfig rc = unit_rc(g);
+  const CollectionState::Config cfg{&rc};
   Rng rng(15);
   CollectionState idle(cfg, 1, false, radio::NodeId{0}, {}, &rng);
-  const std::uint64_t grab = grab_rounds(cfg.rc.initial_estimate, cfg.rc);
-  const std::uint64_t phase = grab + cfg.rc.alarm_rounds;
+  const std::uint64_t grab = grab_rounds(rc.initial_estimate, rc);
+  const std::uint64_t phase = grab + rc.alarm_rounds;
   idle.on_transmit(grab);  // enter the alarm window
   radio::Message alarm{0, radio::AlarmMsg{}};
   idle.on_receive(grab + 1, alarm);
   idle.on_transmit(phase);  // cross the phase boundary
   EXPECT_FALSE(idle.finished());
-  EXPECT_EQ(idle.estimate(), cfg.rc.initial_estimate * 2);
+  EXPECT_EQ(idle.estimate(), rc.initial_estimate * 2);
   EXPECT_EQ(idle.phases_run(), 1u);
 }
 
 TEST(CollectionState, UnackedSourceArmsAlarm) {
   const graph::Graph g = graph::make_path(3);
-  const CollectionState::Config cfg = unit_cfg(g);
+  const ResolvedConfig rc = unit_rc(g);
+  const CollectionState::Config cfg{&rc};
   Rng rng(16);
   radio::Packet pkt;
   pkt.id = radio::make_packet_id(2, 0);
   CollectionState source(cfg, 2, false, radio::NodeId{1}, {pkt}, &rng);
-  const std::uint64_t grab = grab_rounds(cfg.rc.initial_estimate, cfg.rc);
+  const std::uint64_t grab = grab_rounds(rc.initial_estimate, rc);
   // The packet was never acked (we never delivered it): over the alarm
   // window the source must transmit AlarmMsg at least once.
   bool alarmed = false;
-  for (std::uint64_t r = grab; r < grab + cfg.rc.alarm_rounds; ++r) {
+  for (std::uint64_t r = grab; r < grab + rc.alarm_rounds; ++r) {
     const auto out = source.on_transmit(r);
     if (out.has_value() && std::holds_alternative<radio::AlarmMsg>(*out)) {
       alarmed = true;
@@ -307,7 +314,7 @@ TEST(CollectionState, UnackedSourceArmsAlarm) {
   }
   EXPECT_TRUE(alarmed);
   // And the phase must continue.
-  source.on_transmit(grab + cfg.rc.alarm_rounds);
+  source.on_transmit(grab + rc.alarm_rounds);
   EXPECT_FALSE(source.finished());
 }
 

@@ -31,7 +31,7 @@ TEST(DissemEdge, LastGroupMayBeSmaller) {
   const graph::Graph g = graph::make_path(40);  // log n = 6
   const ResolvedConfig rc = rc_for(g);
   Rng rng(1), prng(2);
-  DisseminationState root(DisseminationState::Config{rc}, 0, true, 0u, &rng);
+  DisseminationState root(DisseminationState::Config{&rc}, 0, true, 0u, &rng);
   const std::uint32_t k = rc.group_size * 2 + 1;  // last group size 1
   root.set_root_packets(packets(k, prng));
   EXPECT_EQ(root.group_count(), 3u);
@@ -55,7 +55,7 @@ TEST(DissemEdge, ReceiverCountsRedundantRows) {
   const graph::Graph g = graph::make_path(8);
   const ResolvedConfig rc = rc_for(g);
   Rng rng(3);
-  DisseminationState node(DisseminationState::Config{rc}, 2, false, 1u, &rng);
+  DisseminationState node(DisseminationState::Config{&rc}, 2, false, 1u, &rng);
   radio::PlainPacketMsg m;
   m.packet.id = radio::make_packet_id(0, 0);
   m.packet.payload = {1};
@@ -78,7 +78,7 @@ TEST(DissemEdge, CompleteNodeIgnoresFurtherRows) {
   const graph::Graph g = graph::make_path(8);
   const ResolvedConfig rc = rc_for(g);
   Rng rng(4);
-  DisseminationState node(DisseminationState::Config{rc}, 2, false, 1u, &rng);
+  DisseminationState node(DisseminationState::Config{&rc}, 2, false, 1u, &rng);
   radio::PlainPacketMsg m;
   m.packet.id = radio::make_packet_id(0, 0);
   m.packet.payload = {5};
@@ -98,7 +98,7 @@ TEST(DissemEdge, ForwarderSendsOnlyDuringItsPhase) {
   const ResolvedConfig rc = rc_for(g);
   Rng rng(5);
   const std::uint32_t dist = 2;
-  DisseminationState node(DisseminationState::Config{rc}, 3, false, dist, &rng);
+  DisseminationState node(DisseminationState::Config{&rc}, 3, false, dist, &rng);
   // Hand it a complete single group via a plain row.
   radio::PlainPacketMsg m;
   m.packet.id = radio::make_packet_id(0, 0);
@@ -127,7 +127,7 @@ TEST(DissemEdge, CodedHeadersCarryConsistentMetadata) {
   const graph::Graph g = graph::make_path(16);
   const ResolvedConfig rc = rc_for(g);
   Rng rng(6);
-  DisseminationState node(DisseminationState::Config{rc}, 3, false, 1u, &rng);
+  DisseminationState node(DisseminationState::Config{&rc}, 3, false, 1u, &rng);
   radio::PlainPacketMsg m;
   m.packet.id = radio::make_packet_id(0, 0);
   m.packet.payload = {1, 2};
@@ -154,7 +154,7 @@ TEST(DissemEdge, PacketsBeforeAnyHeaderIsEmpty) {
   const graph::Graph g = graph::make_path(8);
   const ResolvedConfig rc = rc_for(g);
   Rng rng(7);
-  DisseminationState node(DisseminationState::Config{rc}, 1, false, 1u, &rng);
+  DisseminationState node(DisseminationState::Config{&rc}, 1, false, 1u, &rng);
   EXPECT_FALSE(node.complete());
   EXPECT_EQ(node.group_count(), 0u);
   EXPECT_TRUE(node.packets().empty());
@@ -164,7 +164,7 @@ TEST(DissemEdge, EmptyRootBatchIsCompleteWithZeroGroups) {
   const graph::Graph g = graph::make_path(8);
   const ResolvedConfig rc = rc_for(g);
   Rng rng(8);
-  DisseminationState root(DisseminationState::Config{rc}, 0, true, 0u, &rng);
+  DisseminationState root(DisseminationState::Config{&rc}, 0, true, 0u, &rng);
   root.set_root_packets({});
   EXPECT_TRUE(root.complete());
   EXPECT_EQ(root.group_count(), 0u);
@@ -181,7 +181,7 @@ TEST(DissemEdge, UncodedForwarderEmitsOnlyGroupMembers) {
   kcfg.group_size = 2;
   const ResolvedConfig rc = resolve(kcfg);
   Rng rng(9);
-  DisseminationState node(DisseminationState::Config{rc}, 3, false, 1u, &rng);
+  DisseminationState node(DisseminationState::Config{&rc}, 3, false, 1u, &rng);
   radio::PlainPacketMsg m;
   m.group_id = 0;
   m.group_count = 1;

@@ -82,7 +82,7 @@ DissemOutcome run_dissem(const graph::Graph& g, radio::NodeId root, std::uint32_
   kcfg.coded = coded;
   if (!coded) kcfg.group_size = 1;
   const ResolvedConfig rc = resolve(kcfg);
-  DisseminationState::Config cfg{rc};
+  DisseminationState::Config cfg{&rc};
 
   Rng prng(seed * 77 + 1);
   std::vector<radio::Packet> packets = make_packets(k, prng);
@@ -178,7 +178,7 @@ TEST(Dissemination, RootIsCompleteImmediately) {
   kcfg.know = radio::Knowledge::exact(g);
   const ResolvedConfig rc = resolve(kcfg);
   Rng rng(6);
-  DisseminationState root(DisseminationState::Config{rc}, 0, true, 0u, &rng);
+  DisseminationState root(DisseminationState::Config{&rc}, 0, true, 0u, &rng);
   EXPECT_FALSE(root.complete());  // packets not yet installed
   Rng prng(7);
   root.set_root_packets(make_packets(5, prng));
@@ -195,7 +195,7 @@ TEST(Dissemination, NodeWithoutDistanceNeverTransmitsButDecodes) {
   kcfg.know = radio::Knowledge::exact(g);
   const ResolvedConfig rc = resolve(kcfg);
   Rng rng(8);
-  DisseminationState node(DisseminationState::Config{rc}, 2, false, std::nullopt,
+  DisseminationState node(DisseminationState::Config{&rc}, 2, false, std::nullopt,
                           &rng);
   for (std::uint64_t r = 0; r < 500; ++r) {
     EXPECT_FALSE(node.on_transmit(r).has_value());
@@ -220,7 +220,7 @@ TEST(Dissemination, RootInjectsGroupsOnSpacingGrid) {
   kcfg.know = radio::Knowledge::exact(g);
   const ResolvedConfig rc = resolve(kcfg);
   Rng rng(9), prng(10);
-  DisseminationState root(DisseminationState::Config{rc}, 0, true, 0u, &rng);
+  DisseminationState root(DisseminationState::Config{&rc}, 0, true, 0u, &rng);
   const std::uint32_t k = 3 * rc.group_size;  // exactly 3 groups
   root.set_root_packets(make_packets(k, prng));
   ASSERT_EQ(root.group_count(), 3u);

@@ -59,7 +59,7 @@ TEST(PipelineTiming, WavefrontReachesLayerDInPhaseSpacingJPlusD) {
   for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
     std::optional<std::uint32_t> dist;
     if (tree.dist[v] != graph::kUnreachable) dist = tree.dist[v];
-    auto node = std::make_unique<DissemNode>(DisseminationState::Config{rc}, v,
+    auto node = std::make_unique<DissemNode>(DisseminationState::Config{&rc}, v,
                                              v == 0, dist, master.split());
     nodes[v] = node.get();
     net.set_protocol(v, std::move(node));
@@ -122,7 +122,7 @@ TEST(PipelineTiming, CompletionWithinPaperPhaseBudget) {
   for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
     std::optional<std::uint32_t> dist;
     if (tree.dist[v] != graph::kUnreachable) dist = tree.dist[v];
-    auto node = std::make_unique<DissemNode>(DisseminationState::Config{rc}, v,
+    auto node = std::make_unique<DissemNode>(DisseminationState::Config{&rc}, v,
                                              v == 0, dist, master.split());
     if (v == 0) node->state().set_root_packets(packets);
     net.set_protocol(v, std::move(node));

@@ -150,7 +150,7 @@ TEST(PollHint, BfsLockStepOverTheStage) {
 
 struct CollectionFixture {
   core::ResolvedConfig rc = small_config();
-  core::CollectionState::Config cfg{rc};
+  core::CollectionState::Config cfg{&rc};
   std::vector<core::GatherWindow> windows = core::grab_windows(rc.initial_estimate, rc);
   std::uint64_t grab_end = core::grab_rounds(rc.initial_estimate, rc);
   std::uint64_t phase_end = core::collection_phase_rounds(rc.initial_estimate, rc);
@@ -244,7 +244,7 @@ TEST(PollHint, DisseminationRootIsDueInItsInjectionPhases) {
   // group_size 4, spacing 3, phase = 80 rounds.
   ASSERT_EQ(rc.dissem_phase_rounds, 80u);
   Rng rng(9);
-  core::DisseminationState root({rc}, 0, /*is_root=*/true, 0, &rng);
+  core::DisseminationState root({&rc}, 0, /*is_root=*/true, 0, &rng);
   root.set_root_packets(root_packets(8));  // two groups
   EXPECT_EQ(root.next_poll(0), 1u);
   EXPECT_EQ(root.next_poll(2), 3u);
@@ -275,11 +275,11 @@ void decode_groups(core::DisseminationState& s, const std::vector<radio::Packet>
 TEST(PollHint, DisseminationForwarderIsDueInItsLayersSlotZeroPhases) {
   const core::ResolvedConfig rc = small_config();
   Rng rng(10);
-  core::DisseminationState far({rc}, 6, /*is_root=*/false, 2, &rng);
+  core::DisseminationState far({&rc}, 6, /*is_root=*/false, 2, &rng);
   EXPECT_EQ(far.next_poll(0), 160u);    // phase 2 = layer 2's first slot
   EXPECT_EQ(far.next_poll(160), 400u);  // no header yet: sits phase 2 out
 
-  core::DisseminationState near({rc}, 5, /*is_root=*/false, 1, &rng);
+  core::DisseminationState near({&rc}, 5, /*is_root=*/false, 1, &rng);
   decode_groups(near, root_packets(8), 1);
   EXPECT_EQ(near.next_poll(3), 80u);
   EXPECT_EQ(near.next_poll(80), 81u);    // FORWARD for group 0
@@ -290,8 +290,8 @@ TEST(PollHint, DisseminationForwarderIsDueInItsLayersSlotZeroPhases) {
 TEST(PollHint, DisseminationLockStepOverTheRootSchedule) {
   const core::ResolvedConfig rc = small_config();
   Rng ra(11), rb(11);
-  core::DisseminationState a({rc}, 0, true, 0, &ra);
-  core::DisseminationState b({rc}, 0, true, 0, &rb);
+  core::DisseminationState a({&rc}, 0, true, 0, &ra);
+  core::DisseminationState b({&rc}, 0, true, 0, &rb);
   a.set_root_packets(root_packets(10));
   b.set_root_packets(root_packets(10));
   const std::uint64_t rounds = 10 * rc.dissem_phase_rounds;
@@ -304,8 +304,8 @@ TEST(PollHint, DisseminationLockStepOverAForwardersSchedule) {
   const core::ResolvedConfig rc = small_config();
   const std::vector<radio::Packet> packets = root_packets(10);
   Rng ra(12), rb(12);
-  core::DisseminationState a({rc}, 5, false, 1, &ra);
-  core::DisseminationState b({rc}, 5, false, 1, &rb);
+  core::DisseminationState a({&rc}, 5, false, 1, &ra);
+  core::DisseminationState b({&rc}, 5, false, 1, &rb);
   decode_groups(a, packets, 3);
   decode_groups(b, packets, 3);
   ASSERT_TRUE(a.complete());

@@ -201,10 +201,5 @@ TEST(BitVec, WordSpanRoundTripsWithClearExcessBits) {
   EXPECT_EQ(cv.words()[1], (1ULL << 6) - 1);
 }
 
-TEST(BitVec, WordStorageIsCacheAligned) {
-  BitVec v(512);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.words().data()) % 64, 0u);
-}
-
 }  // namespace
 }  // namespace radiocast::gf2

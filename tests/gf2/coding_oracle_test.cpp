@@ -1,8 +1,8 @@
 // Differential oracle for the fast coding path.
 //
 // The table-driven GroupEncoder (method of four Russians) and the packed
-// IncrementalDecoder (uint64 coefficient masks, batched payload
-// absorption) both promise byte-identity with the naive definitions: an
+// IncrementalDecoder (uint64 coefficient masks, payload absorption
+// deferred to innovative rows) both promise byte-identity with the naive definitions: an
 // encode is the plain XOR of the selected packets, a decode recovers
 // exactly the original group. This file pins those promises against
 // independent reference implementations that share no kernel code with

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 
@@ -44,6 +46,20 @@ TEST(Diameter, KnownFamilies) {
   EXPECT_EQ(diameter(make_star(10)), 2u);
   EXPECT_EQ(diameter(make_complete(10)), 1u);
   EXPECT_EQ(diameter(make_grid(4, 6)), 8u);
+}
+
+TEST(Diameter, EndpointsOutsideTheFirstSourceWord) {
+  // diameter() runs 64 sources per sweep. A 200-vertex path whose middle
+  // holds ids 0..63 and whose ends hold ids 64..199: every source of the
+  // first sweep has eccentricity < 199, so the answer needs later sweeps.
+  std::vector<NodeId> order;
+  for (NodeId v = 64; v < 132; ++v) order.push_back(v);
+  for (NodeId v = 0; v < 64; ++v) order.push_back(v);
+  for (NodeId v = 132; v < 200; ++v) order.push_back(v);
+  Graph g(200);
+  for (std::size_t i = 0; i + 1 < order.size(); ++i) g.add_edge(order[i], order[i + 1]);
+  g.finalize();
+  EXPECT_EQ(diameter(g), 199u);
 }
 
 TEST(AllPairs, MatchesBfsAndIsSymmetric) {

@@ -53,11 +53,14 @@ TEST_P(FamilySizeGrid, DiameterBoundsEccentricity) {
   const Graph g = make();
   if (g.num_nodes() > 120) GTEST_SKIP() << "diameter is O(nm); keep tests fast";
   const std::uint32_t diam = diameter(g);
-  for (NodeId s = 0; s < g.num_nodes(); s += std::max<NodeId>(1, g.num_nodes() / 7)) {
+  std::uint32_t max_ecc = 0;
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
     const BfsResult r = bfs(g, s);
     EXPECT_LE(r.eccentricity, diam);
     EXPECT_GE(2 * r.eccentricity + 1, diam);  // ecc >= diam/2
+    max_ecc = std::max(max_ecc, r.eccentricity);
   }
+  EXPECT_EQ(diam, max_ecc);
 }
 
 TEST_P(FamilySizeGrid, GeneratorDeterministicGivenSeed) {
