@@ -85,8 +85,6 @@ class SampleSet {
   double quantile(double q) const;
   double median() const { return quantile(0.5); }
 
-  const std::vector<double>& samples() const { return samples_; }
-
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;

@@ -144,7 +144,6 @@ std::optional<radio::MessageBody> CollectionState::on_transmit(std::uint64_t rel
     if (relay_packet_.has_value() && relay_round_ == rel_round) {
       radio::Packet packet = std::move(*relay_packet_);
       relay_packet_.reset();
-      if (start_schedule_.count(rel_round) != 0) ++start_conflicts_;
       RC_ASSERT(parent_.has_value());  // only tree members schedule relays
       return radio::DataMsg{std::move(packet), *parent_};
     }

@@ -93,10 +93,6 @@ class CollectionState {
   std::uint32_t phases_run() const { return phase_index_; }
   std::uint64_t estimate() const { return estimate_; }
 
-  /// Diagnostics: dropped own-starts / relay conflicts (lost to the
-  /// one-transmission-per-round constraint).
-  std::uint64_t start_conflicts() const { return start_conflicts_; }
-
  private:
   struct OwnPacket {
     radio::Packet packet;
@@ -153,7 +149,6 @@ class CollectionState {
   std::unordered_map<radio::PacketId, radio::NodeId> child_of_packet_;
 
   protocols::AlarmWindow alarm_;
-  std::uint64_t start_conflicts_ = 0;
 };
 
 }  // namespace radiocast::core

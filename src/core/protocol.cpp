@@ -67,10 +67,16 @@ void KBroadcastNode::ensure_stage(radio::Round round) {
     // never closes. This fast-out matters: ensure_stage runs on every
     // callback, and Stage 4 dominates a long run's node-rounds.
     if (round - stage3_end_ < window_) return;
-    // The window closed: harvest what decoded and open the next epoch. The
-    // state stays until the next Stage 4 replaces it in place, which
-    // reuses its memory.
-    for (const radio::Packet& p : dissemination_->packets()) on_packet_delivered(p);
+    // The window closed: a non-root harvests what it decoded, and every
+    // node opens the next epoch. Only packets of other origins are new
+    // holds: a node's own were reported when they joined a collection, and
+    // the root's batch when it was first queued. The state stays until the
+    // next Stage 4 replaces it in place, which reuses its memory.
+    if (!leader_.is_leader()) {
+      for (const radio::Packet& p : dissemination_->packets()) {
+        if (radio::packet_origin(p.id) != self_) on_packet_delivered(p);
+      }
+    }
     ++epoch_;
     stage3_start_ = stage3_end_ + window_;
     stage3_end_ = 0;
@@ -103,7 +109,14 @@ void KBroadcastNode::ensure_stage(radio::Round round) {
 void KBroadcastNode::begin_collection() {
   const bool is_root = leader_.is_leader();
   // The previous epoch's unacknowledged packets first, then the fresh ones.
+  // Only the fresh ones are new holds: the carry-over was reported when it
+  // was fresh.
   std::vector<radio::Packet> own = take_epoch_packets();
+  for (const radio::Packet& p : own) {
+    RC_ASSERT_MSG(radio::packet_origin(p.id) == self_,
+                  "own packet must name its node: radio::make_packet_id(node, seq)");
+    on_packet_delivered(p);
+  }
   if (collection_.has_value() && !is_root) {
     std::vector<radio::Packet> carry = collection_->unacked_packets();
     own.insert(own.begin(), std::make_move_iterator(carry.begin()),
@@ -127,19 +140,26 @@ void KBroadcastNode::begin_dissemination() {
   dissemination_->set_payload_arena(payload_arena());
   if (!is_root) return;
   RC_ASSERT(collection_.has_value());
+  // The harvest's new holds are the packets of other origins: the root's
+  // own were reported when they joined the collection.
   const std::vector<radio::Packet>& harvest = collection_->collected();
-  for (const radio::Packet& p : harvest) on_packet_delivered(p);
   if (window_ == kNever) {
     // A Stage 4 that never closes is the last: it carries the whole
     // harvest, and no later window reads a queue.
+    for (const radio::Packet& p : harvest) {
+      if (radio::packet_origin(p.id) != self_) on_packet_delivered(p);
+    }
     dissemination_->set_root_packets(harvest);
     return;
   }
-  // Queue the harvest, then disseminate the oldest window's worth.
+  // Queue the harvest, then disseminate the oldest window's worth. An id
+  // queued before was re-collected after a lost ack, and is held already.
   if (root_queue_ == nullptr) root_queue_ = std::make_unique<RootQueue>();
   std::deque<radio::Packet>& queue = root_queue_->packets;
   for (const radio::Packet& p : harvest) {
-    if (root_queue_->queued.insert(p.id).second) queue.push_back(p);
+    if (!root_queue_->queued.insert(p.id).second) continue;
+    if (radio::packet_origin(p.id) != self_) on_packet_delivered(p);
+    queue.push_back(p);
   }
   const auto take = static_cast<std::ptrdiff_t>(
       std::min<std::size_t>(queue.size(), capacity_));

@@ -164,17 +164,22 @@ class KBroadcastNode : public radio::NodeProtocol {
 
   /// Called at every Stage 3 start: returns the fresh packets joining this
   /// epoch's collection, after the carry-over of the previous epoch's
-  /// unacked packets. By default the constructor's packets in epoch 0 and
-  /// none later. It runs inside the first callback at or past the epoch
-  /// start, to which every poll hint is capped, so packets that arrive
-  /// out of band during a quiet spell are picked up in exactly the round
-  /// they would be without hints.
+  /// unacked packets. Each must name this node as its origin
+  /// (radio::make_packet_id(self, seq)); the node asserts it, and reports
+  /// each through on_packet_delivered() as it takes it. By default the
+  /// constructor's packets in epoch 0 and none later. It runs inside the
+  /// first callback at or past the epoch start, to which every poll hint
+  /// is capped, so packets that arrive out of band during a quiet spell
+  /// are picked up in exactly the round they would be without hints.
   virtual std::vector<radio::Packet> take_epoch_packets();
 
-  /// Fired for every packet the node comes to hold at an epoch boundary —
-  /// the root's harvest when Stage 4 starts, and what the node decoded
-  /// when a window closes — possibly more than once per packet. Does
-  /// nothing by default.
+  /// Fired exactly once for every packet the node comes to hold: its own
+  /// packets when take_epoch_packets() hands them in, the root's harvest
+  /// from other origins when a Stage 4 starts (an id re-collected after a
+  /// lost ack is held already), and what a non-root decoded from other
+  /// origins when a window closes. A static run's window never closes, so
+  /// there a non-root's decoded packets are never reported. Does nothing
+  /// by default.
   virtual void on_packet_delivered(const radio::Packet& /*packet*/) {}
 
  private:

@@ -500,13 +500,4 @@ bool Network::run_until_done(Round max_rounds) {
   return false;
 }
 
-bool Network::run_until(Round max_rounds, const std::function<bool()>& predicate) {
-  if (predicate()) return true;
-  for (Round r = 0; r < max_rounds; ++r) {
-    step();
-    if (predicate()) return true;
-  }
-  return false;
-}
-
 }  // namespace radiocast::radio

@@ -10,7 +10,6 @@
 // until woken (round 0 for initially-awake nodes, or on first reception).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -142,11 +141,6 @@ class Network {
   /// Runs until all protocols report done() or `max_rounds` elapse.
   /// Returns true iff all nodes were done at exit.
   bool run_until_done(Round max_rounds);
-
-  /// Runs until `predicate()` is true or `max_rounds` elapse; the
-  /// predicate is evaluated after each round. Returns true iff the
-  /// predicate fired.
-  bool run_until(Round max_rounds, const std::function<bool()>& predicate);
 
   Trace& trace() { return trace_; }
   const Trace& trace() const { return trace_; }

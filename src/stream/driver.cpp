@@ -124,6 +124,8 @@ StreamResult run_stream(const graph::Graph& g, const StreamConfig& cfg,
     for (const radio::PacketId id : log.held) {
       const auto it = tracking.find(id);
       RC_ASSERT_MSG(it != tracking.end(), "held packet was never offered");
+      RC_ASSERT_MSG(it->second.holders < g.num_nodes(),
+                    "packet reported held by more nodes than the network has");
       if (it->second.holders == 0) ++in_flight;
       if (++it->second.holders == g.num_nodes()) {
         --in_flight;

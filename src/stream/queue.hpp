@@ -96,7 +96,6 @@ class SaturationDetector {
   /// Index (0-based, in sample order) of the sample that latched
   /// saturation; meaningful only when saturated().
   std::uint64_t onset_sample() const { return onset_; }
-  std::uint64_t samples() const { return count_; }
 
  private:
   SaturationConfig cfg_;

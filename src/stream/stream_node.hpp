@@ -6,8 +6,9 @@
 // unbounded one), and the node appends every first-hold event and epoch
 // re-entry to the run's HoldLog in the round it happens, so the driver can
 // compute exact per-packet delivery latencies without visiting every node
-// every round. It keeps what only the open system reads — the buffer and
-// the first-hold map — so a static run's nodes carry neither.
+// every round. KBroadcastNode reports each packet the node comes to hold
+// exactly once, so the node keeps no record of what it holds: it keeps
+// only what the open system reads, the buffer and the log pointer.
 //
 // StreamNode inherits KBroadcastNode's poll hint unchanged: offer() needs
 // no re-arm, because only take_epoch_packets() reads the buffer and it
@@ -16,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -29,14 +29,15 @@ namespace radiocast::stream {
 /// so every event is accounted in the round it happened.
 struct HoldLog {
   /// Packet ids first held by some node since the driver last cleared
-  /// this, in callback order (one entry per (packet, node) first hold).
+  /// this, in callback order: one entry per (packet, node) first hold, as
+  /// the node reports each packet it comes to hold once.
   std::vector<radio::PacketId> held;
   /// Highest epoch any node has entered (a node's epochs_completed() at
   /// its latest epoch re-entry).
   std::uint32_t epoch = 0;
 };
 
-class StreamNode final : public core::KBroadcastNode {
+class StreamNode : public core::KBroadcastNode {
  public:
   /// `log` must outlive the node; every node of a run shares one.
   StreamNode(const core::DynamicConfig& cfg, radio::NodeId self, Rng rng,
@@ -53,34 +54,25 @@ class StreamNode final : public core::KBroadcastNode {
 
   const SourceQueue& queue() const { return queue_; }
 
-  /// All packets this node has held so far (own admissions + decoded),
-  /// keyed by id.
-  const std::unordered_map<radio::PacketId, radio::Packet>& delivered() const {
-    return delivered_;
-  }
-
  protected:
   /// Epoch re-entry drains the buffer (which refills from any
   /// backpressure holdback) and logs the epoch just entered. Runs inside
-  /// on_transmit at the epoch boundary, never inside a quiet spell.
+  /// on_transmit at the epoch boundary, never inside a quiet spell. The
+  /// drained packets are held from here on (a buffered-then-dropped
+  /// packet never is).
   std::vector<radio::Packet> take_epoch_packets() override {
     log_->epoch = std::max(log_->epoch, epochs_completed());
-    std::vector<radio::Packet> out = queue_.drain();
-    // Admitted packets count as held by their source the moment they
-    // enter the pipeline (a buffered-then-dropped packet is never "held").
-    for (const radio::Packet& p : out) on_packet_delivered(p);
-    return out;
+    return queue_.drain();
   }
 
-  /// Keeps the first hold of each packet and logs it.
+  /// Logs the first hold: KBroadcastNode reports each packet once.
   void on_packet_delivered(const radio::Packet& packet) override {
-    if (delivered_.try_emplace(packet.id, packet).second) log_->held.push_back(packet.id);
+    log_->held.push_back(packet.id);
   }
 
  private:
   SourceQueue queue_;
   HoldLog* log_;
-  std::unordered_map<radio::PacketId, radio::Packet> delivered_;
 };
 
 }  // namespace radiocast::stream

@@ -25,6 +25,14 @@
 //   6. the bare mirror equals stream::run_stream over the same arrival
 //      list, poll counter included.
 //
+// The ReportsEachFirstHoldOnce tests pin the node's hold report: over
+// both regimes and engines, and over the dynamic regime at loss 0.05,
+// every (node, packet) first hold is reported exactly once, with the
+// bytes the packet arrived with, and each packet's reporters are exactly
+// the holders run_stream's accounting counts from the hold log. A lone
+// root driven by hand pins the one path those runs do not reach: a packet
+// collected again in a later epoch is not reported again.
+//
 // The EpochZero tests pin that the open system's epoch 0 is the static
 // k-broadcast: with k = n packets placed spread_even, every static node
 // holds one packet, takes part in the election and wakes at round 0, as
@@ -53,6 +61,7 @@
 #include "stream/arrivals.hpp"
 #include "stream/driver.hpp"
 #include "stream/stream_node.hpp"
+#include "hold_recorder.hpp"
 #include "transmit_recorder.hpp"
 
 namespace radiocast::audit {
@@ -110,9 +119,9 @@ struct Side {
     net.set_auditor(&recorder);
     Rng master(s.cfg.seed);
     for (radio::NodeId v = 0; v < s.g.num_nodes(); ++v) {
-      auto node = std::make_unique<stream::StreamNode>(
+      auto node = std::make_unique<HoldRecorder>(
           s.cfg.dyn, v, master.split(), s.cfg.buffer_capacity, s.cfg.policy, &log);
-      stream::StreamNode* inner = node.get();
+      HoldRecorder* inner = node.get();
       nodes.push_back(inner);
       if (wrap) {
         auto w = std::make_unique<radio::InterceptingProtocol>(std::move(node));
@@ -138,7 +147,7 @@ struct Side {
   stream::HoldLog log;
   TransmitRecorder recorder;
   radio::Network net;
-  std::vector<stream::StreamNode*> nodes;  ///< inner nodes
+  std::vector<HoldRecorder*> nodes;  ///< inner nodes
   /// Wrapped side only: the inner node's hint since its last callback.
   std::vector<radio::Round> due;
   std::uint64_t quiet_polls = 0;
@@ -189,11 +198,11 @@ TEST_P(OpenSystemLockstep, WrappedRunMatchesBareRoundByRound) {
     std::uint64_t holds = 0;
     std::uint32_t epoch = 0;
     for (radio::NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(bare.nodes[v]->delivered().size(), wrapped.nodes[v]->delivered().size())
+      ASSERT_EQ(bare.nodes[v]->held(), wrapped.nodes[v]->held())
           << "node " << v << " round " << round;
       ASSERT_EQ(bare.nodes[v]->epochs_completed(), wrapped.nodes[v]->epochs_completed())
           << "node " << v << " round " << round;
-      holds += bare.nodes[v]->delivered().size();
+      holds += bare.nodes[v]->held();
       epoch = std::max(epoch, bare.nodes[v]->epochs_completed());
     }
     // The log is exactly this round's new holds and the highest epoch.
@@ -227,17 +236,17 @@ TEST_P(OpenSystemLockstep, WrappedRunMatchesBareRoundByRound) {
 
   std::uint64_t buffered = 0;
   stream::QueueStats queue;
-  for (const stream::StreamNode* node : bare.nodes) {
+  for (const HoldRecorder* node : bare.nodes) {
     buffered += node->queue().buffered() + node->queue().held_back();
     queue.merge(node->queue().stats());
   }
   for (const stream::Arrival& a : s.arrivals) {
     std::uint32_t holders = 0;
-    for (const stream::StreamNode* node : bare.nodes) {
-      const auto it = node->delivered().find(a.packet.id);
-      if (it == node->delivered().end()) continue;
+    for (const HoldRecorder* node : bare.nodes) {
+      const gf2::Payload* payload = node->payload(a.packet.id);
+      if (payload == nullptr) continue;
       ++holders;
-      EXPECT_EQ(it->second.payload, a.packet.payload) << "packet " << a.packet.id;
+      EXPECT_EQ(*payload, a.packet.payload) << "packet " << a.packet.id;
     }
     ASSERT_EQ(tracking.at(a.packet.id).holders, holders) << "packet " << a.packet.id;
   }
@@ -256,6 +265,103 @@ TEST_P(OpenSystemLockstep, WrappedRunMatchesBareRoundByRound) {
   EXPECT_EQ(r.queue.backpressured, queue.backpressured);
   EXPECT_EQ(r.queue.peak_depth, queue.peak_depth);
   EXPECT_EQ(r.counters, bare_counters);
+}
+
+/// Steps `side` over the arrivals to the horizon, counting each packet's
+/// holders from the hold log as run_stream's accounting does. Requires
+/// every (node, packet) first hold to be reported exactly once, with the
+/// bytes the packet arrived with, and each packet's reporters to be
+/// exactly the holders counted. Returns how many packets every node holds.
+std::uint64_t expect_one_report_per_first_hold(const Inputs& s, Side& side) {
+  std::unordered_map<radio::PacketId, std::uint32_t> holders;
+  std::size_t next_arrival = 0;
+  for (std::uint64_t round = 0; round < s.cfg.horizon; ++round) {
+    for (; next_arrival < s.arrivals.size() && s.arrivals[next_arrival].round <= round;
+         ++next_arrival) {
+      const stream::Arrival& a = s.arrivals[next_arrival];
+      side.nodes[a.node]->offer(a.packet);
+    }
+    side.net.step();
+    for (const radio::PacketId id : side.log.held) ++holders[id];
+    side.log.held.clear();
+  }
+
+  std::unordered_map<radio::PacketId, const gf2::Payload*> arrived;
+  for (const stream::Arrival& a : s.arrivals) arrived.emplace(a.packet.id, &a.packet.payload);
+  std::unordered_map<radio::PacketId, std::uint32_t> reporters;
+  std::uint64_t repeats = 0;
+  for (const HoldRecorder* node : side.nodes) {
+    for (const auto& [id, payloads] : node->reports()) {
+      ++reporters[id];
+      repeats += payloads.size() - 1;
+      const auto it = arrived.find(id);
+      if (it == arrived.end()) {
+        ADD_FAILURE() << "packet " << id << " was never offered";
+        continue;
+      }
+      for (const gf2::Payload& payload : payloads) {
+        EXPECT_EQ(payload, *it->second) << "packet " << id;
+      }
+    }
+  }
+  EXPECT_EQ(repeats, 0u) << "reports of packets a node already held";
+  EXPECT_EQ(reporters, holders);
+  std::uint64_t everywhere = 0;
+  for (const auto& entry : reporters) {
+    if (entry.second == s.g.num_nodes()) ++everywhere;
+  }
+  return everywhere;
+}
+
+TEST_P(OpenSystemLockstep, ReportsEachFirstHoldOnce) {
+  const auto& [regime, engine] = GetParam();
+  const Inputs s = make_inputs(regime);
+  Side side(s, engine, /*wrap=*/false);
+  const std::uint64_t everywhere = expect_one_report_per_first_hold(s, side);
+  EXPECT_GT(everywhere, 0u);
+  EXPECT_EQ(stream::run_stream(s.g, s.cfg, s.arrivals).delivered_everywhere, everywhere);
+}
+
+TEST(OpenSystemLockstep, ReportsEachFirstHoldOnceUnderLoss) {
+  // run_stream has no fault hook, so the hold log's count alone stands in
+  // for its accounting.
+  const Inputs s = make_inputs(Regime::kDynamic);
+  Side side(s, radio::EngineMode::kScalar, /*wrap=*/false);
+  side.net.set_fault_model({0.05, 17});
+  EXPECT_GT(expect_one_report_per_first_hold(s, side), 0u);
+}
+
+TEST(OpenSystemLockstep, ReportsARecollectedPacketOnce) {
+  // The runs above never lose the last ack of a packet the root already
+  // collected, so drive that path directly. A lone node elects itself and
+  // is the root; a child's packet reaches it in epoch 0's collection and
+  // again in epoch 1's, as it does after an ack lost on the way back. The
+  // root queued the id in epoch 0, so it holds the packet already.
+  const core::DynamicConfig dyn = make_inputs(Regime::kDynamic).cfg.dyn;
+  const std::uint64_t collect = core::collection_phase_rounds(dyn.rc.initial_estimate, dyn.rc);
+  const radio::Round epoch0 = dyn.rc.stage3_start();
+  const radio::Round epoch1 = epoch0 + collect + dyn.dissemination_window();
+  stream::HoldLog log;
+  HoldRecorder root(dyn, 3, Rng(41), UINT32_MAX, stream::BufferPolicy::kDropNew, &log);
+  radio::Packet p;
+  p.id = radio::make_packet_id(7, 0);
+  p.payload = {5, 6};
+  radio::Message msg;
+  msg.from = 7;
+  msg.body = radio::DataMsg{p, 3};
+  for (radio::Round r = 0; r <= epoch1 + collect; ++r) {
+    root.on_transmit(r);
+    // Inside the up window of each epoch's first gather window.
+    if (r == epoch0 + 1 || r == epoch1 + 1) root.on_receive(r, msg);
+  }
+  ASSERT_TRUE(root.is_leader());
+  ASSERT_EQ(root.epochs_completed(), 1u);
+  // Epoch 1's collection took the packet again, and its Stage 4 began.
+  ASSERT_EQ(root.stage3_end(), epoch1 + collect);
+  EXPECT_EQ(root.collection()->collected(), std::vector<radio::Packet>{p});
+  ASSERT_EQ(root.reports().count(p.id), 1u);
+  EXPECT_EQ(root.reports().at(p.id).size(), 1u);
+  EXPECT_EQ(std::count(log.held.begin(), log.held.end(), p.id), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(

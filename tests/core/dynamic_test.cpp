@@ -15,6 +15,7 @@
 #include "stream/arrivals.hpp"
 #include "stream/driver.hpp"
 #include "stream/stream_node.hpp"
+#include "../audit/hold_recorder.hpp"
 
 namespace radiocast::core {
 namespace {
@@ -50,13 +51,14 @@ stream::StreamResult run_arrivals(const graph::Graph& g, stream::StreamConfig cf
 }
 
 /// One StreamNode per vertex on one network, seeded as run_stream seeds
-/// them, so a test can read every node's state.
+/// them, so a test can read every node's state; each records its hold
+/// reports (audit::HoldRecorder).
 struct Nodes {
   Nodes(const graph::Graph& g, const stream::StreamConfig& cfg, std::uint64_t seed)
       : net(g) {
     Rng master(seed);
     for (radio::NodeId v = 0; v < g.num_nodes(); ++v) {
-      auto node = std::make_unique<stream::StreamNode>(
+      auto node = std::make_unique<audit::HoldRecorder>(
           cfg.dyn, v, master.split(), cfg.buffer_capacity, cfg.policy, &log);
       nodes.push_back(node.get());
       net.set_protocol(v, std::move(node));
@@ -78,7 +80,7 @@ struct Nodes {
 
   stream::HoldLog log;
   radio::Network net;
-  std::vector<stream::StreamNode*> nodes;
+  std::vector<audit::HoldRecorder*> nodes;
 };
 
 TEST(Dynamic, EmptyStreamRunsQuietly) {
@@ -154,10 +156,10 @@ TEST(Dynamic, CapacityOverflowCarriesToNextEpoch) {
   Nodes mirror(g, cfg, 11);
   mirror.run(arrivals, horizon);
   for (const stream::Arrival& a : arrivals) {
-    for (const stream::StreamNode* node : mirror.nodes) {
-      const auto it = node->delivered().find(a.packet.id);
-      ASSERT_NE(it, node->delivered().end()) << "packet " << a.packet.id;
-      EXPECT_EQ(it->second.payload, a.packet.payload) << "packet " << a.packet.id;
+    for (const audit::HoldRecorder* node : mirror.nodes) {
+      const gf2::Payload* payload = node->payload(a.packet.id);
+      ASSERT_NE(payload, nullptr) << "packet " << a.packet.id;
+      EXPECT_EQ(*payload, a.packet.payload) << "packet " << a.packet.id;
     }
   }
 }
@@ -233,6 +235,24 @@ TEST(Dynamic, EpochsAdvance) {
   }
   EXPECT_GE(min_epochs, 1u);
   EXPECT_EQ(min_epochs, max_epochs);
+}
+
+// A packet that names another origin would be reported held twice by
+// the node it was offered to (when admitted, and again when decoded at a
+// window end) and never by the node it names, so the node refuses it at
+// the epoch entry that takes it.
+TEST(DynamicDeathTest, OwnPacketMustNameItsNode) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const graph::Graph g = graph::make_path(8);
+  const stream::StreamConfig cfg = make_cfg(g);
+  Nodes n(g, cfg, 19);
+  radio::Packet p;
+  p.id = radio::make_packet_id(5, 0);
+  p.payload = {7};
+  ASSERT_TRUE(n.nodes[3]->offer(p));
+  // Buffered without complaint until the first collection takes it.
+  n.run({}, cfg.dyn.rc.stage3_start());
+  EXPECT_DEATH(n.net.step(), "own packet must name its node");
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "radio/network.hpp"
 #include "stream/arrivals.hpp"
 #include "stream/stream_node.hpp"
+#include "../audit/hold_recorder.hpp"
 
 namespace radiocast::core {
 namespace {
@@ -122,9 +123,9 @@ TEST(FaultMatrix, DynamicVariantSurvivesLoss) {
     net.set_fault_model({loss, 17});
     stream::HoldLog log;
     Rng master(10);
-    std::vector<stream::StreamNode*> nodes(24);
+    std::vector<audit::HoldRecorder*> nodes(24);
     for (radio::NodeId v = 0; v < 24; ++v) {
-      auto node = std::make_unique<stream::StreamNode>(
+      auto node = std::make_unique<audit::HoldRecorder>(
           cfg, v, master.split(), UINT32_MAX, stream::BufferPolicy::kDropNew, &log);
       nodes[v] = node.get();
       net.set_protocol(v, std::move(node));
@@ -143,10 +144,10 @@ TEST(FaultMatrix, DynamicVariantSurvivesLoss) {
     // Every offered packet must have reached every node, bytes intact.
     for (const stream::Arrival& a : arrivals) {
       for (radio::NodeId v = 0; v < 24; ++v) {
-        const auto it = nodes[v]->delivered().find(a.packet.id);
-        ASSERT_NE(it, nodes[v]->delivered().end())
+        const gf2::Payload* payload = nodes[v]->payload(a.packet.id);
+        ASSERT_NE(payload, nullptr)
             << "packet " << a.packet.id << " missing at node " << v;
-        EXPECT_EQ(it->second.payload, a.packet.payload)
+        EXPECT_EQ(*payload, a.packet.payload)
             << "packet " << a.packet.id << " corrupted at node " << v;
       }
     }

@@ -22,6 +22,7 @@
 #include "protocols/bfs_construction.hpp"
 #include "protocols/leader_election.hpp"
 #include "stream/stream_node.hpp"
+#include "../audit/hold_recorder.hpp"
 
 namespace radiocast {
 namespace {
@@ -357,8 +358,8 @@ TEST(PollHint, DynamicRootIsDueAtEveryPhaseAndEpochBoundary) {
   // One group: 3 + D̂ + 4 = 10 phases of 80 rounds.
   ASSERT_EQ(f.cfg.dissemination_window(), 10 * f.rc.dissem_phase_rounds);
   // A lone node elects itself, so it is the root throughout.
-  stream::StreamNode node(f.cfg, 3, Rng(13), /*buffer_capacity=*/1,
-                          stream::BufferPolicy::kDropNew, &f.log);
+  audit::HoldRecorder node(f.cfg, 3, Rng(13), /*buffer_capacity=*/1,
+                           stream::BufferPolicy::kDropNew, &f.log);
   node.on_transmit(0);
   ASSERT_GT(node.quiet_until(), 1u);
   // Offered inside a quiet spell: buffered, and held only once the first
@@ -367,12 +368,12 @@ TEST(PollHint, DynamicRootIsDueAtEveryPhaseAndEpochBoundary) {
   p.id = radio::make_packet_id(3, 0);
   p.payload = {4, 2};
   node.offer(p);
-  EXPECT_EQ(node.delivered().count(p.id), 0u);
+  EXPECT_EQ(node.payload(p.id), nullptr);
 
   const HintedDrive d = drive_on_hints(node, node.quiet_until(), f.window_end + 1);
   EXPECT_TRUE(node.is_leader());
-  ASSERT_EQ(node.delivered().count(p.id), 1u);
-  EXPECT_EQ(node.delivered().at(p.id).payload, p.payload);
+  ASSERT_NE(node.payload(p.id), nullptr);
+  EXPECT_EQ(*node.payload(p.id), p.payload);
   for (const std::uint64_t boundary : {f.bfs_start, f.setup_end, f.collect_end, f.window_end}) {
     EXPECT_TRUE(contains(d.polled, boundary)) << "boundary " << boundary;
   }

@@ -185,30 +185,6 @@ TEST(Network, AwakeNodesArePolledEveryRound) {
   EXPECT_EQ(net.trace().counters().rounds, 10u);
 }
 
-TEST(Network, RunUntilPredicate) {
-  graph::Graph g = graph::make_path(2);
-  Network net(g);
-  net.set_protocol(0, std::make_unique<ScriptNode>(
-                          std::map<Round, MessageBody>{{5, AlarmMsg{}}}));
-  net.set_protocol(1, std::make_unique<ScriptNode>());
-  net.wake_at_start(0);
-  const bool fired = net.run_until(
-      100, [&] { return !node_at(net, 1).received_.empty(); });
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(net.current_round(), 6u);
-}
-
-TEST(Network, RunUntilTimesOut) {
-  graph::Graph g = graph::make_path(2);
-  Network net(g);
-  net.set_protocol(0, std::make_unique<ScriptNode>());
-  net.set_protocol(1, std::make_unique<ScriptNode>());
-  net.wake_at_start(0);
-  const bool fired = net.run_until(7, [] { return false; });
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(net.current_round(), 7u);
-}
-
 TEST(Network, BitCountersTrackSizes) {
   graph::Graph g;
   Network net = make_star_net(g, 2, {{0, {{0, AlarmMsg{}}}}});
