@@ -187,8 +187,8 @@ class KBroadcastNode : public radio::NodeProtocol {
   /// Stage 4 length of a static run.
   static constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
   /// Open-system root only: collected packets awaiting a window, and every
-  /// id ever queued, so a packet re-collected after a lost ack is not sent
-  /// twice.
+  /// id ever queued, so a packet re-collected after a lost ack is neither
+  /// sent nor reported twice.
   struct RootQueue {
     std::deque<radio::Packet> packets;
     std::unordered_set<radio::PacketId> queued;
