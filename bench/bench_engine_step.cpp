@@ -119,10 +119,11 @@ std::uint64_t make_pattern(std::uint32_t ones, Rng& rng) {
 }
 
 /// Ring + random chords within a +-`window` id window (wraparound), target
-/// degree ~`deg`. Built in O(n * deg): the bounded window keeps every CSR
-/// row inside at most ceil(2*window/64)+1 words, the regime the packed
-/// adjacency compresses best — and a plausible stand-in for the unit-disk
-/// topologies the paper's model targets.
+/// degree ~`deg`. Built in O(n * deg): the bounded window keeps every
+/// neighbor row inside at most ceil(2*window/64)+1 words, so the bitset
+/// kernel's word-group index (graph::PackedRows) holds a few groups per
+/// row where a gnp row needs about one per neighbor — and a plausible
+/// stand-in for the unit-disk topologies the paper's model targets.
 graph::Graph make_window_graph(graph::NodeId n, std::uint32_t window, std::uint32_t deg,
                                Rng& rng) {
   graph::Graph g(n);
@@ -315,7 +316,7 @@ int main(int argc, char** argv) {
     // Scale rows: a 10^5-node dense alarm schedule, where the bitset
     // engine's popcounted collisions pay most, and a 10^6-node sparse
     // sweep that must simply complete. Window topologies keep graph
-    // construction O(n * deg) and CSR rows word-compact.
+    // construction O(n * deg) and neighbor rows within a few words.
     Rng big_rng(0xb16b00b5ull);
     const graph::Graph g100k = make_window_graph(100000, 64, 16, big_rng);
     print_meta(std::cout, "graph_100k", "window " + g100k.summary());

@@ -54,7 +54,6 @@ class ForwardTx final : public radio::NodeProtocol {
     msg.group_size = w;
     return msg;
   }
-  void on_receive(radio::Round, const radio::Message&) override {}
 
  private:
   Rng rng_;

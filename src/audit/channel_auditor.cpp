@@ -8,7 +8,6 @@ ChannelAuditor::ChannelAuditor(const graph::Graph& g, const Options& opts,
                                AuditReport* sink)
     : graph_(g),
       opts_(opts),
-      own_report_(opts.max_violations),
       report_(sink != nullptr ? sink : &own_report_),
       awake_(g.num_nodes(), 0),
       reach_(g.num_nodes(), 0),

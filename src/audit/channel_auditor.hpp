@@ -45,9 +45,6 @@ class ChannelAuditor final : public radio::NetworkAuditHook {
     /// If true, every node must be initially awake (the dynamic/stream
     /// setting); if false, the initial wake set is unconstrained.
     bool expect_all_awake = false;
-    /// Cap on violations stored in the auditor's own report; the count
-    /// keeps incrementing past it. Unused when a sink report is given.
-    std::size_t max_violations = 1024;
   };
 
   /// Violations go into `sink` when one is given (it must outlive the

@@ -62,9 +62,7 @@ namespace radiocast::audit {
 /// (see the file comment for the full check list).
 class ModelAuditor final : public core::RunAuditor {
  public:
-  /// `max_violations` caps stored violations; the count keeps incrementing.
-  explicit ModelAuditor(std::size_t max_violations = 1024)
-      : report_(max_violations) {}
+  ModelAuditor() = default;
   /// The channel auditor writes into report_, so the address must not move.
   ModelAuditor(const ModelAuditor&) = delete;
   ModelAuditor& operator=(const ModelAuditor&) = delete;

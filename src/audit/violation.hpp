@@ -57,9 +57,6 @@ class AuditReport {
   std::uint64_t total_ = 0;
 };
 
-/// Escapes a string for inclusion in a JSON string literal.
-std::string json_escape(const std::string& s);
-
 /// Writes the report as JSON Lines: one {"round":..,"node":..,"check":..,
 /// "detail":..} object per violation, plus a final summary object
 /// {"summary":true,"total":..,"dropped":..}.

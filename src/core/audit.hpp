@@ -9,12 +9,13 @@
 //     epoch boundaries.
 //
 // RunAuditor bundles both plus begin/end hooks; core::run_kbroadcast wires
-// one RunAuditor through the network and every node. Several subscribers
-// share that slot through a TapList. The subscribers are
-// audit::ModelAuditor (src/audit/model_auditor.hpp), which checks the run
-// against the paper's model, and the flight recorder's obs::RunObserver
-// and obs::PacketTracer (src/obs/). Keeping the interfaces here lets core
-// stay independent of both subsystems.
+// one RunAuditor through the network and every node. Every hook of the
+// three interfaces defaults to a no-op, so a subscriber overrides only the
+// events it reads. Several subscribers share that slot through a TapList.
+// The subscribers are audit::ModelAuditor (src/audit/model_auditor.hpp),
+// which checks the run against the paper's model, and the flight
+// recorder's obs::RunObserver and obs::PacketTracer (src/obs/). Keeping
+// the interfaces here lets core stay independent of both subsystems.
 #pragma once
 
 #include <cstdint>
@@ -41,25 +42,25 @@ class ProtocolAuditSink {
 
   /// Node `node` enters stage `stage_index` (1-based, 1 = leader election
   /// ... 4 = dissemination) whose schedule boundary is `boundary_round`.
-  virtual void on_stage_enter(radio::NodeId node, std::uint32_t stage_index,
-                              radio::Round boundary_round) = 0;
+  virtual void on_stage_enter(radio::NodeId /*node*/, std::uint32_t /*stage_index*/,
+                              radio::Round /*boundary_round*/) {}
 
   /// Node `node` begins Stage-3 collection phase `phase_index` with
   /// estimate x at `round`.
-  virtual void on_collection_phase_begin(radio::NodeId node,
-                                         std::uint32_t phase_index,
-                                         std::uint64_t estimate,
-                                         radio::Round round) = 0;
+  virtual void on_collection_phase_begin(radio::NodeId /*node*/,
+                                         std::uint32_t /*phase_index*/,
+                                         std::uint64_t /*estimate*/,
+                                         radio::Round /*round*/) {}
 
   /// An epoch within the node's current phase begins ("ospg", "mspg",
   /// "alarm"); `slots`/`copies` describe the gather window (0 for alarm).
-  virtual void on_collection_epoch(radio::NodeId node, const char* kind,
-                                   std::uint64_t slots, std::uint32_t copies,
-                                   radio::Round round) = 0;
+  virtual void on_collection_epoch(radio::NodeId /*node*/, const char* /*kind*/,
+                                   std::uint64_t /*slots*/, std::uint32_t /*copies*/,
+                                   radio::Round /*round*/) {}
 
   /// The node's current phase ends; `alarmed` decides doubling vs finish.
-  virtual void on_collection_phase_end(radio::NodeId node, radio::Round round,
-                                       bool alarmed) = 0;
+  virtual void on_collection_phase_end(radio::NodeId /*node*/, radio::Round /*round*/,
+                                       bool /*alarmed*/) {}
 };
 
 /// The one subscriber interface of a run_kbroadcast run: both event taps
@@ -69,15 +70,15 @@ class RunAuditor : public radio::NetworkAuditHook, public ProtocolAuditSink {
   /// Called once before the network is built. `truth` is the ground-truth
   /// packet set (sorted by id — the same order Stage 4 groups them in);
   /// `collision_detection` reports the engine ablation flag.
-  virtual void begin_run(const graph::Graph& g, const ResolvedConfig& rc,
-                         const std::vector<radio::Packet>& truth,
-                         const radio::FaultModel& faults,
-                         bool collision_detection) = 0;
+  virtual void begin_run(const graph::Graph& /*g*/, const ResolvedConfig& /*rc*/,
+                         const std::vector<radio::Packet>& /*truth*/,
+                         const radio::FaultModel& /*faults*/,
+                         bool /*collision_detection*/) {}
 
   /// Called once after the run, with the verified result. `net` still owns
   /// every protocol, so the auditor may inspect final per-node state (BFS
   /// distances, delivered packet sets, done() claims).
-  virtual void end_run(const radio::Network& net, const RunResult& result) = 0;
+  virtual void end_run(const radio::Network& /*net*/, const RunResult& /*result*/) {}
 };
 
 /// Fan-out: forwards every event to its subscribers, in registration

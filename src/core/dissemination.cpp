@@ -290,10 +290,7 @@ void DisseminationState::on_receive(std::uint64_t /*rel_round*/,
 
 std::vector<radio::Packet> DisseminationState::packets() const {
   std::vector<radio::Packet> out;
-  for (const GroupState& gs : groups_) {
-    if (!gs.complete) continue;
-    out.insert(out.end(), gs.packets.begin(), gs.packets.end());
-  }
+  for_each_packet([&](const radio::Packet& p) { out.push_back(p); });
   std::sort(out.begin(), out.end(),
             [](const radio::Packet& a, const radio::Packet& b) { return a.id < b.id; });
   return out;

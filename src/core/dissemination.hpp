@@ -90,6 +90,18 @@ class DisseminationState {
   /// All packets this node holds, decoded and sorted by id.
   std::vector<radio::Packet> packets() const;
 
+  /// Calls `fn(packet)` for every packet this node holds, in place, group
+  /// by group and each group in index order. That is packets()'s ascending
+  /// id order whenever the groups came from a root: they are consecutive
+  /// id ranges of its sorted batch.
+  template <typename Fn>
+  void for_each_packet(Fn&& fn) const {
+    for (const GroupState& gs : groups_) {
+      if (!gs.complete) continue;
+      for (const radio::Packet& p : gs.packets) fn(p);
+    }
+  }
+
   /// Number of groups, if known (0 until the first header arrives).
   std::uint32_t group_count() const { return group_count_; }
 

@@ -73,9 +73,9 @@ void KBroadcastNode::ensure_stage(radio::Round round) {
     // the root's batch when it was first queued. The state stays until the
     // next Stage 4 replaces it in place, which reuses its memory.
     if (!leader_.is_leader()) {
-      for (const radio::Packet& p : dissemination_->packets()) {
+      dissemination_->for_each_packet([&](const radio::Packet& p) {
         if (radio::packet_origin(p.id) != self_) on_packet_delivered(p);
-      }
+      });
     }
     ++epoch_;
     stage3_start_ = stage3_end_ + window_;

@@ -2,26 +2,17 @@
 
 namespace radiocast::graph {
 
-namespace {
-
-/// Total word-group count over all rows (the counting pass: no allocation
-/// proportional to the result).
-std::size_t count_groups(const Graph& g) {
-  std::size_t total = 0;
-  const NodeId n = g.num_nodes();
-  for (NodeId u = 0; u < n; ++u) {
-    for_each_word_group(g.neighbors(u), [&](std::uint32_t, std::uint64_t) { ++total; });
-  }
-  return total;
-}
-
-}  // namespace
-
-PackedRows PackedRows::materialize(const Graph& g) {
+PackedRows PackedRows::build(const Graph& g) {
+  RC_ASSERT(g.finalized());
   PackedRows idx;
   const NodeId n = g.num_nodes();
   idx.offsets_.resize(static_cast<std::size_t>(n) + 1, 0);
-  idx.groups_.reserve(count_groups(g));
+  // Count first, so the group array is allocated once at its exact size.
+  std::size_t total = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    for_each_word_group(g.neighbors(u), [&](std::uint32_t, std::uint64_t) { ++total; });
+  }
+  idx.groups_.reserve(total);
   for (NodeId u = 0; u < n; ++u) {
     idx.offsets_[u] = static_cast<std::uint32_t>(idx.groups_.size());
     for_each_word_group(g.neighbors(u), [&](std::uint32_t word, std::uint64_t mask) {
@@ -30,23 +21,6 @@ PackedRows PackedRows::materialize(const Graph& g) {
   }
   idx.offsets_[n] = static_cast<std::uint32_t>(idx.groups_.size());
   return idx;
-}
-
-PackedRows PackedRows::build(const Graph& g) {
-  RC_ASSERT(g.finalized());
-  // A WordGroup is 16 bytes (12 packed to alignment) vs 4 per CSR entry, so
-  // the index only pays for itself under strong id locality. Require the
-  // group count to be at most a quarter of the CSR entry count (>= 4
-  // neighbors per group on average) before spending the memory.
-  const std::size_t csr_entries = 2 * g.num_edges();
-  const std::size_t groups = count_groups(g);
-  if (groups * 4 > csr_entries) return {};
-  return materialize(g);
-}
-
-PackedRows PackedRows::build_always(const Graph& g) {
-  RC_ASSERT(g.finalized());
-  return materialize(g);
 }
 
 }  // namespace radiocast::graph

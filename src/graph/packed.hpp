@@ -9,12 +9,10 @@
 // chains, spatially-sorted meshes) a degree-16 row collapses to one or two
 // groups.
 //
-// The index is optional and adaptive: `PackedRows::build` first counts the
-// groups and only materialises the arrays when they are meaningfully
-// smaller than the CSR entry count (grouping a random graph's rows would
-// *grow* memory 1.5x, since each group is 12 bytes vs 4 per CSR entry).
-// When the index is not built, sweeps fall back to grouping rows on the
-// fly from the sorted CSR arrays — same group stream, zero extra memory.
+// The index is the bitset sweep's only row format, built for every graph.
+// A group is 16 bytes against 4 per CSR entry, so on an id-scattered graph
+// (one neighbor per word) it is about 4x the CSR target array; it is still
+// faster to read than re-grouping the CSR row every round.
 #pragma once
 
 #include <cstdint>
@@ -34,17 +32,11 @@ struct WordGroup {
 /// Immutable per-row word-group index over a finalized graph.
 class PackedRows {
  public:
-  /// Builds the index iff the grouped representation is at most half the
-  /// CSR footprint (>= 2x id-locality compression); otherwise returns an
-  /// empty index with built() == false and callers group on the fly.
+  /// Builds the index of every row of `g`.
   static PackedRows build(const Graph& g);
 
-  /// Builds unconditionally (tests and benchmarks that want the packed
-  /// path regardless of compression).
-  static PackedRows build_always(const Graph& g);
-
+  /// False only for a default-constructed (never built) index.
   bool built() const { return !offsets_.empty(); }
-  std::size_t num_groups() const { return groups_.size(); }
 
   /// Word groups of row `u`, ascending by word index. Requires built().
   std::span<const WordGroup> row(NodeId u) const {
@@ -53,8 +45,6 @@ class PackedRows {
   }
 
  private:
-  static PackedRows materialize(const Graph& g);
-
   /// offsets_[u] .. offsets_[u+1]) indexes groups_; n+1 entries when built.
   std::vector<std::uint32_t> offsets_;
   std::vector<WordGroup> groups_;

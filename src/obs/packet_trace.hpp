@@ -80,27 +80,11 @@ class PacketTracer final : public core::RunAuditor {
   void begin_run(const graph::Graph& g, const core::ResolvedConfig& rc,
                  const std::vector<radio::Packet>& truth,
                  const radio::FaultModel& faults, bool collision_detection) override;
-  void end_run(const radio::Network&, const core::RunResult&) override {}
 
-  // --- radio::NetworkAuditHook (only on_deliver carries information the
-  // tracer needs; the rest are no-ops) ---
-  void on_sim_start(const std::vector<radio::NodeId>&) override {}
-  void on_transmissions(radio::Round, const std::vector<radio::Message>&) override {}
+  // Only deliveries carry information the tracer needs; every other event
+  // keeps the interface's no-op.
   void on_deliver(radio::Round round, radio::NodeId receiver,
                   std::uint32_t tx_index, const radio::Message& msg) override;
-  void on_collision_slot(radio::Round, radio::NodeId, std::uint32_t, bool) override {}
-  void on_deaf_slot(radio::Round, radio::NodeId, std::uint32_t) override {}
-  void on_fault_drop(radio::Round, radio::NodeId, std::uint32_t) override {}
-  void on_node_wake(radio::Round, radio::NodeId) override {}
-  void on_round_end(radio::Round) override {}
-
-  // --- core::ProtocolAuditSink (no-ops) ---
-  void on_stage_enter(radio::NodeId, std::uint32_t, radio::Round) override {}
-  void on_collection_phase_begin(radio::NodeId, std::uint32_t, std::uint64_t,
-                                 radio::Round) override {}
-  void on_collection_epoch(radio::NodeId, const char*, std::uint64_t, std::uint32_t,
-                           radio::Round) override {}
-  void on_collection_phase_end(radio::NodeId, radio::Round, bool) override {}
 
   // --- Queries (valid after / during a trial) ---
   std::uint32_t num_nodes() const { return n_; }

@@ -27,6 +27,7 @@
 
 namespace radiocast::radio {
 
+/// Every event defaults to a no-op, so a hook overrides only what it reads.
 class NetworkAuditHook {
  public:
   virtual ~NetworkAuditHook() = default;
@@ -34,43 +35,44 @@ class NetworkAuditHook {
   /// Fired once, inside the first step() before any protocol callback,
   /// with the ids flagged by wake_at_start (ascending order not
   /// guaranteed). All other nodes are asleep at this point.
-  virtual void on_sim_start(const std::vector<NodeId>& initially_awake) = 0;
+  virtual void on_sim_start(const std::vector<NodeId>& /*initially_awake*/) {}
 
   /// The complete transmission set of round `round`, in ascending
   /// transmitter-id order, exactly as the engine will apply the collision
   /// rule to it. The vector is owned by the engine and valid until the
   /// end of the current step() only.
-  virtual void on_transmissions(Round round, const std::vector<Message>& txs) = 0;
+  virtual void on_transmissions(Round /*round*/, const std::vector<Message>& /*txs*/) {}
 
   /// Node `receiver` got `msg` delivered (`tx_index` indexes into this
   /// round's transmission set). Fired before the receiver's wake /
   /// on_receive callbacks.
-  virtual void on_deliver(Round round, NodeId receiver, std::uint32_t tx_index,
-                          const Message& msg) = 0;
+  virtual void on_deliver(Round /*round*/, NodeId /*receiver*/,
+                          std::uint32_t /*tx_index*/, const Message& /*msg*/) {}
 
   /// Node `receiver` was reached by `reached` >= 2 transmissions and lost
   /// the slot to collision. `cd_callback` reports whether the engine is
   /// about to fire on_collision (true only under the collision-detection
   /// ablation).
-  virtual void on_collision_slot(Round round, NodeId receiver, std::uint32_t reached,
-                                 bool cd_callback) = 0;
+  virtual void on_collision_slot(Round /*round*/, NodeId /*receiver*/,
+                                 std::uint32_t /*reached*/, bool /*cd_callback*/) {}
 
   /// Node `receiver` was reached while itself transmitting (half-duplex
   /// deafness; `reached` >= 1).
-  virtual void on_deaf_slot(Round round, NodeId receiver, std::uint32_t reached) = 0;
+  virtual void on_deaf_slot(Round /*round*/, NodeId /*receiver*/,
+                            std::uint32_t /*reached*/) {}
 
   /// A successful slot at `receiver` was erased by the fault model
   /// (`tx_index` is the transmission that would have been delivered).
-  virtual void on_fault_drop(Round round, NodeId receiver,
-                             std::uint32_t tx_index) = 0;
+  virtual void on_fault_drop(Round /*round*/, NodeId /*receiver*/,
+                             std::uint32_t /*tx_index*/) {}
 
   /// Node `node` transitions from asleep to awake this round (first
   /// reception, or first collision under the CD ablation). Initial wakes
   /// are reported via on_sim_start, not here.
-  virtual void on_node_wake(Round round, NodeId node) = 0;
+  virtual void on_node_wake(Round /*round*/, NodeId /*node*/) {}
 
   /// All outcomes of round `round` have been reported.
-  virtual void on_round_end(Round round) = 0;
+  virtual void on_round_end(Round /*round*/) {}
 };
 
 }  // namespace radiocast::radio

@@ -372,30 +372,17 @@ void Network::sweep_bitset() {
     tx_index_of_[id] = t;
   }
 
-  // Row access for the scatter/resolve sweeps: the word-grouped index when
-  // the topology compressed, else on-the-fly grouping of the sorted CSR
-  // row (same group stream either way).
-  const bool grouped = packed_rows_.built();
-  const std::size_t* const offsets = graph_.csr_offsets();
-  const NodeId* const targets = graph_.csr_targets();
-
-  // Phase 2: carry-save scatter. Each transmitter ORs its neighborhood
-  // masks into the (once, twice) pair word-wise; afterwards once & ~twice
+  // Phase 2: carry-save scatter. Each transmitter ORs the word groups of
+  // its neighbor row into the (once, twice) pair; afterwards once & ~twice
   // is the exactly-one set.
-  const auto scatter = [&](std::uint32_t w, std::uint64_t m) {
-    twice[w] |= once[w] & m;
-    once[w] |= m;
-  };
   for (std::size_t w0 = 0; w0 < nw; ++w0) {
     std::uint64_t word = tx[w0];
     while (word != 0) {
       const auto u = static_cast<NodeId>((w0 << 6) + std::countr_zero(word));
       word &= word - 1;
-      if (grouped) {
-        for (const graph::WordGroup& g : packed_rows_.row(u)) scatter(g.word, g.mask);
-      } else {
-        graph::for_each_word_group(
-            {targets + offsets[u], offsets[u + 1] - offsets[u]}, scatter);
+      for (const graph::WordGroup& g : packed_rows_.row(u)) {
+        twice[g.word] |= once[g.word] & g.mask;
+        once[g.word] |= g.mask;
       }
     }
   }
@@ -435,32 +422,12 @@ void Network::sweep_bitset() {
       // Exactly one transmitter reached v, so the first nonzero
       // row-word intersection pins it (first-hit trick).
       NodeId from = 0;
-      if (grouped) {
-        for (const graph::WordGroup& g : packed_rows_.row(v)) {
-          const std::uint64_t hits = tx[g.word] & g.mask;
-          if (hits != 0) {
-            from = static_cast<NodeId>((static_cast<std::size_t>(g.word) << 6) +
-                                       std::countr_zero(hits));
-            break;
-          }
-        }
-      } else {
-        const NodeId* const row = targets + offsets[v];
-        const std::size_t len = offsets[v + 1] - offsets[v];
-        std::size_t i = 0;
-        while (i < len) {
-          const std::uint32_t wd = row[i] >> 6;
-          std::uint64_t mask = 0;
-          do {
-            mask |= 1ULL << (row[i] & 63);
-            ++i;
-          } while (i < len && (row[i] >> 6) == wd);
-          const std::uint64_t hits = tx[wd] & mask;
-          if (hits != 0) {
-            from = static_cast<NodeId>((static_cast<std::size_t>(wd) << 6) +
-                                       std::countr_zero(hits));
-            break;
-          }
+      for (const graph::WordGroup& g : packed_rows_.row(v)) {
+        const std::uint64_t hits = tx[g.word] & g.mask;
+        if (hits != 0) {
+          from = static_cast<NodeId>((static_cast<std::size_t>(g.word) << 6) +
+                                     std::countr_zero(hits));
+          break;
         }
       }
       const std::uint32_t idx = tx_index_of_[from];

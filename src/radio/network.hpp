@@ -34,7 +34,8 @@ namespace radiocast::radio {
 /// resolves reception node at a time (the reference semantics; every
 /// historical digest was produced by it). kBitset sets the round's
 /// transmitters as a packed uint64_t bit vector and computes reception
-/// with word-wise AND/popcount sweeps over CSR rows — same model, same
+/// with word-wise AND/popcount sweeps over each neighbor row's word groups
+/// (graph::PackedRows, built on the first bitset step) — same model, same
 /// results, ~word-parallel speed on large graphs. A round whose order is
 /// observable (an audit hook, a fault model with loss > 0, or any
 /// EngineMutations flag) runs on the scalar kernel under either mode. See
@@ -287,8 +288,7 @@ class Network {
   /// node id -> index into transmissions_, written for every transmitter
   /// each round; only this round's transmitters are ever looked up.
   std::vector<std::uint32_t> tx_index_of_;
-  /// Optional word-grouped adjacency (built iff the topology compresses;
-  /// rows group on the fly from CSR otherwise — see graph/packed.hpp).
+  /// Word-grouped adjacency, the bitset sweep's row format (graph/packed.hpp).
   graph::PackedRows packed_rows_;
 };
 

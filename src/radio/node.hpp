@@ -51,7 +51,7 @@ class NodeProtocol {
 
   /// Delivery of a successfully received message (exactly one transmitting
   /// neighbor, and this node did not transmit this round).
-  virtual void on_receive(Round round, const Message& msg) = 0;
+  virtual void on_receive(Round /*round*/, const Message& /*msg*/) {}
 
   /// Fired instead of on_receive when >= 2 neighbors transmitted AND the
   /// network was built with collision detection enabled (an ablation of

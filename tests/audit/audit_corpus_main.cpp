@@ -13,6 +13,7 @@
 
 #include "audit/corpus.hpp"
 #include "audit/violation.hpp"
+#include "obs/json.hpp"
 
 int main(int argc, char** argv) {
   using namespace radiocast;
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
     const audit::CorpusOutcome result = audit::run_corpus_case(c);
     const bool ok =
         result.delivered && result.report.clean() && result.bit_identical;
-    out << "{\"case\":\"" << audit::json_escape(c.name) << "\",\"ok\":"
+    out << "{\"case\":\"" << obs::json_escape(c.name) << "\",\"ok\":"
         << (ok ? "true" : "false") << ",\"delivered\":"
         << (result.delivered ? "true" : "false") << ",\"bit_identical\":"
         << (result.bit_identical ? "true" : "false") << ",\"violations\":"

@@ -12,7 +12,6 @@ namespace radiocast::audit {
 
 class TransmitRecorder final : public radio::NetworkAuditHook {
  public:
-  void on_sim_start(const std::vector<radio::NodeId>& /*initially_awake*/) override {}
   void on_transmissions(radio::Round /*round*/,
                         const std::vector<radio::Message>& txs) override {
     senders.clear();
@@ -22,13 +21,6 @@ class TransmitRecorder final : public radio::NetworkAuditHook {
       kinds.push_back(radio::message_kind_index(m.body));
     }
   }
-  void on_deliver(radio::Round, radio::NodeId, std::uint32_t,
-                  const radio::Message&) override {}
-  void on_collision_slot(radio::Round, radio::NodeId, std::uint32_t, bool) override {}
-  void on_deaf_slot(radio::Round, radio::NodeId, std::uint32_t) override {}
-  void on_fault_drop(radio::Round, radio::NodeId, std::uint32_t) override {}
-  void on_node_wake(radio::Round, radio::NodeId) override {}
-  void on_round_end(radio::Round) override {}
 
   std::vector<radio::NodeId> senders;
   std::vector<std::size_t> kinds;  ///< message_kind_index, one per sender

@@ -113,6 +113,11 @@ DissemOutcome run_dissem(const graph::Graph& g, radio::NodeId root, std::uint32_
     std::vector<radio::Packet> got =
         v == root ? packets : node.state().packets();
     if (got != packets) out.payloads_exact = false;
+    // The in-place visitor needs no sort: it walks the groups in the
+    // root's sorted order.
+    std::vector<radio::Packet> visited;
+    node.state().for_each_packet([&](const radio::Packet& p) { visited.push_back(p); });
+    if (visited != packets) out.payloads_exact = false;
   }
   return out;
 }

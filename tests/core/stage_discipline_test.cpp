@@ -174,7 +174,6 @@ TEST(Interceptor, WakeHookFires) {
       std::optional<radio::MessageBody> on_transmit(radio::Round) override {
         return std::nullopt;
       }
-      void on_receive(radio::Round, const radio::Message&) override {}
     };
     auto wrapper = std::make_unique<radio::InterceptingProtocol>(
         std::make_unique<Idle>());

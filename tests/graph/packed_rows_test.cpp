@@ -49,42 +49,22 @@ void expect_rows_match(const Graph& g, const PackedRows& rows) {
 TEST(PackedRows, BuildAlwaysReconstructsNeighborsOnRandomGraph) {
   Rng rng(0x9acced1ULL);
   const Graph g = make_gnp_connected(300, 0.05, rng);
-  expect_rows_match(g, PackedRows::build_always(g));
+  expect_rows_match(g, PackedRows::build(g));
 }
 
 TEST(PackedRows, BuildAlwaysReconstructsNeighborsOnStructuredGraphs) {
   const Graph grid = make_grid(12, 17);
-  expect_rows_match(grid, PackedRows::build_always(grid));
+  expect_rows_match(grid, PackedRows::build(grid));
   const Graph chain = make_cluster_chain(8, 20);
-  expect_rows_match(chain, PackedRows::build_always(chain));
+  expect_rows_match(chain, PackedRows::build(chain));
   const Graph star = make_star(130);
-  expect_rows_match(star, PackedRows::build_always(star));
-}
-
-TEST(PackedRows, AdaptiveBuildAcceptsIdLocalGraph) {
-  // Cliques of 20 consecutive ids: every row fits in one or two words, so
-  // grouping compresses far past the 2x threshold.
-  const Graph g = make_cluster_chain(16, 20);
-  const PackedRows rows = PackedRows::build(g);
-  EXPECT_TRUE(rows.built());
-  EXPECT_LE(rows.num_groups() * 4, 2 * g.num_edges());
-  expect_rows_match(g, rows);
-}
-
-TEST(PackedRows, AdaptiveBuildDeclinesScatteredGraph) {
-  // Sparse uniform G(n,p): neighbors land in distinct words, one group per
-  // edge endpoint — grouping would grow memory, so build() declines.
-  Rng rng(0x9acced2ULL);
-  const Graph g = make_gnp_connected(2000, 0.002, rng);
-  const PackedRows rows = PackedRows::build(g);
-  EXPECT_FALSE(rows.built());
-  EXPECT_EQ(rows.num_groups(), 0u);
+  expect_rows_match(star, PackedRows::build(star));
 }
 
 TEST(PackedRows, ForEachWordGroupMatchesIndexOnEveryRow) {
   Rng rng(0x9acced3ULL);
   const Graph g = make_bounded_degree(400, 6, 0.7, rng);
-  const PackedRows rows = PackedRows::build_always(g);
+  const PackedRows rows = PackedRows::build(g);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     std::vector<WordGroup> streamed;
     for_each_word_group(g.neighbors(u), [&](std::uint32_t word, std::uint64_t mask) {
@@ -103,7 +83,7 @@ TEST(PackedRows, EmptyRowsYieldNoGroups) {
   // Star: every leaf row is exactly one group (the hub's word), and the
   // hub's row spans ceil((n-1)/64)-ish groups of consecutive ids.
   const Graph g = make_star(200);
-  const PackedRows rows = PackedRows::build_always(g);
+  const PackedRows rows = PackedRows::build(g);
   for (NodeId leaf = 1; leaf < g.num_nodes(); ++leaf) {
     EXPECT_EQ(rows.row(leaf).size(), 1u);
   }

@@ -191,7 +191,6 @@ TEST(EngineEquivalenceTest, RunUntilDoneMatchesReferencePredicate) {
 class SwitchableDone final : public NodeProtocol {
  public:
   std::optional<MessageBody> on_transmit(Round) override { return std::nullopt; }
-  void on_receive(Round, const Message&) override {}
   bool done() const override { return done_; }
   bool done_ = false;
 };

@@ -21,8 +21,6 @@ class SlotRecorder final : public NetworkAuditHook {
     NodeId from = 0;           ///< delivered slots only
   };
 
-  void on_sim_start(const std::vector<NodeId>&) override {}
-  void on_transmissions(Round, const std::vector<Message>&) override {}
   void on_deliver(Round round, NodeId receiver, std::uint32_t,
                   const Message& msg) override {
     slots.push_back({round, receiver, Outcome::kDelivered, message_kind(msg.body),
@@ -37,8 +35,6 @@ class SlotRecorder final : public NetworkAuditHook {
   void on_fault_drop(Round round, NodeId receiver, std::uint32_t) override {
     slots.push_back({round, receiver, Outcome::kFaultDrop, {}, 0});
   }
-  void on_node_wake(Round, NodeId) override {}
-  void on_round_end(Round) override {}
 
   std::vector<Slot> slots;
 };
