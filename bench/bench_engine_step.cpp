@@ -4,19 +4,22 @@
 // Every node runs a fixed per-node 64-bit transmission schedule — no RNG
 // draws, no protocol state, no decoding — so the measured cost is the
 // engine itself. Each workload runs once per selected engine mode
-// (--engine scalar|bitset|both, default both) and every row carries an
-// `engine` column; the deterministic counter columns must agree between
-// the two engines row for row (same model, same schedule), which the
-// pinned baseline enforces.
+// (--engine scalar|bitset|auto|all, default all): the two forced sweeps
+// and the default per-round rule. Every row carries an `engine` column;
+// the deterministic counter columns must agree between the three rows of
+// a workload (same model, same schedule), which the pinned baseline
+// enforces. The deterministic `bitset_rounds` column counts the rounds
+// that took the bitset sweep, so the baseline also pins every choice the
+// auto rule makes.
 //
 // Workload families:
 //
 //   dense / sparse      generic PlainPacketMsg protocols on a gnp graph
 //                       (p=1/4 resp. 1/64 transmit probability) — the
-//                       virtual on_transmit path in both engines.
+//                       virtual on_transmit path under every mode.
 //   alarm               one-bit AlarmMsg schedule on the same graph (p=1/4):
 //                       no payload, so reception dominates the message
-//                       cost; both engines poll on_transmit in Phase 1.
+//                       cost; every mode polls on_transmit in Phase 1.
 //   alarm_dense_100k    full mode only: n=10^5, degree~16 locality-window
 //                       graph at p=3/8 — the collision-dominated row.
 //   alarm_sparse_1m     full mode only: n=10^6 sparse window graph — the
@@ -146,6 +149,7 @@ struct Workload {
 
 struct RowResult {
   std::uint64_t rounds = 0;
+  std::uint64_t bitset_rounds = 0;
   double best_seconds = 0.0;
   radio::TraceCounters counters;
   std::uint64_t sum_tx_degree = 0;  // Σ over transmissions of deg(sender)
@@ -175,7 +179,7 @@ RowResult run_workload(const graph::Graph& g, const Workload& w, std::uint64_t r
                        int reps, radio::EngineMode engine) {
   const std::uint32_t n = g.num_nodes();
   // Deterministic per-node schedule + payloads (fixed seed, shared by the
-  // accounting pass, every timed rep, and both engine modes).
+  // accounting pass, every timed rep, and every engine mode).
   Rng pattern_rng(0xe57a6eull * (w.pattern_ones + 1));
   std::vector<std::uint64_t> patterns(n);
   std::vector<radio::Packet> packets(w.alarm ? 0 : n);
@@ -220,7 +224,10 @@ RowResult run_workload(const graph::Graph& g, const Workload& w, std::uint64_t r
     for (std::uint64_t r = 0; r < rounds; ++r) net.step();
     const double seconds = cpu_seconds() - start;
     if (seconds < row.best_seconds) row.best_seconds = seconds;
-    if (rep == 0) row.counters = net.trace().counters();
+    if (rep == 0) {
+      row.counters = net.trace().counters();
+      row.bitset_rounds = net.bitset_rounds();
+    }
   }
   return row;
 }
@@ -241,6 +248,7 @@ void emit_row(radiocast::Table& table, benchutil::JsonReport& json, const Worklo
       .add(radio::engine_mode_name(engine))
       .add(row.n)
       .add(row.rounds)
+      .add(row.bitset_rounds)
       .add(tx_per_round, 1)
       .add(touched_per_round, 1)
       .add(rps, 0)
@@ -250,6 +258,7 @@ void emit_row(radiocast::Table& table, benchutil::JsonReport& json, const Worklo
       .col("engine", radio::engine_mode_name(engine))
       .col("n", row.n)
       .col("rounds", row.rounds)
+      .col("bitset_rounds", row.bitset_rounds)
       .col("transmissions", c.transmissions)
       .col("deliveries", c.deliveries)
       .col("collision_slots", c.collision_slots)
@@ -264,7 +273,7 @@ void emit_row(radiocast::Table& table, benchutil::JsonReport& json, const Worklo
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string engine_arg = "both";
+  std::string engine_arg = "all";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -273,12 +282,14 @@ int main(int argc, char** argv) {
     }
   }
   std::vector<radio::EngineMode> engines;
-  if (engine_arg == "scalar" || engine_arg == "both")
-    engines.push_back(radio::EngineMode::kScalar);
-  if (engine_arg == "bitset" || engine_arg == "both")
-    engines.push_back(radio::EngineMode::kBitset);
+  for (const radio::EngineMode mode :
+       {radio::EngineMode::kScalar, radio::EngineMode::kBitset, radio::EngineMode::kAuto}) {
+    if (engine_arg == "all" || engine_arg == radio::engine_mode_name(mode)) {
+      engines.push_back(mode);
+    }
+  }
   if (engines.empty()) {
-    std::cerr << "usage: bench_engine_step [--smoke] [--engine scalar|bitset|both]\n";
+    std::cerr << "usage: bench_engine_step [--smoke] [--engine scalar|bitset|auto|all]\n";
     return 1;
   }
 
@@ -302,7 +313,7 @@ int main(int argc, char** argv) {
   print_meta(std::cout, "graph", "gnp " + g.summary());
   json.meta("graph", g.summary());
 
-  radiocast::Table table({"workload", "engine", "n", "rounds", "tx/round",
+  radiocast::Table table({"workload", "engine", "n", "rounds", "bitset rounds", "tx/round",
                           "touched/round", "rounds/sec", "est bytes/round"});
   const std::vector<Workload> workloads = {
       {"dense", 16}, {"sparse", 1}, {"alarm", 16, /*alarm=*/true}};

@@ -60,10 +60,12 @@ struct CorpusOutcome {
 bool results_identical(const core::RunResult& a, const core::RunResult& b);
 
 /// Runs one corpus case twice (audited + unaudited) and reports. `engine`
-/// selects the round kernel for both runs; the bitset engine must clear
-/// the corpus exactly like the scalar one (tests/audit/bitset_corpus_test
-/// additionally pins cross-engine result equality).
+/// selects the reception sweep for both runs (the audited run takes the
+/// scalar sweep on every round regardless); a forced bitset sweep must
+/// clear the corpus exactly like the scalar one
+/// (tests/audit/bitset_corpus_test additionally pins cross-sweep result
+/// equality).
 CorpusOutcome run_corpus_case(const CorpusCase& c,
-                              radio::EngineMode engine = radio::EngineMode::kScalar);
+                              radio::EngineMode engine = radio::EngineMode::kAuto);
 
 }  // namespace radiocast::audit

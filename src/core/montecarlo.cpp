@@ -74,8 +74,7 @@ std::vector<RunResult> run_kbroadcast_sweep(const KBroadcastSweep& sweep,
         RunAuditor* taps = sweep.taps ? sweep.taps(t) : nullptr;
         return run_kbroadcast(*sweep.graph, sweep.cfg, placement,
                               sweep.run_seed(t), sweep.max_rounds, faults,
-                              /*observer=*/nullptr, taps, sweep.collision_detection,
-                              /*tracer=*/nullptr, sweep.engine);
+                              /*observer=*/nullptr, taps, sweep.collision_detection);
       },
       opts);
 }

@@ -90,8 +90,9 @@ struct RunResult {
 /// flag (see radio::Network::enable_collision_detection).
 /// Note: a run with zero packets returns vacuously without building a
 /// network, so no tap is invoked for it.
-/// `engine` selects the round kernel (see radio::EngineMode); both modes
-/// produce identical results, pinned by the differential oracle tests.
+/// `engine` is a test hook that forces one reception sweep (see
+/// radio::EngineMode); the default picks per round, and every mode
+/// produces identical results, pinned by the differential oracle tests.
 /// `shards` exists only so benchmark/runner.cpp, which passes 1, keeps
 /// building; any other value fails an assertion.
 RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
@@ -102,7 +103,7 @@ RunResult run_kbroadcast(const graph::Graph& g, const KBroadcastConfig& cfg,
                          RunAuditor* auditor = nullptr,
                          bool collision_detection = false,
                          obs::PacketTracer* tracer = nullptr,
-                         radio::EngineMode engine = radio::EngineMode::kScalar,
+                         radio::EngineMode engine = radio::EngineMode::kAuto,
                          std::uint32_t shards = 1);
 
 }  // namespace radiocast::core

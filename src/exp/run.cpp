@@ -362,8 +362,6 @@ void run_kbroadcast_cells(Builder& b, const graph::Graph& g,
       sweep.run_seed = [&spec](int t) { return run_seed(spec, t); };
       sweep.max_rounds = spec.max_rounds;
       sweep.collision_detection = cell.cd;
-      sweep.engine = spec.engine == "bitset" ? radio::EngineMode::kBitset
-                                             : radio::EngineMode::kScalar;
       if (cell.loss > 0) {
         sweep.faults = [&spec, &cell](int t) {
           radio::FaultModel f;

@@ -320,10 +320,10 @@ JsonValue scenario_to_json(const ScenarioSpec& s) {
   o.set("seed_base", s.seed_base);
   o.set("max_rounds", s.max_rounds);
   o.set("audit", s.audit);
-  // "engine" IS part of the spec identity (unlike "threads"): the round
-  // kernel is pinned result-identical across modes, but provenance must
-  // record which kernel produced a table, so changing it changes every
-  // digest (see docs/experiments.md).
+  // "engine" selects nothing (every run picks its reception sweep per
+  // round), but it stays in the spec identity, as it was when every
+  // pinned digest was taken: dropping it would move them all (see
+  // docs/experiments.md).
   o.set("engine", s.engine);
   // "threads" is deliberately absent: it is an execution knob, not part
   // of the experiment's identity, so it may not perturb spec digests.
@@ -413,11 +413,11 @@ void validate_scenario(const ScenarioSpec& s) {
 
   if (s.mode == "kbroadcast") {
     if (s.algos.empty()) fail("algos must not be empty");
-    bool needs_sweep_engine = false;
+    bool plain_algo = false;
     for (const std::string& a : s.algos) {
       if (a == "coded" || a == "uncoded") continue;
       if (a == "seq_bgi" || a == "gossip") {
-        needs_sweep_engine = true;
+        plain_algo = true;
         continue;
       }
       fail("unknown algo \"" + a + "\" (coded | uncoded | seq_bgi | gossip)");
@@ -430,21 +430,15 @@ void validate_scenario(const ScenarioSpec& s) {
     // seq_bgi/gossip run through the plain run_algo entry point, which has
     // no fault/CD/audit taps — restrict the ablation axes to the pipeline
     // algorithms rather than silently ignoring them.
-    if (needs_sweep_engine && (has_faults || has_cd || s.audit))
+    if (plain_algo && (has_faults || has_cd || s.audit))
       fail("loss > 0, collision_detection and audit require algos within "
            "{coded, uncoded}");
-    // Same restriction for the engine knob: seq_bgi/gossip run through the
-    // plain run_algo entry point, which always uses the scalar kernel.
-    if (needs_sweep_engine && s.engine != "scalar")
-      fail("engine \"bitset\" requires algos within {coded, uncoded}");
     return;
   }
 
-  // Both open-system modes run stream::run_stream: its nodes run the
-  // scalar round kernel, and it has no fault or CD tap — the CD/fault
-  // ablations are closed-run axes, rejected rather than silently ignored.
-  if (s.engine != "scalar")
-    fail("engine \"bitset\" is not supported in " + s.mode + " mode");
+  // Both open-system modes run stream::run_stream, which has no fault or
+  // CD tap — the CD/fault ablations are closed-run axes, rejected rather
+  // than silently ignored.
   if (has_faults || has_cd)
     fail("loss > 0 and collision_detection are not supported in " + s.mode + " mode");
   if (s.mode == "dynamic") {

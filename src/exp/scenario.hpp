@@ -145,9 +145,10 @@ struct ScenarioSpec {
 
   std::uint64_t max_rounds = 0;  ///< 0 = schedule-derived bound
   bool audit = false;  ///< attach a ModelAuditor to every trial
-  /// Round kernel: "scalar" (reference) or "bitset" (bit-parallel, result-
-  /// identical). Part of the spec identity — changing it changes every
-  /// digest, so tables always record which kernel produced them.
+  /// Kept for compatibility and selects nothing: every run picks its
+  /// reception sweep per round (radio::EngineMode::kAuto). Still parsed,
+  /// validated ("scalar" | "bitset") and digested: benchmark/runner.cpp
+  /// reads it, and every pinned spec digest includes it.
   std::string engine = "scalar";
   int threads = 0;     ///< 0 = RADIOCAST_BENCH_THREADS / hardware
   /// Exists only so benchmark/runner.cpp, which sets it to 1, keeps

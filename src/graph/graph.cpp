@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <mutex>
 #include <utility>
+
+#include "graph/packed.hpp"
 
 namespace radiocast::graph {
 
@@ -34,6 +37,18 @@ void Graph::finalize() {
   build_adjacency_.clear();
   build_adjacency_.shrink_to_fit();
   finalized_ = true;
+  packed_ = std::make_shared<PackedIndex>();
+}
+
+struct Graph::PackedIndex {
+  std::once_flag built;
+  PackedRows rows;
+};
+
+const PackedRows& Graph::packed_rows() const {
+  RC_DCHECK(finalized_);
+  std::call_once(packed_->built, [this] { packed_->rows = PackedRows::build(*this); });
+  return packed_->rows;
 }
 
 std::size_t Graph::max_degree() const {

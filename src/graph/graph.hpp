@@ -9,10 +9,13 @@
 // allocation instead of one heap block per vertex, which is what makes
 // the walk cache-friendly at sweep scale. Edge queries stay O(log deg)
 // (lists are sorted), `degree()` is O(1), and the `neighbors()` span API
-// is unchanged, so consumers are layout-agnostic.
+// is unchanged, so consumers are layout-agnostic. The word-group index the
+// bit-parallel reception sweep reads (graph/packed.hpp) is built at most
+// once per finalized graph, on first use.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,6 +25,8 @@
 namespace radiocast::graph {
 
 using NodeId = std::uint32_t;
+
+class PackedRows;
 
 class Graph {
  public:
@@ -70,6 +75,12 @@ class Graph {
     return targets_.data();
   }
 
+  /// Word-group index of every neighbor row (graph/packed.hpp). The first
+  /// call builds it (thread-safe); every radio::Network on this graph, on
+  /// any thread, and every copy of the graph then reads that one copy. A
+  /// graph no bitset round runs on never builds it. Requires finalize().
+  const PackedRows& packed_rows() const;
+
   /// Maximum degree Δ (0 for an empty or edgeless graph).
   std::size_t max_degree() const;
 
@@ -95,6 +106,10 @@ class Graph {
   /// offsets_ has num_nodes_+1 entries; targets_ has 2*num_edges_.
   std::vector<std::size_t> offsets_;
   std::vector<NodeId> targets_;
+  /// The lazily built index, shared by copies of the graph (made by
+  /// finalize()).
+  struct PackedIndex;
+  std::shared_ptr<PackedIndex> packed_;
 };
 
 }  // namespace radiocast::graph

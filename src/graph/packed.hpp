@@ -9,10 +9,12 @@
 // chains, spatially-sorted meshes) a degree-16 row collapses to one or two
 // groups.
 //
-// The index is the bitset sweep's only row format, built for every graph.
-// A group is 16 bytes against 4 per CSR entry, so on an id-scattered graph
-// (one neighbor per word) it is about 4x the CSR target array; it is still
-// faster to read than re-grouping the CSR row every round.
+// The index is the bitset sweep's only row format. Graph::packed_rows()
+// builds it once per graph, on first use, and every Network on that graph
+// reads the one copy. A group is 16 bytes against 4 per CSR entry, so
+// on an id-scattered graph (one neighbor per word) it is about 4x the CSR
+// target array; it is still faster to read than re-grouping the CSR row
+// every round.
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,8 @@
 // A hook installed via Network::set_auditor sees, every round, the raw
 // transmission set (after the engine collected all on_transmit decisions)
 // followed by one event per reception outcome the engine produced, in the
-// scalar kernel's receiver-touch order: an installed hook sends every
-// round to that kernel, under either engine mode. The hook is strictly an
+// scalar sweep's receiver-touch order: an installed hook sends every
+// round to that sweep, under every engine mode. The hook is strictly an
 // observer: it owns no RNG draws and cannot alter the round, so an audited
 // run is bit-identical to an unaudited one. When no hook is installed the
 // only per-round cost is a handful of null checks.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "graph/packed.hpp"
 
 namespace radiocast::radio {
 
@@ -15,14 +16,10 @@ const char* engine_mode_name(EngineMode mode) {
       return "scalar";
     case EngineMode::kBitset:
       return "bitset";
+    case EngineMode::kAuto:
+      return "auto";
   }
-  return "scalar";
-}
-
-std::optional<EngineMode> parse_engine_mode(std::string_view name) {
-  if (name == "scalar") return EngineMode::kScalar;
-  if (name == "bitset") return EngineMode::kBitset;
-  return std::nullopt;
+  return "auto";
 }
 
 Network::Network(const graph::Graph& graph)
@@ -133,13 +130,12 @@ void Network::step() {
       RC_ASSERT_MSG(protocols_[id] != nullptr, "every node needs a protocol");
     }
 #endif
-    if (engine_ == EngineMode::kBitset) {
+    if (engine_ != EngineMode::kScalar) {
       const std::size_t n = num_nodes();
       tx_bits_.resize(n);
       once_bits_.resize(n);
       twice_bits_.resize(n);
       tx_index_of_.resize(n);
-      packed_rows_ = graph::PackedRows::build(graph_);
     }
   }
 
@@ -161,16 +157,29 @@ void Network::step() {
 
   // Phases 2-3. Fault erasures (the shared Rng draws once per successful
   // slot, in receiver-touch order), an audit hook and the test mutations
-  // all observe the scalar kernel's order, so any round with one of them
-  // attached runs there under either engine. Without them per-node
-  // outcomes are order-independent (protocols only interact through the
-  // channel, which the round's transmit set already fixes), and the bitset
-  // kernel may classify receivers word-wise in id order.
+  // all observe the scalar sweep's order, so any round with one of them
+  // attached runs there under every mode. Without them per-node outcomes
+  // are order-independent (protocols only interact through the channel,
+  // which the round's transmit set already fixes), and the bitset sweep
+  // may classify receivers word-wise in id order.
+  //
+  // kAuto's rule: take the bitset sweep once the transmitters' rows hold
+  // at least n neighbor slots, i.e. the round reaches the average node at
+  // least once. Below that most reached nodes are single receptions, which
+  // the scalar sweep resolves from its reach slot while the bitset sweep
+  // re-scans the receiver's row; above it collisions dominate, and the
+  // bitset sweep classifies 64 of them with one AND. The sum also bounds
+  // the bitset sweep's fixed cost, its passes over the n/64 words, by one
+  // word per 64 slots. Fit from bench_engine_step (docs/performance.md).
   const bool order_sensitive =
       auditor_ != nullptr || fault_model_.reception_loss_probability > 0.0 ||
       mutations_.deliver_on_collision || mutations_.deliver_while_transmitting ||
       mutations_.skip_wake_on_receive;
-  if (engine_ == EngineMode::kBitset && !order_sensitive) {
+  const bool bitset_pays = engine_ == EngineMode::kAuto
+                               ? tx_degree_sum_ >= num_nodes()
+                               : engine_ == EngineMode::kBitset;
+  if (!order_sensitive && bitset_pays) {
+    ++bitset_rounds_;
     sweep_bitset();
   } else {
     sweep_scalar();
@@ -190,8 +199,10 @@ void Network::poll_transmitters() {
   // is unchanged — nothing reads the counters until after the flush.
   std::uint64_t bits_tx_acc = 0;
   std::uint64_t polls_acc = 0;
+  std::size_t degree_acc = 0;
   std::array<std::uint64_t, kNumMessageKinds> tx_kind_acc{};
   NodeProtocol* const* const tx_protocols = protocols_.data();
+  const std::size_t* const offsets = graph_.csr_offsets();
   Round* const poll_at = poll_at_.data();
   const Round round_now = round_;
   // awake_list_ cannot change inside this loop (wake() only fires on
@@ -212,6 +223,7 @@ void Network::poll_transmitters() {
       const auto bits = static_cast<std::uint32_t>(message_size_bits(*body));
       const auto kind = static_cast<std::uint32_t>(message_kind_index(*body));
       bits_tx_acc += bits;
+      degree_acc += offsets[id + 1] - offsets[id];
       ++tx_kind_acc[kind];
       // emplace + move-assign: one variant move instead of the two a
       // `push_back({id, std::move(*body)})` temporary would cost.
@@ -222,6 +234,7 @@ void Network::poll_transmitters() {
       tx_from_.push_back(id);
     }
   }
+  tx_degree_sum_ = degree_acc;
   TraceCounters& c = trace_.counters();
   c.transmissions += transmissions_.size();
   c.bits_transmitted += bits_tx_acc;
@@ -356,6 +369,7 @@ void Network::sweep_scalar() {
 }
 
 void Network::sweep_bitset() {
+  const graph::PackedRows& rows = graph_.packed_rows();
   const std::size_t nw = tx_bits_.num_words();
   std::uint64_t* const tx = tx_bits_.words().data();
   std::uint64_t* const once = once_bits_.words().data();
@@ -380,7 +394,7 @@ void Network::sweep_bitset() {
     while (word != 0) {
       const auto u = static_cast<NodeId>((w0 << 6) + std::countr_zero(word));
       word &= word - 1;
-      for (const graph::WordGroup& g : packed_rows_.row(u)) {
+      for (const graph::WordGroup& g : rows.row(u)) {
         twice[g.word] |= once[g.word] & g.mask;
         once[g.word] |= g.mask;
       }
@@ -422,7 +436,7 @@ void Network::sweep_bitset() {
       // Exactly one transmitter reached v, so the first nonzero
       // row-word intersection pins it (first-hit trick).
       NodeId from = 0;
-      for (const graph::WordGroup& g : packed_rows_.row(v)) {
+      for (const graph::WordGroup& g : rows.row(v)) {
         const std::uint64_t hits = tx[g.word] & g.mask;
         if (hits != 0) {
           from = static_cast<NodeId>((static_cast<std::size_t>(g.word) << 6) +

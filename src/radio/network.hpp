@@ -11,14 +11,11 @@
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "gf2/bitvec.hpp"
 #include "graph/graph.hpp"
-#include "graph/packed.hpp"
 #include "radio/audit_hook.hpp"
 #include "radio/node.hpp"
 #include "radio/payload_arena.hpp"
@@ -26,27 +23,29 @@
 
 namespace radiocast::radio {
 
-/// Which reception kernel executes Phases 2-3 of step().
+/// Which reception sweep executes Phases 2-3 of step().
 ///
-/// Both kernels share Phase 1: every awake node that is due a poll (see
+/// Both sweeps share Phase 1: every awake node that is due a poll (see
 /// NodeProtocol::quiet_until) decides from its own coins whether to
-/// transmit, through the virtual NodeProtocol::on_transmit. kScalar then
-/// resolves reception node at a time (the reference semantics; every
-/// historical digest was produced by it). kBitset sets the round's
-/// transmitters as a packed uint64_t bit vector and computes reception
-/// with word-wise AND/popcount sweeps over each neighbor row's word groups
-/// (graph::PackedRows, built on the first bitset step) — same model, same
-/// results, ~word-parallel speed on large graphs. A round whose order is
+/// transmit, through the virtual NodeProtocol::on_transmit. The scalar
+/// sweep then resolves reception node at a time (the reference semantics;
+/// every historical digest was produced by it). The bitset sweep sets the
+/// round's transmitters as a packed uint64_t bit vector and computes
+/// reception with word-wise AND/popcount sweeps over each neighbor row's
+/// word groups (Graph::packed_rows()): same model, same results, cheaper
+/// when the transmitters' rows cover the graph.
+///
+/// kAuto, the default, picks per round by a cost rule on the transmit set
+/// Phase 1 produced (see Network::step and docs/performance.md). kScalar
+/// and kBitset force one sweep; they exist so the differential oracle
+/// tests and bench_engine_step can compare the two. A round whose order is
 /// observable (an audit hook, a fault model with loss > 0, or any
-/// EngineMutations flag) runs on the scalar kernel under either mode. See
-/// docs/performance.md.
-enum class EngineMode : std::uint8_t { kScalar, kBitset };
+/// EngineMutations flag) takes the scalar sweep under every mode.
+/// Enumerator values are stable: parameterised test names print them.
+enum class EngineMode : std::uint8_t { kScalar, kBitset, kAuto };
 
-/// "scalar" / "bitset" (stable names: scenario schema + manifests).
+/// "scalar" / "bitset" / "auto" (bench_engine_step's engine column).
 const char* engine_mode_name(EngineMode mode);
-
-/// Inverse of engine_mode_name; nullopt for unknown names.
-std::optional<EngineMode> parse_engine_mode(std::string_view name);
 
 /// Optional fault injection, beyond the paper's model: models external
 /// interference (jamming, thermal noise) as independent per-reception
@@ -160,12 +159,17 @@ class Network {
   /// called before the first step.
   void set_test_mutations(const EngineMutations& mutations);
 
-  /// Selects the round kernel (default kScalar). Must be called before
-  /// the first step; the two engines produce identical simulations (the
-  /// bitset engine is pinned to the scalar one by the differential oracle
-  /// tests and the audited corpus).
+  /// Test hook: forces one reception sweep (default kAuto, the per-round
+  /// cost rule). Must be called before the first step; every mode gives
+  /// the same simulation (the bitset sweep is pinned to the scalar one by
+  /// the differential oracle tests and the audited corpus).
   void set_engine(EngineMode mode);
   EngineMode engine() const { return engine_; }
+
+  /// Rounds so far that took the bitset sweep. Kept out of TraceCounters,
+  /// which must not depend on the sweep (the cross-sweep tests compare
+  /// them with ==).
+  std::uint64_t bitset_rounds() const { return bitset_rounds_; }
 
  private:
   void wake(NodeId id);
@@ -180,7 +184,7 @@ class Network {
   /// Phase 1, shared by both kernels: asks every awake node that is due a
   /// poll for its decision, in ascending id order, appending to
   /// transmissions_, tx_meta_ and tx_from_ and to the transmission
-  /// counters.
+  /// counters, and sums the transmitters' degrees into tx_degree_sum_.
   void poll_transmitters();
   /// Phases 2-3 of the node-at-a-time reference kernel; it defines the
   /// observable order (fault-RNG draws, audit-hook callbacks).
@@ -261,6 +265,9 @@ class Network {
   /// Sender ids only (parallel to transmissions_): the Phase-2 reach walk
   /// streams these 4-byte entries instead of striding across Messages.
   std::vector<NodeId> tx_from_;
+  /// Σ deg(u) over this round's transmitters, from Phase 1: the neighbor
+  /// slots the round's transmissions reach, kAuto's sweep rule input.
+  std::size_t tx_degree_sum_ = 0;
   std::vector<std::uint8_t> transmitting_;
   /// Per-node reach bookkeeping, merged into one 8-byte record so the
   /// random-access walks of Phases 2 and 3 touch one cache line per node
@@ -275,8 +282,10 @@ class Network {
   std::vector<NodeId> touched_;
   std::unique_ptr<PayloadArena> payload_arena_;
 
-  // --- bitset engine state (allocated on the first bitset step) --------
-  EngineMode engine_ = EngineMode::kScalar;
+  // --- bitset sweep state (allocated on the first step unless the scalar
+  // sweep is forced) ------------------------------------------------------
+  EngineMode engine_ = EngineMode::kAuto;
+  std::uint64_t bitset_rounds_ = 0;
   /// This round's transmit set, one bit per node.
   gf2::BitVec tx_bits_;
   /// Reached-by-at-least-one / at-least-two carry-save pair: a
@@ -288,8 +297,6 @@ class Network {
   /// node id -> index into transmissions_, written for every transmitter
   /// each round; only this round's transmitters are ever looked up.
   std::vector<std::uint32_t> tx_index_of_;
-  /// Word-grouped adjacency, the bitset sweep's row format (graph/packed.hpp).
-  graph::PackedRows packed_rows_;
 };
 
 }  // namespace radiocast::radio

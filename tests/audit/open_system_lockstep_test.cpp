@@ -5,7 +5,8 @@
 // offer() — with no engine re-arm. That is sound because nothing reads an
 // arrival before the node's next epoch re-entry, where every hint is
 // capped. The network runs twice in lock step on the same arrivals, under
-// both engines: bare, so the engine skips nodes on their hints, and with
+// each engine mode (both forced sweeps and the default per-round rule):
+// bare, so the engine skips nodes on their hints, and with
 // every node wrapped in an InterceptingProtocol, which never forwards the
 // hint and so is polled on every awake round. Two arrival regimes feed
 // it: dynamic mode's finite make_arrivals list through an unbounded
@@ -26,8 +27,8 @@
 //      list, poll counter included.
 //
 // The ReportsEachFirstHoldOnce tests pin the node's hold report: over
-// both regimes and engines, and over the dynamic regime at loss 0.05,
-// every (node, packet) first hold is reported exactly once, with the
+// both regimes and every engine mode, and over the dynamic regime at loss
+// 0.05, every (node, packet) first hold is reported exactly once, with the
 // bytes the packet arrived with, and each packet's reporters are exactly
 // the holders run_stream's accounting counts from the hold log. A lone
 // root driven by hand pins the one path those runs do not reach: a packet
@@ -368,7 +369,8 @@ INSTANTIATE_TEST_SUITE_P(
     Harnesses, OpenSystemLockstep,
     ::testing::Combine(::testing::Values(Regime::kDynamic, Regime::kStream),
                        ::testing::Values(radio::EngineMode::kScalar,
-                                         radio::EngineMode::kBitset)),
+                                         radio::EngineMode::kBitset,
+                                         radio::EngineMode::kAuto)),
     [](const ::testing::TestParamInfo<Param>& info) {
       return std::string(std::get<0>(info.param) == Regime::kStream ? "stream"
                                                                      : "dynamic") +

@@ -2,7 +2,8 @@
 //
 // The engine skips on_transmit for a node inside the quiet spell its last
 // call declared (radio::NodeProtocol::quiet_until). Every corpus case runs
-// twice in lock step, under both engines: once with bare KBroadcastNodes,
+// twice in lock step, under each engine mode (both forced sweeps and the
+// default per-round rule): once with bare KBroadcastNodes,
 // which the engine skips on their hints, and once with each node wrapped
 // in an InterceptingProtocol, which never forwards the hint and so is
 // polled on every awake round. Per case this pins:
@@ -203,7 +204,8 @@ INSTANTIATE_TEST_SUITE_P(
     PinnedCorpus, PollHintLockstep,
     ::testing::Combine(::testing::ValuesIn(pinned_corpus()),
                        ::testing::Values(radio::EngineMode::kScalar,
-                                         radio::EngineMode::kBitset)),
+                                         radio::EngineMode::kBitset,
+                                         radio::EngineMode::kAuto)),
     [](const ::testing::TestParamInfo<Param>& info) {
       return std::get<0>(info.param).name + "_" +
              radio::engine_mode_name(std::get<1>(info.param));

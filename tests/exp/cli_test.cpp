@@ -64,6 +64,7 @@ TEST(Cli, VersionReportsBuildProvenance) {
   const CliRun r = run_cli({"version"});
   EXPECT_EQ(r.code, 0);
   EXPECT_NE(r.out.find("compiler:"), std::string::npos);
+  EXPECT_NE(r.out.find("sweeps:"), std::string::npos);
 }
 
 TEST(Cli, ValidatePrintsCanonicalForm) {
@@ -162,8 +163,8 @@ TEST(Cli, RunUnknownOptionFails) {
   // A real spec file, so a run that ignored the option would exit 0.
   const std::string dir = temp_dir("cli_unknown_option");
   write_file(dir + "/spec.json", kTinySpec);
-  const std::vector<std::vector<std::string>> extras = {{"--frobnicate"},
-                                                        {"--shards", "2"}};
+  const std::vector<std::vector<std::string>> extras = {
+      {"--frobnicate"}, {"--shards", "2"}, {"--engine", "bitset"}};
   for (const std::vector<std::string>& extra : extras) {
     std::vector<std::string> args = {"run", dir + "/spec.json", "--out", dir, "--quiet"};
     args.insert(args.end(), extra.begin(), extra.end());

@@ -143,7 +143,9 @@ TEST(Scenario, ThreadsIsExcludedFromCanonicalForm) {
 }
 
 TEST(Scenario, EngineKnobParsesValidatesAndSerializes) {
-  // Default is scalar (every historical spec digest was produced by it).
+  // The key selects nothing (every run picks its sweep per round), but it
+  // is still parsed, validated and digested. Default is scalar (every
+  // historical spec digest was taken with it).
   EXPECT_EQ(parse_scenario(R"({"id": "x"})").engine, "scalar");
   EXPECT_EQ(parse_scenario(R"({"id":"x","engine":"bitset"})").engine, "bitset");
   EXPECT_THROW(parse_scenario(R"({"id":"x","engine":"vector"})"), JsonError);
@@ -156,18 +158,14 @@ TEST(Scenario, EngineKnobParsesValidatesAndSerializes) {
   EXPECT_EQ(parse_scenario(serialize_scenario(bitset)).engine, "bitset");
 }
 
-TEST(Scenario, BitsetEngineRequiresPipelineAlgosAndStaticMode) {
-  // seq_bgi/gossip run through run_algo (scalar-only), and the dynamic
-  // runner drives its own loop; both must reject the bitset knob rather
-  // than silently running scalar under a bitset-labelled digest.
-  EXPECT_THROW(parse_scenario(R"({"id":"x","algos":["seq_bgi"],"engine":"bitset"})"),
-               JsonError);
-  EXPECT_THROW(parse_scenario(R"({"id":"x","algos":["gossip"],"engine":"bitset"})"),
-               JsonError);
-  EXPECT_THROW(
-      parse_scenario(
-          R"({"id":"x","mode":"dynamic","dynamic":{"load":[0.5]},"engine":"bitset"})"),
-      JsonError);
+TEST(Scenario, EngineKeyIsAcceptedInEveryAlgoAndMode) {
+  // Every Network picks its sweep per round, seq_bgi/gossip and the
+  // open-system modes included, so "bitset" names nothing those runs lack.
+  EXPECT_NO_THROW(parse_scenario(R"({"id":"x","algos":["seq_bgi"],"engine":"bitset"})"));
+  EXPECT_NO_THROW(parse_scenario(R"({"id":"x","algos":["gossip"],"engine":"bitset"})"));
+  EXPECT_NO_THROW(parse_scenario(
+      R"({"id":"x","mode":"dynamic","dynamic":{"load":[0.5]},"engine":"bitset"})"));
+  EXPECT_NO_THROW(parse_scenario(R"({"id":"x","mode":"stream","engine":"bitset"})"));
   EXPECT_NO_THROW(
       parse_scenario(R"({"id":"x","algos":["coded","uncoded"],"engine":"bitset"})"));
 }

@@ -90,9 +90,7 @@ TEST(StreamScenario, ValidationCatchesBadValues) {
   EXPECT_THROW(parse_scenario(with(R"("horizon_epochs":0)")), JsonError);
   EXPECT_THROW(parse_scenario(with(R"("saturation_window":0)")), JsonError);
   EXPECT_THROW(parse_scenario(with(R"("rates":[1.0])")), JsonError);  // unknown key
-  // Closed-run ablation axes and the bitset kernel do not exist here.
-  EXPECT_THROW(parse_scenario(R"({"id":"x","mode":"stream","engine":"bitset"})"),
-               JsonError);
+  // Closed-run ablation axes do not exist here.
   EXPECT_THROW(parse_scenario(R"({"id":"x","mode":"stream","loss":[0.1]})"),
                JsonError);
   EXPECT_THROW(

@@ -61,6 +61,19 @@ TEST(PackedRows, BuildAlwaysReconstructsNeighborsOnStructuredGraphs) {
   expect_rows_match(star, PackedRows::build(star));
 }
 
+TEST(PackedRows, OneIndexPerGraphThatCopiesShare) {
+  Rng rng(0x9acced5ULL);
+  const Graph g = make_gnp_connected(200, 0.05, rng);
+  expect_rows_match(g, g.packed_rows());
+  const Graph copy = g;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(&copy.packed_rows(), &g.packed_rows());
+  // A copy taken before the first build shares the index it builds.
+  Rng rng2(0x9acced5ULL);
+  const Graph fresh = make_gnp_connected(200, 0.05, rng2);
+  const Graph fresh_copy = fresh;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(&fresh_copy.packed_rows(), &fresh.packed_rows());
+}
+
 TEST(PackedRows, ForEachWordGroupMatchesIndexOnEveryRow) {
   Rng rng(0x9acced3ULL);
   const Graph g = make_bounded_degree(400, 6, 0.7, rng);
